@@ -467,6 +467,14 @@ Outcome run_campaign_all_ixps(const Options& options) {
   }
   outcome.per_layer["io.snapshot_load_s"] = now_s() - load_t0;
 
+  // One untimed warm-up run: the first run in a process pays for growing
+  // the allocator's arenas, which later runs reuse, and it was the slowest
+  // run in most invocations.
+  {
+    Span span("measure.warmup");
+    rp::core::SpreadStudy::run(*world);
+  }
+
   std::vector<double> run_s, reanalyze_s;
   double cpu_total = 0.0;
   std::optional<std::uint64_t> first_digest;

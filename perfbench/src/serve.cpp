@@ -1,9 +1,12 @@
 // The daemon workload, serve_light.
 //
 // An in-process rp::serve daemon on loopback serves the paper-scale world.
-// Load is a closed loop (rpq callers block on each answer): three client
-// connections, no think time, each looping over its own seeded draws of a
-// 16-slot request cycle of read-only queries.
+// Load is a closed loop (rpq callers block on each answer): one client
+// connection, no think time, looping over seeded draws of a 16-slot request
+// cycle of read-only queries. With one client every request is a batch of
+// its own, so its latency is its own service time, not that of whatever
+// another client's request was batched with; on a 4-core box three clients
+// made the median swing with batch composition and scheduling.
 #include <algorithm>
 #include <array>
 #include <atomic>
@@ -28,7 +31,6 @@ using rp::serve::RequestType;
 using rp::serve::Response;
 using rp::serve::Status;
 
-constexpr std::size_t kClients = 3;
 constexpr std::size_t kVariants = 8;
 
 enum Kind : std::size_t {
@@ -49,6 +51,13 @@ constexpr std::array<const char*, kKinds> kSpanNames = {
     "serve.offload_curve", "serve.viability",  "serve.whatif_peering",
     "serve.whatif_econ",    "serve.spread",     "serve.world_info",
     "serve.stats"};
+
+/// The request cycle's composition; each draw of it shuffles the order.
+constexpr std::array<Kind, 16> kCycle = {
+    kOffloadCurve,  kOffloadCurve,  kViability,     kViability,
+    kWhatIfPeering, kWhatIfPeering, kWhatIfPeering, kWhatIfPeering,
+    kWhatIfEcon,    kWhatIfEcon,    kSpread,        kSpread,
+    kWorldInfo,     kWorldInfo,     kStats,         kStats};
 
 /// §5 prices inside ineqs. 7-8 (h < g, u < v < p).
 rp::serve::EconPrices draw_prices(Draw& draw) {
@@ -142,38 +151,31 @@ Request draw_request(Kind kind, Draw& draw, std::size_t& rotation,
   return r;
 }
 
-/// Each client's request loop: kVariants seeded draws of the 16-slot cycle
+/// The client's request loop: kVariants seeded draws of the 16-slot cycle
 /// (same composition, fresh parameters and order), sent back to back.
 /// Sampling many parameter draws per run keeps the load of one run close to
 /// that of another seed's.
-std::vector<std::vector<Slot>> draw_cycles(
-    Draw& draw, const rp::serve::WorldSpec& world,
-    const std::vector<std::string>& acronyms) {
-  std::vector<std::vector<Slot>> cycles(kClients);
-  for (std::size_t c = 0; c < kClients; ++c) {
-    std::size_t rotation = c;
-    for (std::size_t v = 0; v < kVariants; ++v) {
-      std::vector<Kind> kinds = {
-          kOffloadCurve,  kOffloadCurve,  kViability,     kViability,
-          kWhatIfPeering, kWhatIfPeering, kWhatIfPeering, kWhatIfPeering,
-          kWhatIfEcon,    kWhatIfEcon,    kSpread,        kSpread,
-          kWorldInfo,     kWorldInfo,     kStats,         kStats};
-      for (std::size_t i = kinds.size(); i > 1; --i)
-        std::swap(kinds[i - 1], kinds[draw.below(i)]);
-      for (Kind kind : kinds) {
-        Slot slot;
-        slot.kind = kind;
-        slot.request = draw_request(kind, draw, rotation, acronyms);
-        slot.request.id = 1000000 * (c + 1) + cycles[c].size();
-        slot.request.world = world;
-        cycles[c].push_back(std::move(slot));
-      }
+std::vector<Slot> draw_loop(Draw& draw, const rp::serve::WorldSpec& world,
+                            const std::vector<std::string>& acronyms) {
+  std::vector<Slot> loop;
+  std::size_t rotation = 0;
+  for (std::size_t v = 0; v < kVariants; ++v) {
+    std::array<Kind, kCycle.size()> kinds = kCycle;
+    for (std::size_t i = kinds.size(); i > 1; --i)
+      std::swap(kinds[i - 1], kinds[draw.below(i)]);
+    for (Kind kind : kinds) {
+      Slot slot;
+      slot.kind = kind;
+      slot.request = draw_request(kind, draw, rotation, acronyms);
+      slot.request.id = 1000000 + loop.size();
+      slot.request.world = world;
+      loop.push_back(std::move(slot));
     }
   }
-  return cycles;
+  return loop;
 }
 
-/// What one client saw; merged after the window.
+/// What the client saw.
 struct ClientLog {
   std::array<std::vector<double>, kKinds> latency_us;
   /// (completion time, latency in ms) of every answer, in send order.
@@ -301,9 +303,8 @@ Outcome run_serve_light(const Options& options) {
     outcome.per_layer["io.snapshot_load_s"] = now_s() - t0;
   }
   Draw draw(options.seed * 0x2545f4914f6cdd1dull + 1);
-  std::vector<std::vector<Slot>> cycles = draw_cycles(draw, spec, acronyms);
-  std::vector<ClientLog> logs(kClients + 1);
-  ClientLog& setup_log = logs[kClients];
+  std::vector<Slot> loop = draw_loop(draw, spec, acronyms);
+  ClientLog log, setup_log;
 
   rp::obs::set_metrics_enabled(true);
   rp::serve::DaemonConfig daemon_config;
@@ -313,23 +314,24 @@ Outcome run_serve_light(const Options& options) {
   rp::serve::Daemon daemon(std::move(daemon_config));
   daemon.start();
   const std::uint16_t port = daemon.port();
-  std::vector<rp::serve::Client> clients;
-  for (std::size_t c = 0; c < kClients; ++c)
-    clients.push_back(rp::serve::Client::connect("127.0.0.1", port));
 
   try {
+    rp::serve::Client client = rp::serve::Client::connect("127.0.0.1", port);
+    // A second connection that only asks for stats: during the cold query
+    // and at window end.
+    rp::serve::Client probe = rp::serve::Client::connect("127.0.0.1", port);
+
     // Warming the daemon is part of set-up. First the cold query: an offload
     // curve on a world that is in the snapshot cache but not resident (world
-    // load plus the whole §4 study), while a second connection asks for
-    // stats.
+    // load plus the whole §4 study), while the probe asks for stats.
     std::size_t cold_slot = 0;
-    while (cycles[0][cold_slot].kind != kOffloadCurve) ++cold_slot;
+    while (loop[cold_slot].kind != kOffloadCurve) ++cold_slot;
     std::atomic<bool> cold_done{false};
     double cold_s = 0.0;
     std::thread cold([&] {
       const double t0 = now_s();
       try {
-        ask(clients[0], cycles[0][cold_slot], 0, setup_log);
+        ask(client, loop[cold_slot], 0, setup_log);
       } catch (const std::exception&) {
       }
       cold_s = now_s() - t0;
@@ -338,66 +340,58 @@ Outcome run_serve_light(const Options& options) {
     const double wait_until = now_s() + 0.2;
     while (!cold_done && now_s() < wait_until)
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    {
+    try {
       Slot stats;
       stats.request.type = RequestType::kStats;
       const double t0 = now_s();
-      ask(clients[1], stats, 0, setup_log);
+      ask(probe, stats, 0, setup_log);
       outcome.per_layer["serve.stats_during_cold_ms"] = (now_s() - t0) * 1e3;
+    } catch (const std::exception&) {
+      cold.join();
+      throw;
     }
     cold.join();
     outcome.per_layer["serve.cold_query_s"] = cold_s;
 
-    // Then every client's requests once, so each artifact is resident before
-    // the window (their first answers become the references).
+    // Then every request of the loop once, so each artifact is resident
+    // before the window (the first answers become the references).
     const double warm_t0 = now_s();
-    for (std::size_t c = 0; c < kClients; ++c)
-      for (Slot& slot : cycles[c]) ask(clients[c], slot, 0, setup_log);
+    for (Slot& slot : loop) ask(client, slot, 0, setup_log);
     outcome.per_layer["serve.warmup_s"] = now_s() - warm_t0;
     outcome.end_to_end["setup_s"] =
         setup.setup_s + cold_s + outcome.per_layer["serve.warmup_s"];
 
-    // The window: closed loop, all clients released together.
-    std::atomic<std::size_t> ready{0};
-    std::atomic<bool> go{false};
-    double window_start = 0.0;
-    std::vector<std::thread> threads;
-    for (std::size_t c = 0; c < kClients; ++c) {
-      threads.emplace_back([&, c] {
-        ++ready;
-        while (!go) std::this_thread::yield();
-        const double deadline = window_start + options.seconds;
-        std::uint64_t seq = 0;
-        try {
-          while (now_s() < deadline) {
-            for (std::size_t s = 0; s < cycles[c].size() && now_s() < deadline;
-                 ++s) {
-              const std::uint64_t op = 1 + c + kClients * seq++;
-              ask(clients[c], cycles[c][s], op, logs[c]);
-            }
-          }
-        } catch (const std::exception&) {
-          // Recorded by ask(); the connection is gone, so stop this client.
-        }
-      });
+    // The window: the closed loop until the clock runs out.
+    const double window_start = now_s();
+    const double deadline = window_start + options.seconds;
+    std::uint64_t op = 0;
+    try {
+      while (now_s() < deadline)
+        for (std::size_t s = 0; s < loop.size() && now_s() < deadline; ++s)
+          ask(client, loop[s], ++op, log);
+    } catch (const std::exception&) {
+      // Recorded by ask(); the connection is gone, so the window ends.
     }
-    while (ready < kClients) std::this_thread::yield();
-    window_start = now_s();
-    go = true;
-    for (auto& t : threads) t.join();
     const double window_s = now_s() - window_start;
 
-    std::uint64_t completed = 0;
     for (std::size_t k = 0; k < kKinds; ++k) {
-      std::vector<double> kind_us;
-      for (std::size_t c = 0; c < kClients; ++c)
-        kind_us.insert(kind_us.end(), logs[c].latency_us[k].begin(),
-                       logs[c].latency_us[k].end());
-      completed += kind_us.size();
       outcome.per_layer[std::string("serve.") + kKindNames[k] + ".p50_us"] =
-          median(kind_us);
+          median(log.latency_us[k]);
       outcome.per_layer[std::string("serve.") + kKindNames[k] + ".p99_us"] =
-          quantile(kind_us, 0.99);
+          quantile(log.latency_us[k], 0.99);
+    }
+    // An operation is one pass through a 16-query cycle, the session one
+    // scripted rpq user sends; its time is the sum of its queries' latencies.
+    // Every cycle holds each kind in the same proportion. The median single
+    // query does not: the cheapest 8 of the 16 slots end where what-if-peering
+    // begins, so it fell in the gap between the two and jumped with them.
+    std::vector<std::pair<double, double>> cycles;  // (end time, ms)
+    for (std::size_t i = 0; i + kCycle.size() <= log.done.size();
+         i += kCycle.size()) {
+      double ms = 0.0;
+      for (std::size_t j = i; j < i + kCycle.size(); ++j)
+        ms += log.done[j].second;
+      cycles.emplace_back(log.done[i + kCycle.size() - 1].first, ms);
     }
     // The window is cut into one-second slices and each figure is the median
     // over the slices, so a burst of outside interference moves one slice,
@@ -405,31 +399,31 @@ Outcome run_serve_light(const Options& options) {
     const std::size_t slices =
         std::max<std::size_t>(1, static_cast<std::size_t>(options.seconds));
     std::vector<std::vector<double>> slice_ms(slices);
-    for (std::size_t c = 0; c < kClients; ++c)
-      for (const auto& [t, ms] : logs[c].done)
-        slice_ms[std::min(slices - 1,
-                          static_cast<std::size_t>((t - window_start) /
-                                                   window_s *
-                                                   static_cast<double>(slices)))]
-            .push_back(ms);
-    std::vector<double> p50, p99, rate;
+    for (const auto& [t, ms] : cycles)
+      slice_ms[std::min(slices - 1,
+                        static_cast<std::size_t>((t - window_start) /
+                                                 window_s *
+                                                 static_cast<double>(slices)))]
+          .push_back(ms);
+    std::vector<double> p50, rate;
+    std::vector<double> all_ms;
     for (const auto& ms : slice_ms) {
       p50.push_back(median(ms));
-      p99.push_back(quantile(ms, 0.99));
-      rate.push_back(static_cast<double>(ms.size()) * static_cast<double>(slices) /
-                     window_s);
+      rate.push_back(static_cast<double>(ms.size()) *
+                     static_cast<double>(slices) / window_s);
+      all_ms.insert(all_ms.end(), ms.begin(), ms.end());
     }
     outcome.end_to_end["op_p50_ms"] = median(p50);
-    outcome.per_layer["run.op_p99_ms"] = median(p99);
+    outcome.per_layer["run.op_p99_ms"] = quantile(all_ms, 0.99);
     outcome.per_layer["run.ops_per_s"] = median(rate);
-    add_layer_self_times(Tracer::global().spans(), completed, outcome);
+    add_layer_self_times(Tracer::global().spans(), cycles.size(), outcome);
 
     // Window-end daemon state: queue high water from a stats answer, batch
     // occupancy from the daemon's metrics registry.
     {
       Request stats;
       stats.type = RequestType::kStats;
-      const Response response = clients[0].call(stats);
+      const Response response = probe.call(stats);
       outcome.per_layer["serve.queue_high_water"] =
           std::stod(std::string(response.field("queue.high_water")));
       for (const auto& metric : rp::obs::MetricsRegistry::global().snapshot())
@@ -442,42 +436,39 @@ Outcome run_serve_light(const Options& options) {
     const std::shared_ptr<const rp::serve::World> world =
         const_cast<rp::serve::WorldPool&>(daemon.pool()).acquire(config);
     bool injected = false;
-    for (const auto& cycle : cycles) {
-      for (const Slot& slot : cycle) {
-        if (slot.kind != kOffloadCurve && slot.kind != kViability) continue;
-        ++setup_log.attempted;
-        if (slot.reference.empty()) {
-          ++setup_log.failed;
-          setup_log.problems.push_back("no answer recorded for a " +
-                                       std::string(kKindNames[slot.kind]));
-          continue;
-        }
-        std::string answer =
-            render_fields(rp::serve::decode_response(slot.reference));
-        if (options.inject_wrong && !injected) {
-          answer += "tampered=1\n";
-          injected = true;
-        }
-        if (answer != expected_answer(slot, *world)) {
-          ++setup_log.failed;
-          setup_log.problems.push_back(
-              std::string(kKindNames[slot.kind]) +
-              " answer differs from the in-process oracle");
-        }
+    for (const Slot& slot : loop) {
+      if (slot.kind != kOffloadCurve && slot.kind != kViability) continue;
+      ++setup_log.attempted;
+      if (slot.reference.empty()) {
+        ++setup_log.failed;
+        setup_log.problems.push_back("no answer recorded for a " +
+                                     std::string(kKindNames[slot.kind]));
+        continue;
+      }
+      std::string answer =
+          render_fields(rp::serve::decode_response(slot.reference));
+      if (options.inject_wrong && !injected) {
+        answer += "tampered=1\n";
+        injected = true;
+      }
+      if (answer != expected_answer(slot, *world)) {
+        ++setup_log.failed;
+        setup_log.problems.push_back(
+            std::string(kKindNames[slot.kind]) +
+            " answer differs from the in-process oracle");
       }
     }
   } catch (const std::exception& e) {
     ++setup_log.failed;
     setup_log.problems.push_back(std::string("serve workload: ") + e.what());
   }
-  clients.clear();
   daemon.stop();
 
-  for (const ClientLog& log : logs) {
-    outcome.attempted += log.attempted;
-    outcome.failed += log.failed;
-    outcome.per_layer["serve.busy"] += static_cast<double>(log.busy);
-    for (const std::string& problem : log.problems) outcome.fail(problem);
+  for (const ClientLog* l : {&log, &setup_log}) {
+    outcome.attempted += l->attempted;
+    outcome.failed += l->failed;
+    outcome.per_layer["serve.busy"] += static_cast<double>(l->busy);
+    for (const std::string& problem : l->problems) outcome.fail(problem);
   }
   return outcome;
 }
