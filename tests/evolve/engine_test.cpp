@@ -243,6 +243,62 @@ TEST_F(EpochTimelineTest, FaultInterruptThenResumeIsByteIdentical) {
         << "epoch " << k;
 }
 
+// The on-disk bytes of a replay directory: the manifest and one epoch
+// record, exactly as a resume reads them back.
+TEST_F(EpochTimelineTest, ManifestAndRecordBytesArePinned) {
+  const auto dir = root_ / "pinned";
+  options_.snapshots = false;
+  write_manifest(timeline_, dir);
+  EXPECT_EQ(replay_timeline(timeline_, dir, options_).executed, 5u);
+  const EvolvePaths paths(dir);
+  EXPECT_EQ(read_file(paths.manifest()),
+            "rpevolve-manifest v1\n"
+            "digest 8498ecbd7712b217\n"
+            "epochs 5\n"
+            "timeline\n"
+            "name engine-test\n"
+            "fast 0\n"
+            "base seed 31\n"
+            "base euroix 1\n"
+            "base membership_scale 0.05\n"
+            "base topology.tier2_count 15\n"
+            "base topology.access_count 60\n"
+            "base topology.content_count 15\n"
+            "base topology.cdn_count 5\n"
+            "base topology.nren_count 4\n"
+            "base topology.enterprise_count 30\n"
+            "epoch grow\n"
+            "join CATNIX 5 1\n"
+            "join ESpanix 3 0\n"
+            "prices 1.2 0.03 0.15 0.008 0.5\n"
+            "epoch found\n"
+            "new-ixp TESTIX CATNIX 0.5\n"
+            "join TESTIX 4 0.5\n"
+            "capacity CATNIX 0.9\n"
+            "traffic 1.5\n"
+            "epoch shrink\n"
+            "leave ESpanix 2\n"
+            "price-decay 0.9\n"
+            "epoch dark\n"
+            "outage CATNIX\n"
+            "provider-fail AtratoNet\n"
+            "epoch light\n"
+            "restore CATNIX\n"
+            "provider-restore AtratoNet\n"
+            "traffic 1.2\n");
+  EXPECT_EQ(read_file(paths.record(1)),
+            "rpevolve-record v1 8498ecbd7712b217 1\n"
+            "1,found,4,4,0,1,0,66,433,55,1.5,ok,1.469381995e+10,0.6650089495,4,"
+            "0.8331702531,4.048189163,1.099764098,1\n"
+            "{\"epoch\":1,\"label\":\"found\",\"events\":4,\"joins\":4,"
+            "\"leaves\":0,\"new_ixps\":1,\"stashed\":0,\"ixps\":66,"
+            "\"interfaces\":433,\"remote_interfaces\":55,\"traffic_scale\":1.5,"
+            "\"status\":\"ok\",\"transit_bps\":1.469381995e+10,"
+            "\"offload_fraction\":0.6650089495,\"greedy_picked\":4,"
+            "\"fitted_decay\":0.8331702531,\"optimal_n\":4.048189163,"
+            "\"optimal_m\":1.099764098,\"viable\":true}\n");
+}
+
 TEST_F(EpochTimelineTest, ManifestRoundTripsAndRejectsTampering) {
   const auto dir = root_ / "manifest";
   write_manifest(timeline_, dir);

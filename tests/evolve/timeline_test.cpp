@@ -141,5 +141,13 @@ TEST(TimelineParse, EventKeywordsRoundTrip) {
     EXPECT_FALSE(event_keyword(kind).empty());
 }
 
+// The example decade replayed by the CI smoke: its digest keys every
+// manifest, record and serve epoch query built from that file.
+TEST(TimelineParse, DecadeDigestIsPinned) {
+  const Timeline decade =
+      load_timeline(RP_SOURCE_DIR "/examples/timelines/decade.timeline");
+  EXPECT_EQ(timeline_digest_hex(decade), "982af52266d72439");
+}
+
 }  // namespace
 }  // namespace rp::evolve

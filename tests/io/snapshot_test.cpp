@@ -192,6 +192,12 @@ TEST(Snapshot, ConesCanBeOmitted) {
       0u);
 }
 
+// The default world's cache key: every snapshot cache and sweep world column
+// is named by it.
+TEST(Snapshot, DefaultConfigDigestIsPinned) {
+  EXPECT_EQ(config_digest_hex(core::ScenarioConfig{}), "63147c81e97d64df");
+}
+
 TEST(Snapshot, ConfigDigestCoversEveryKnob) {
   const core::ScenarioConfig base = small_config();
   const std::uint64_t digest = config_digest(base);

@@ -137,6 +137,50 @@ TEST_F(SweepEngineTest, FaultInterruptThenResumeIsByteIdentical) {
   EXPECT_EQ(read_file(SweepPaths(dir).results_csv()), reference);
 }
 
+// The on-disk bytes of a sweep directory: the manifest and one completion
+// record, exactly as a resume reads them back.
+TEST_F(SweepEngineTest, ManifestAndRecordBytesArePinned) {
+  const auto dir = root_ / "pinned";
+  write_manifest(spec_, dir);
+  execute_sweep(spec_, dir, options_);
+  const SweepPaths paths(dir);
+  EXPECT_EQ(read_file(paths.manifest()),
+            "rpsweep-manifest v1\n"
+            "digest 689a11b4ddb625d5\n"
+            "runs 24\n"
+            "spec\n"
+            "name engine-test\n"
+            "group 4\n"
+            "steps 12\n"
+            "days 2\n"
+            "fast 0\n"
+            "base seed 31\n"
+            "base euroix 0\n"
+            "base membership_scale 0.05\n"
+            "base topology.tier2_count 15\n"
+            "base topology.access_count 60\n"
+            "base topology.content_count 15\n"
+            "base topology.cdn_count 5\n"
+            "base topology.nren_count 4\n"
+            "base topology.enterprise_count 30\n"
+            "axis econ.b 0.2 0.4 0.6 0.8 1 1.2\n"
+            "axis econ.h 0.002 0.006 0.01 0.016\n");
+  EXPECT_EQ(read_file(paths.record(5)),
+            "rpsweep-record v1 689a11b4ddb625d5 5\n"
+            "5,0.4,0.006,4854cfc7a57b317c,ok,9795879966,0.991629971,4,0.4,"
+            "6.931471806,2.073198387,0.9375,2.291666667,0.8292793549,1,"
+            "0.3886294361,0.3816936264\n"
+            "{\"run\":5,\"axes\":{\"econ.b\":\"0.4\",\"econ.h\":\"0.006\"},"
+            "\"world\":\"4854cfc7a57b317c\",\"status\":\"ok\","
+            "\"transit_bps\":9795879966,\"offload_fraction\":0.991629971,"
+            "\"greedy_picked\":4,\"fitted_decay\":0.4,"
+            "\"optimal_n\":6.931471806,\"optimal_m\":2.073198387,"
+            "\"optimal_direct_fraction\":0.9375,"
+            "\"viability_ratio\":2.291666667,\"critical_decay\":0.8292793549,"
+            "\"viable\":true,\"cost_without_remote\":0.3886294361,"
+            "\"cost_with_remote\":0.3816936264}\n");
+}
+
 TEST_F(SweepEngineTest, StaleRecordsAreDetectedAndReexecuted) {
   const std::string& reference = reference_csv();
   const auto dir = root_ / "stale";

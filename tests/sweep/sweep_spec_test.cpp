@@ -8,6 +8,22 @@
 namespace rp::sweep {
 namespace {
 
+// The CI sweep smoke's grid. Its digest names every
+// manifest, record header and results table, so a change to canonical text
+// or to the digest shows up here first.
+constexpr const char* kCiGridSpec =
+    "name ci-grid\n"
+    "group 4\n"
+    "steps 20\n"
+    "fast 1\n"
+    "base seed 11\n"
+    "axis econ.b lin:0.2:1.2:6\n"
+    "axis econ.h 0.002 0.006 0.01 0.016\n";
+
+TEST(SweepSpec, CiGridDigestIsPinned) {
+  EXPECT_EQ(spec_digest_hex(parse_sweep_spec(kCiGridSpec)), "6b752129ec7722bc");
+}
+
 TEST(SweepSpec, EconFieldRegistryCoversThePaperSymbols) {
   const auto fields = econ_fields();
   ASSERT_EQ(fields.size(), 6u);
