@@ -25,6 +25,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <vector>
 
@@ -98,7 +99,9 @@ class EpochTimeline {
   net::SubnetAllocator lan_pool_;
   std::vector<Stashed> stash_;
 
-  std::vector<EpochState> states_;  ///< Snapshots of epochs [0, size).
+  /// Snapshots of epochs [0, size). A deque, because state_at and view_at
+  /// hand out references into it that must survive later epochs' push_back.
+  std::deque<EpochState> states_;
 };
 
 /// The from-scratch comparison path: builds a *fresh* base world for the

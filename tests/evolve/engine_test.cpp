@@ -168,6 +168,18 @@ TEST_F(EpochTimelineTest, CompositionFollowsEvents) {
   EXPECT_DOUBLE_EQ(light.traffic_scale, 1.5 * 1.2);
 }
 
+// state_at and view_at hand out references into the engine's epoch cache;
+// replaying later epochs must not move the earlier ones.
+TEST_F(EpochTimelineTest, EarlierEpochStatesStayPutAsReplayAdvances) {
+  EpochTimeline engine(timeline_, base());
+  const EpochState* first = &engine.state_at(0);
+  const ixp::IxpEcosystem* first_eco = &first->ecosystem;
+  engine.state_at(4);
+  EXPECT_EQ(&engine.state_at(0), first);
+  EXPECT_EQ(&engine.state_at(0).ecosystem, first_eco);
+  EXPECT_EQ(first->label, "grow");
+}
+
 TEST_F(EpochTimelineTest, ChurnNeverEvictsTheVantage) {
   Timeline timeline = parse_timeline(
       std::string(kTinyBase) +
