@@ -1,9 +1,9 @@
 #include "core/config_fields.hpp"
 
 #include <algorithm>
-#include <charconv>
-#include <cstdio>
 #include <stdexcept>
+
+#include "util/strings.hpp"
 
 namespace rp::core {
 namespace {
@@ -16,33 +16,19 @@ namespace {
 }
 
 std::uint64_t parse_u64(std::string_view field, std::string_view value) {
-  std::uint64_t out = 0;
-  const auto [ptr, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), out);
-  if (ec != std::errc() || ptr != value.data() + value.size())
-    bad_value(field, value, "expected an unsigned integer");
-  return out;
+  if (const auto out = util::parse_exact<std::uint64_t>(value)) return *out;
+  bad_value(field, value, "expected an unsigned integer");
 }
 
 double parse_double(std::string_view field, std::string_view value) {
-  double out = 0.0;
-  const auto [ptr, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), out);
-  if (ec != std::errc() || ptr != value.data() + value.size())
-    bad_value(field, value, "expected a number");
-  return out;
+  if (const auto out = util::parse_exact<double>(value)) return *out;
+  bad_value(field, value, "expected a number");
 }
 
 bool parse_bool(std::string_view field, std::string_view value) {
   if (value == "1" || value == "true") return true;
   if (value == "0" || value == "false") return false;
   bad_value(field, value, "expected 0/1/true/false");
-}
-
-std::string format_double(double v) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.10g", v);
-  return buffer;
 }
 
 // Table-row helpers: each macro expands to the two function pointers for one
@@ -61,7 +47,7 @@ std::string format_double(double v) {
   [](ScenarioConfig& c, std::string_view v) {                             \
     c.member = parse_double(#member, v);                                  \
   },                                                                      \
-      [](const ScenarioConfig& c) { return format_double(c.member); }
+      [](const ScenarioConfig& c) { return util::format_double(c.member); }
 #define RP_FIELD_BOOL(member)                                             \
   [](ScenarioConfig& c, std::string_view v) {                             \
     c.member = parse_bool(#member, v);                                    \

@@ -1,129 +1,54 @@
 #include "evolve/replay.hpp"
 
-#include <cstdio>
-#include <fstream>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 
 #include "core/viability_study.hpp"
 #include "io/snapshot.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/sim_time.hpp"
+#include "util/strings.hpp"
 
 namespace rp::evolve {
 namespace {
 
-std::string format_double(double v) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.10g", v);
-  return buffer;
-}
+using util::format_double;
 
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-/// Atomic file write: stage into a sibling temp file, then rename. A killed
-/// replay never leaves a partial record or results table visible.
-void atomic_write(const std::filesystem::path& path,
-                  const std::string& content) {
-  const std::filesystem::path tmp = path.string() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    out.write(content.data(), static_cast<std::streamsize>(content.size()));
-    if (!out) throw std::runtime_error("cannot write " + tmp.string());
-  }
-  std::filesystem::rename(tmp, path);
-}
-
-std::string record_header(const std::string& digest, std::size_t k) {
-  return "rpevolve-record v1 " + digest + " " + std::to_string(k);
-}
-
-/// Reads a completion record; nullopt when missing, malformed, or written by
-/// a different timeline (a stale record must look incomplete, not poison the
-/// table).
-struct RecordPayload {
-  std::string csv;
-  std::string json;
+constexpr io::LedgerFormat kLedger{
+    .tool = "rpevolve",
+    .study = "replay",
+    .unit = "epoch",
+    .block = "timeline",
+    .record_digits = 4,
+    .schema = kEvolveSchemaVersion,
+    .start_hint = "`rpevolve plan` or `rpevolve replay`",
+    .finish_hint = "`rpevolve replay`",
 };
-std::optional<RecordPayload> read_record(const std::filesystem::path& path,
-                                         const std::string& digest,
-                                         std::size_t k) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::string header, csv, json;
-  if (!std::getline(in, header) || !std::getline(in, csv) ||
-      !std::getline(in, json))
-    return std::nullopt;
-  if (header != record_header(digest, k) || csv.empty() || json.empty())
-    return std::nullopt;
-  return RecordPayload{std::move(csv), std::move(json)};
-}
 
 }  // namespace
 
-std::filesystem::path EvolvePaths::record(std::size_t k) const {
-  char name[32];
-  std::snprintf(name, sizeof name, "epoch-%04zu.rec", k);
-  return epochs_dir() / name;
-}
+EvolvePaths::EvolvePaths(std::filesystem::path dir)
+    : io::RunLedger(kLedger, std::move(dir)) {}
 
 std::filesystem::path EvolvePaths::snapshot(std::size_t k) const {
-  char name[32];
-  std::snprintf(name, sizeof name, "epoch-%04zu.rpsnap", k);
-  return epochs_dir() / name;
+  return record(k).replace_extension(".rpsnap");
 }
 
 void write_manifest(const Timeline& timeline,
                     const std::filesystem::path& dir) {
-  std::filesystem::create_directories(dir);
-  std::ostringstream out;
-  out << "rpevolve-manifest v1\n"
-      << "digest " << timeline_digest_hex(timeline) << "\n"
-      << "epochs " << timeline.epochs.size() << "\n"
-      << "timeline\n"
-      << canonical_timeline_text(timeline);
-  atomic_write(EvolvePaths(dir).manifest(), out.str());
+  EvolvePaths(dir).write_manifest(timeline_digest_hex(timeline),
+                                  timeline.epochs.size(),
+                                  canonical_timeline_text(timeline));
 }
 
 Timeline read_manifest(const std::filesystem::path& dir) {
-  const std::filesystem::path path = EvolvePaths(dir).manifest();
-  std::ifstream in(path, std::ios::binary);
-  if (!in)
-    throw std::runtime_error("no replay manifest at " + path.string() +
-                             " (run `rpevolve plan` or `rpevolve replay` "
-                             "first)");
-  std::string line;
-  if (!std::getline(in, line) || line != "rpevolve-manifest v1")
-    throw std::runtime_error("unsupported manifest header in " +
-                             path.string());
-  if (!std::getline(in, line) || line.rfind("digest ", 0) != 0)
-    throw std::runtime_error("manifest missing digest line: " + path.string());
-  const std::string digest = line.substr(7);
-  if (!std::getline(in, line) || line.rfind("epochs ", 0) != 0)
-    throw std::runtime_error("manifest missing epochs line: " + path.string());
-  const std::size_t epochs = std::strtoull(line.substr(7).c_str(), nullptr, 10);
-  if (!std::getline(in, line) || line != "timeline")
-    throw std::runtime_error("manifest missing timeline block: " +
-                             path.string());
-  std::ostringstream timeline_text;
-  timeline_text << in.rdbuf();
-  const Timeline timeline = parse_timeline(timeline_text.str());
-  if (timeline_digest_hex(timeline) != digest)
-    throw std::runtime_error("manifest digest mismatch in " + path.string() +
-                             " (hand-edited timeline block?)");
-  if (timeline.epochs.size() != epochs)
-    throw std::runtime_error("manifest epoch count mismatch in " +
-                             path.string());
+  const EvolvePaths paths(dir);
+  const io::LedgerManifest manifest = paths.read_manifest();
+  Timeline timeline = parse_timeline(manifest.block);
+  paths.check_manifest(manifest, timeline_digest_hex(timeline),
+                       timeline.epochs.size());
   return timeline;
 }
 
@@ -196,7 +121,7 @@ ReplayOutcome replay_timeline(const Timeline& timeline,
   replays.add();
 
   const EvolvePaths paths(dir);
-  std::filesystem::create_directories(paths.epochs_dir());
+  std::filesystem::create_directories(paths.records_dir());
   const std::filesystem::path cache_dir =
       options.cache_dir.empty() ? io::default_cache_dir() : options.cache_dir;
   const std::string digest = timeline_digest_hex(timeline);
@@ -209,7 +134,7 @@ ReplayOutcome replay_timeline(const Timeline& timeline,
   outcome.total = engine.epoch_count();
   for (std::size_t k = 0; k < engine.epoch_count(); ++k) {
     const bool recorded =
-        read_record(paths.record(k), digest, k).has_value() &&
+        paths.read_record(digest, k) &&
         (!options.snapshots || std::filesystem::exists(paths.snapshot(k)));
     if (recorded) {
       // The engine stays lazy: a later missing epoch replays the cursor
@@ -224,9 +149,8 @@ ReplayOutcome replay_timeline(const Timeline& timeline,
       save.with_cones = false;  // the cone memo belongs to the shared graph
       io::save_scenario(engine.view_at(k), paths.snapshot(k), save);
     }
-    atomic_write(paths.record(k), record_header(digest, k) + "\n" +
-                                      results_csv_row(result) + "\n" +
-                                      results_json_row(result) + "\n");
+    paths.write_record(digest, k, results_csv_row(result),
+                       results_json_row(result));
     ++outcome.executed;
     epochs_recorded.add();
   }
@@ -235,49 +159,19 @@ ReplayOutcome replay_timeline(const Timeline& timeline,
 
 std::size_t completed_epochs(const Timeline& timeline,
                              const std::filesystem::path& dir) {
-  const EvolvePaths paths(dir);
-  const std::string digest = timeline_digest_hex(timeline);
-  std::size_t completed = 0;
-  for (std::size_t k = 0; k < timeline.epochs.size(); ++k)
-    completed += read_record(paths.record(k), digest, k).has_value() ? 1 : 0;
-  return completed;
+  return EvolvePaths(dir).completed(timeline_digest_hex(timeline),
+                                    timeline.epochs.size());
 }
 
 std::size_t summarize_replay(const Timeline& timeline,
                              const std::filesystem::path& dir) {
   obs::Span span("evolve.summarize");
   static obs::Counter summaries("rp.evolve.summaries");
-  const EvolvePaths paths(dir);
-  const std::string digest = timeline_digest_hex(timeline);
-  const std::size_t total = timeline.epochs.size();
-
-  std::string csv = "#rpevolve-results v" +
-                    std::to_string(kEvolveSchemaVersion) + " name=" +
-                    timeline.name + " timeline=" + digest + " epochs=" +
-                    std::to_string(total) + "\n" + results_csv_header() + "\n";
-  std::string json = "{\"schema\":\"rpevolve-results-v" +
-                     std::to_string(kEvolveSchemaVersion) + "\",\"name\":\"" +
-                     json_escape(timeline.name) + "\",\"timeline\":\"" +
-                     digest + "\",\"rows\":[";
-  std::size_t recorded = 0;
-  for (std::size_t k = 0; k < total; ++k) {
-    const auto record = read_record(paths.record(k), digest, k);
-    if (!record)
-      throw std::runtime_error(
-          "replay incomplete: epoch " + std::to_string(k) +
-          " has no completion record (" + std::to_string(recorded) + " of " +
-          std::to_string(total) +
-          " recorded) — `rpevolve replay` finishes it");
-    csv += record->csv + "\n";
-    if (k != 0) json += ",";
-    json += record->json;
-    ++recorded;
-  }
-  json += "]}\n";
-  atomic_write(paths.results_csv(), csv);
-  atomic_write(paths.results_json(), json);
+  const std::size_t rows = EvolvePaths(dir).collate(
+      timeline_digest_hex(timeline), timeline.epochs.size(), timeline.name,
+      results_csv_header());
   summaries.add();
-  return recorded;
+  return rows;
 }
 
 std::string results_csv_header() {
@@ -313,7 +207,7 @@ std::string results_csv_row(const EpochResult& result) {
 std::string results_json_row(const EpochResult& result) {
   std::ostringstream out;
   out << "{\"epoch\":" << result.index << ",\"label\":\""
-      << json_escape(result.label) << "\""
+      << obs::json::escape(result.label) << "\""
       << ",\"events\":" << result.events << ",\"joins\":" << result.joins
       << ",\"leaves\":" << result.leaves
       << ",\"new_ixps\":" << result.new_ixps
@@ -321,7 +215,7 @@ std::string results_json_row(const EpochResult& result) {
       << ",\"interfaces\":" << result.interfaces
       << ",\"remote_interfaces\":" << result.remote_interfaces
       << ",\"traffic_scale\":" << format_double(result.traffic_scale)
-      << ",\"status\":\"" << json_escape(result.status) << "\""
+      << ",\"status\":\"" << obs::json::escape(result.status) << "\""
       << ",\"transit_bps\":" << format_double(result.transit_bps)
       << ",\"offload_fraction\":" << format_double(result.offload_fraction)
       << ",\"greedy_picked\":" << result.greedy_picked

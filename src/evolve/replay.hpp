@@ -1,30 +1,20 @@
 // rp::evolve replay: run a timeline end-to-end and persist one record (and
 // optionally one .rpsnap snapshot) per epoch.
 //
-// Layout of a replay directory:
+// A replay directory is an io::RunLedger (io/ledger.hpp draws its layout)
+// with tool "rpevolve" and unit "epoch": manifest.txt holds the canonical
+// timeline, epochs/epoch-<k>.rec one completion record per finished epoch,
+// and results.csv / results.json the rows in epoch order. Beside each record
+// sits epochs/epoch-<k>.rpsnap, the epoch world as a snapshot: `rpworld
+// info` / `rpworld diff` read these directly, so two epochs (or an epoch and
+// its base) diff like any two worlds.
 //
-//   <dir>/manifest.txt              "rpevolve-manifest v1" + timeline digest
-//                                   + epoch count + the canonical timeline
-//                                   block (the manifest alone is enough to
-//                                   resume — no timeline file needed)
-//   <dir>/epochs/epoch-<k>.rec      one completion record per finished
-//                                   epoch: header line (schema, timeline
-//                                   digest, epoch index), the epoch's CSV
-//                                   row, the epoch's JSON row
-//   <dir>/epochs/epoch-<k>.rpsnap   the epoch world as a snapshot —
-//                                   `rpworld info` / `rpworld diff` read
-//                                   these directly, so two epochs (or an
-//                                   epoch against its base) diff like any
-//                                   two worlds
-//   <dir>/results.csv               header + rows in epoch order
-//   <dir>/results.json              the same rows as a JSON document
-//
-// Resume and determinism: a record is written atomically (temp + rename) the
-// moment its epoch finishes, and replay_timeline() skips any epoch whose
-// record already carries the current timeline digest — so a replay killed
-// mid-timeline (including via the RP_FAULT site "evolve.apply") resumes with
-// only the missing epochs, and the engine's deterministic event RNG makes
-// the resumed records and snapshots byte-identical to an uninterrupted run.
+// Resume and determinism: a record is written atomically the moment its
+// epoch finishes, and replay_timeline() skips any epoch whose record already
+// carries the current timeline digest — so a replay killed mid-timeline
+// (including via the RP_FAULT site "evolve.apply") resumes with only the
+// missing epochs, and the engine's deterministic event RNG makes the resumed
+// records and snapshots byte-identical to an uninterrupted run.
 #pragma once
 
 #include <cstddef>
@@ -33,6 +23,7 @@
 
 #include "evolve/engine.hpp"
 #include "evolve/timeline.hpp"
+#include "io/ledger.hpp"
 
 namespace rp::evolve {
 
@@ -65,16 +56,12 @@ struct EpochResult {
   std::string status = "ok";
 };
 
-/// Paths inside a replay directory.
-struct EvolvePaths {
-  explicit EvolvePaths(std::filesystem::path dir) : dir(std::move(dir)) {}
-  std::filesystem::path dir;
-  std::filesystem::path manifest() const { return dir / "manifest.txt"; }
-  std::filesystem::path epochs_dir() const { return dir / "epochs"; }
-  std::filesystem::path record(std::size_t k) const;
+/// A replay directory: the io::RunLedger layout under the rpevolve names
+/// (records are epochs/epoch-<k>.rec), plus the per-epoch snapshots beside
+/// the records.
+struct EvolvePaths : io::RunLedger {
+  explicit EvolvePaths(std::filesystem::path dir);
   std::filesystem::path snapshot(std::size_t k) const;
-  std::filesystem::path results_csv() const { return dir / "results.csv"; }
-  std::filesystem::path results_json() const { return dir / "results.json"; }
 };
 
 /// Writes <dir>/manifest.txt atomically (creating <dir>).

@@ -1,12 +1,12 @@
 #include "evolve/timeline.hpp"
 
-#include <charconv>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
 #include "core/config_fields.hpp"
+#include "io/container.hpp"
+#include "util/strings.hpp"
 
 namespace rp::evolve {
 namespace {
@@ -16,40 +16,18 @@ namespace {
                               what);
 }
 
-std::string format_double(double v) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.10g", v);
-  return buffer;
-}
-
 double parse_double(std::size_t line, const std::string& what,
                     std::string_view token) {
-  double out = 0.0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), out);
-  if (ec != std::errc() || ptr != token.data() + token.size())
-    bad_timeline(line, what + " wants a number, got '" + std::string(token) +
-                           "'");
-  return out;
+  if (const auto out = util::parse_exact<double>(token)) return *out;
+  bad_timeline(line, what + " wants a number, got '" + std::string(token) +
+                         "'");
 }
 
 std::uint64_t parse_count(std::size_t line, const std::string& what,
                           std::string_view token) {
-  std::uint64_t out = 0;
-  const auto [ptr, ec] =
-      std::from_chars(token.data(), token.data() + token.size(), out);
-  if (ec != std::errc() || ptr != token.data() + token.size())
-    bad_timeline(line, what + " wants an unsigned integer, got '" +
-                           std::string(token) + "'");
-  return out;
-}
-
-std::vector<std::string> split_tokens(const std::string& text) {
-  std::vector<std::string> tokens;
-  std::istringstream stream(text);
-  std::string token;
-  while (stream >> token) tokens.push_back(token);
-  return tokens;
+  if (const auto out = util::parse_exact<std::uint64_t>(token)) return *out;
+  bad_timeline(line, what + " wants an unsigned integer, got '" +
+                         std::string(token) + "'");
 }
 
 struct KindSpec {
@@ -182,18 +160,9 @@ std::string canonical_event_text(const EpochEvent& event) {
   }
   for (const double v : event.values) {
     out += ' ';
-    out += format_double(v);
+    out += util::format_double(v);
   }
   return out;
-}
-
-std::uint64_t fnv1a64(std::string_view text) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : text) {
-    hash ^= static_cast<std::uint8_t>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
 }
 
 }  // namespace
@@ -227,7 +196,7 @@ Timeline parse_timeline(std::string_view text) {
     ++line_no;
     const auto hash = raw.find('#');
     if (hash != std::string::npos) raw.erase(hash);
-    const std::vector<std::string> tokens = split_tokens(raw);
+    const std::vector<std::string> tokens = util::split_tokens(raw);
     if (tokens.empty()) continue;
     const std::string& key = tokens[0];
     const auto want = [&](std::size_t n) {
@@ -299,11 +268,7 @@ std::string canonical_timeline_text(const Timeline& timeline) {
 }
 
 std::string timeline_digest_hex(const Timeline& timeline) {
-  char buffer[17];
-  std::snprintf(buffer, sizeof buffer, "%016llx",
-                static_cast<unsigned long long>(
-                    fnv1a64(canonical_timeline_text(timeline))));
-  return buffer;
+  return io::digest_hex(io::fnv1a64(canonical_timeline_text(timeline)));
 }
 
 }  // namespace rp::evolve

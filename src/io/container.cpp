@@ -1,6 +1,10 @@
 #include "io/container.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <bit>
+#include <cerrno>
 #include <cstdio>
 #include <fstream>
 #include <limits>
@@ -18,14 +22,58 @@ constexpr std::uint64_t kFnvPrime = 1099511628211ull;
 constexpr std::size_t kEntryBytes = 4 + 4 + 8 + 8 + 8;
 constexpr std::size_t kHeaderBytes = kMagic.size() + 4 + 4;
 
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
+/// The one temp-file-plus-rename behind write_file_atomic and
+/// write_bytes_atomic. `crash` is the io.write site when its throw action
+/// fired: only half of `data` reaches the temp file, and the site raises
+/// before the rename.
+void commit_atomic(std::string_view data, const std::filesystem::path& path,
+                   fault::Site* crash) {
+  std::filesystem::path tmp = path;
+  tmp += ".tmp";
+  try {
+    std::FILE* file = std::fopen(tmp.c_str(), "wb");
+    if (file == nullptr)
+      throw SnapshotError("cannot open " + tmp.string() + " for writing",
+                          SnapshotErrorClass::kIo);
+    const std::size_t size = crash != nullptr ? data.size() / 2 : data.size();
+    const bool written = std::fwrite(data.data(), 1, size, file) == size &&
+                         std::fflush(file) == 0 && ::fsync(::fileno(file)) == 0;
+    if (std::fclose(file) != 0 || !written)
+      throw SnapshotError("short write to " + tmp.string(),
+                          SnapshotErrorClass::kIo);
+    if (crash != nullptr) crash->raise();
+    std::error_code ec;
+    std::filesystem::rename(tmp, path, ec);
+    if (ec)
+      throw SnapshotError("cannot rename " + tmp.string() + " over " +
+                              path.string() + ": " + ec.message(),
+                          SnapshotErrorClass::kIo);
+  } catch (...) {
+    // Whatever failed, never leave a partial temp file next to the target.
+    std::error_code ec;
+    std::filesystem::remove(tmp, ec);
+    throw;
+  }
+  // Make the rename itself durable. Filesystems that cannot sync a
+  // directory report EINVAL; there is nothing more to do on those.
+  const std::filesystem::path dir =
+      path.has_parent_path() ? path.parent_path() : ".";
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  const bool synced = fd >= 0 && (::fsync(fd) == 0 || errno == EINVAL);
+  if (fd >= 0) ::close(fd);
+  if (!synced)
+    throw SnapshotError("cannot fsync directory " + dir.string(),
+                        SnapshotErrorClass::kIo);
 }
 
 }  // namespace
+
+std::string digest_hex(std::uint64_t digest) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(digest));
+  return buf;
+}
 
 std::uint64_t fnv1a64_accumulate(std::uint64_t state,
                                  std::span<const std::uint8_t> data) {
@@ -38,6 +86,11 @@ std::uint64_t fnv1a64_accumulate(std::uint64_t state,
 
 std::uint64_t fnv1a64(std::span<const std::uint8_t> data) {
   return fnv1a64_accumulate(kFnvOffset, data);
+}
+
+std::uint64_t fnv1a64(std::string_view text) {
+  return fnv1a64(std::span(reinterpret_cast<const std::uint8_t*>(text.data()),
+                           text.size()));
 }
 
 // --- ByteWriter --------------------------------------------------------------
@@ -158,6 +211,11 @@ std::vector<std::uint8_t> ContainerWriter::serialize() const {
   return bytes;
 }
 
+void write_file_atomic(std::string_view content,
+                       const std::filesystem::path& path) {
+  commit_atomic(content, path, nullptr);
+}
+
 void write_bytes_atomic(std::span<const std::uint8_t> bytes,
                         const std::filesystem::path& path) {
   // io.write decides up front: a corruption action writes a complete-but-
@@ -167,47 +225,19 @@ void write_bytes_atomic(std::span<const std::uint8_t> bytes,
   static fault::Site site(fault::kSiteIoWrite);
   std::span<const std::uint8_t> to_write = bytes;
   std::vector<std::uint8_t> corrupted;
-  bool injected_crash = false;
+  fault::Site* crash = nullptr;
   if (auto action = site.fire()) {
     if (*action == fault::Action::kThrow) {
-      injected_crash = true;
+      crash = &site;
     } else {
       corrupted.assign(bytes.begin(), bytes.end());
       site.apply(*action, corrupted);
       to_write = corrupted;
     }
   }
-
-  std::filesystem::path tmp = path;
-  tmp += ".tmp";
-  try {
-    {
-      std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-      if (!os)
-        throw SnapshotError("cannot open " + tmp.string() + " for writing",
-                            SnapshotErrorClass::kIo);
-      const std::size_t head =
-          injected_crash ? to_write.size() / 2 : to_write.size();
-      os.write(reinterpret_cast<const char*>(to_write.data()),
-               static_cast<std::streamsize>(head));
-      os.flush();
-      if (!os)
-        throw SnapshotError("short write to " + tmp.string(),
-                            SnapshotErrorClass::kIo);
-    }
-    if (injected_crash) site.raise();
-    std::error_code ec;
-    std::filesystem::rename(tmp, path, ec);
-    if (ec)
-      throw SnapshotError("cannot rename " + tmp.string() + " over " +
-                              path.string() + ": " + ec.message(),
-                          SnapshotErrorClass::kIo);
-  } catch (...) {
-    // Whatever failed, never leave a partial temp file next to the target.
-    std::error_code ec;
-    std::filesystem::remove(tmp, ec);
-    throw;
-  }
+  commit_atomic(std::string_view(reinterpret_cast<const char*>(to_write.data()),
+                                 to_write.size()),
+                path, crash);
   static obs::Counter written("rp.io.bytes_written");
   written.add(to_write.size());
 }
@@ -281,8 +311,8 @@ ContainerReader ContainerReader::from_bytes(std::vector<std::uint8_t> bytes) {
         if (actual != entry.checksum)
           throw SnapshotError(
               "snapshot section " + std::to_string(entry.id) +
-              ": checksum mismatch (stored " + hex16(entry.checksum) +
-              ", computed " + hex16(actual) + ") — file is corrupt");
+              ": checksum mismatch (stored " + digest_hex(entry.checksum) +
+              ", computed " + digest_hex(actual) + ") — file is corrupt");
       });
   static obs::Counter verifies("rp.io.checksum.verifies");
   verifies.add(reader.entries_.size());

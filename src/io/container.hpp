@@ -71,18 +71,32 @@ inline constexpr std::uint32_t kFormatVersion = 1;
 inline constexpr std::array<std::uint8_t, 8> kMagic = {'R', 'P', 'S', 'N',
                                                        'A', 'P', '\r', '\n'};
 
-/// Writes `bytes` to `path` atomically: a sibling ".tmp" file is written and
-/// fsynced, then renamed over `path`, so readers never observe a
-/// half-written file and a crash leaves the old snapshot intact.
+/// The one atomic writer. `content` lands in a sibling ".tmp" file, which is
+/// fsynced and renamed over `path`; then the parent directory is fsynced.
+/// Readers never observe a half-written file, and once this returns the new
+/// file survives a power loss. Any failure removes the temp file and throws
+/// SnapshotError(kIo). Ledger records and manifests write through it.
+void write_file_atomic(std::string_view content,
+                       const std::filesystem::path& path);
+
+/// The snapshot path: write_file_atomic behind the "io.write" fault site. A
+/// corruption action writes a complete but corrupt image; a throw action
+/// simulates a crash after half the bytes reach the temp file, before the
+/// rename. Counts rp.io.bytes_written.
 void write_bytes_atomic(std::span<const std::uint8_t> bytes,
                         const std::filesystem::path& path);
 
 /// 64-bit FNV-1a over a byte range.
 std::uint64_t fnv1a64(std::span<const std::uint8_t> data);
+/// 64-bit FNV-1a over text (the bytes of `text`, no terminator).
+std::uint64_t fnv1a64(std::string_view text);
 /// Continues an FNV-1a stream from a prior state (seed with kFnvOffset).
 inline constexpr std::uint64_t kFnvOffset = 14695981039346656037ull;
 std::uint64_t fnv1a64_accumulate(std::uint64_t state,
                                  std::span<const std::uint8_t> data);
+
+/// The printed form of a 64-bit digest: 16 lower-case hex digits.
+std::string digest_hex(std::uint64_t digest);
 
 /// An append-only byte buffer with varint integer packing.
 class ByteWriter {
@@ -151,9 +165,9 @@ class ContainerWriter {
   /// The full file image (header + table + payloads).
   std::vector<std::uint8_t> serialize() const;
 
-  /// Writes atomically: serialize to `path` + ".tmp", then rename over
-  /// `path`, so a crashed writer never leaves a half-written snapshot and
-  /// concurrent readers see either the old file or the new one.
+  /// Writes the image through write_bytes_atomic: a crashed writer never
+  /// leaves a half-written snapshot, and concurrent readers see either the
+  /// old file or the new one.
   void write_file_atomic(const std::filesystem::path& path) const;
 
  private:

@@ -1,7 +1,6 @@
 #include "io/snapshot.hpp"
 
 #include <array>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
@@ -657,10 +656,7 @@ std::uint64_t config_digest(const core::ScenarioConfig& config) {
 }
 
 std::string config_digest_hex(const core::ScenarioConfig& config) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(config_digest(config)));
-  return buf;
+  return digest_hex(config_digest(config));
 }
 
 std::filesystem::path cache_path(const core::ScenarioConfig& config,

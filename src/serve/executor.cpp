@@ -1,6 +1,5 @@
 #include "serve/executor.hpp"
 
-#include <cstdio>
 #include <exception>
 #include <string>
 #include <vector>
@@ -16,13 +15,6 @@
 namespace rp::serve {
 
 namespace {
-
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
 
 std::string fmt_u64(std::uint64_t v) { return std::to_string(v); }
 
@@ -54,7 +46,7 @@ void emit_f(Response& response, std::string key, double value) {
 
 void exec_world_info(const Request&, const World& world, Response& response) {
   const core::Scenario& scenario = world.scenario();
-  emit(response, "world.digest", hex16(world.digest()));
+  emit(response, "world.digest", io::digest_hex(world.digest()));
   emit(response, "world.ases", fmt_u64(scenario.graph().as_count()));
   emit(response, "world.ixps", fmt_u64(scenario.ecosystem().ixps().size()));
   std::size_t interfaces = 0;

@@ -110,12 +110,6 @@ std::string_view Response::field(std::string_view key) const {
   return {};
 }
 
-std::string format_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.10g", v);
-  return buf;
-}
-
 std::string format_double_or_null(double v) {
   if (!std::isfinite(v)) return "null";
   return format_double(v);

@@ -60,6 +60,7 @@
 #include <vector>
 
 #include "core/scenario.hpp"
+#include "util/strings.hpp"
 
 namespace rp::serve {
 
@@ -149,9 +150,10 @@ struct Response {
   std::string_view field(std::string_view key) const;  ///< "" when absent.
 };
 
-/// Canonical double formatting for response values ("%.10g", like the
-/// config-field registry) — one spelling per value, so responses diff clean.
-std::string format_double(double v);
+/// Canonical double formatting for response values (util::format_double,
+/// the config-field registry's "%.10g") — one spelling per value, so
+/// responses diff clean.
+using util::format_double;
 
 /// format_double for values that may legitimately be "absent": NaN and
 /// infinities (e.g. MetricValue::quantile on an empty histogram) render as

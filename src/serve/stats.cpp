@@ -13,10 +13,10 @@
 //   slow.<i>.{request_id,type,compute_us,world}  top-K by compute time
 //   ts.samples / ts.interval_ms
 //   ts.<series> = comma-joined last `window` values   (window > 0 only)
-#include <cstdio>
 #include <string>
 #include <vector>
 
+#include "io/container.hpp"
 #include "obs/metrics.hpp"
 #include "obs/request_trace.hpp"
 #include "obs/timeseries.hpp"
@@ -52,13 +52,6 @@ const char* request_type_name(std::uint8_t type) {
       return "epoch-series";
   }
   return "other";
-}
-
-std::string hex16(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
 }
 
 void emit(Response& response, std::string key, std::string value) {
@@ -97,7 +90,7 @@ Response Daemon::stats_response(std::uint64_t window) const {
   emit_u64(response, "pool.worlds", entries.size());
   for (std::size_t i = 0; i < entries.size(); ++i) {
     const std::string prefix = "pool.world." + std::to_string(i);
-    emit(response, prefix + ".digest", hex16(entries[i].digest));
+    emit(response, prefix + ".digest", io::digest_hex(entries[i].digest));
     emit_u64(response, prefix + ".hits", entries[i].hits);
     emit(response, prefix + ".ready", entries[i].ready ? "1" : "0");
     emit_u64(response, prefix + ".resident_bytes", entries[i].resident_bytes);
@@ -121,7 +114,7 @@ Response Daemon::stats_response(std::uint64_t window) const {
     emit(response, prefix + ".type", request_type_name(slow[i].type));
     emit_f(response, prefix + ".compute_us",
            static_cast<double>(slow[i].compute_ns) / 1e3);
-    emit(response, prefix + ".world", hex16(slow[i].world_digest));
+    emit(response, prefix + ".world", io::digest_hex(slow[i].world_digest));
   }
 
   emit_u64(response, "ts.samples", recorder.samples());

@@ -1,9 +1,7 @@
 #include "sweep/engine.hpp"
 
 #include <atomic>
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -13,67 +11,27 @@
 #include "evolve/engine.hpp"
 #include "fault/fault.hpp"
 #include "io/snapshot.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/strings.hpp"
 #include "util/thread_pool.hpp"
 
 namespace rp::sweep {
 namespace {
 
-std::string format_double(double v) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.10g", v);
-  return buffer;
-}
+using util::format_double;
 
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-/// Atomic file write: stage into a sibling temp file, then rename. A killed
-/// sweep never leaves a partial record or results table visible.
-void atomic_write(const std::filesystem::path& path,
-                  const std::string& content) {
-  const std::filesystem::path tmp = path.string() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    out.write(content.data(),
-              static_cast<std::streamsize>(content.size()));
-    if (!out) throw std::runtime_error("cannot write " + tmp.string());
-  }
-  std::filesystem::rename(tmp, path);
-}
-
-std::string record_header(const std::string& digest, std::size_t index) {
-  return "rpsweep-record v1 " + digest + " " + std::to_string(index);
-}
-
-/// Reads a completion record; nullopt when missing, malformed, or written
-/// by a different spec (a stale record must look incomplete, not poison the
-/// table).
-struct RecordPayload {
-  std::string csv;
-  std::string json;
+constexpr io::LedgerFormat kLedger{
+    .tool = "rpsweep",
+    .study = "sweep",
+    .unit = "run",
+    .block = "spec",
+    .record_digits = 6,
+    .schema = kResultsSchemaVersion,
+    .start_hint = "`rpsweep plan` or `rpsweep run`",
+    .finish_hint = "`rpsweep resume`",
 };
-std::optional<RecordPayload> read_record(const std::filesystem::path& path,
-                                         const std::string& digest,
-                                         std::size_t index) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::string header, csv, json;
-  if (!std::getline(in, header) || !std::getline(in, csv) ||
-      !std::getline(in, json))
-    return std::nullopt;
-  if (header != record_header(digest, index) || csv.empty() || json.empty())
-    return std::nullopt;
-  return RecordPayload{std::move(csv), std::move(json)};
-}
 
 /// RP_SWEEP_JOBS: width of the sweep's own pool (clamped to [1, 512]);
 /// 0 / unset / unparsable falls through to ThreadPool::global().
@@ -187,11 +145,11 @@ std::string results_json_row(const SweepSpec& spec, const SweepRun& run,
   out << "{\"run\":" << run.index << ",\"axes\":{";
   for (std::size_t a = 0; a < spec.axes.size(); ++a) {
     if (a != 0) out << ",";
-    out << "\"" << json_escape(spec.axes[a].field) << "\":\""
-        << json_escape(run.values[a]) << "\"";
+    out << "\"" << obs::json::escape(spec.axes[a].field) << "\":\""
+        << obs::json::escape(run.values[a]) << "\"";
   }
-  out << "},\"world\":\"" << json_escape(result.world_digest) << "\""
-      << ",\"status\":\"" << json_escape(result.status) << "\""
+  out << "},\"world\":\"" << obs::json::escape(result.world_digest) << "\""
+      << ",\"status\":\"" << obs::json::escape(result.status) << "\""
       << ",\"transit_bps\":" << format_double(result.transit_bps)
       << ",\"offload_fraction\":" << format_double(result.offload_fraction)
       << ",\"greedy_picked\":" << result.greedy_picked
@@ -210,53 +168,19 @@ std::string results_json_row(const SweepSpec& spec, const SweepRun& run,
   return out.str();
 }
 
-std::filesystem::path SweepPaths::record(std::size_t index) const {
-  char name[32];
-  std::snprintf(name, sizeof name, "run-%06zu.rec", index);
-  return runs_dir() / name;
-}
+SweepPaths::SweepPaths(std::filesystem::path dir)
+    : io::RunLedger(kLedger, std::move(dir)) {}
 
 void write_manifest(const SweepSpec& spec, const std::filesystem::path& dir) {
-  std::filesystem::create_directories(dir);
-  std::ostringstream out;
-  out << "rpsweep-manifest v1\n"
-      << "digest " << spec_digest_hex(spec) << "\n"
-      << "runs " << spec.run_count() << "\n"
-      << "spec\n"
-      << canonical_spec_text(spec);
-  atomic_write(SweepPaths(dir).manifest(), out.str());
+  SweepPaths(dir).write_manifest(spec_digest_hex(spec), spec.run_count(),
+                                 canonical_spec_text(spec));
 }
 
 SweepSpec read_manifest(const std::filesystem::path& dir) {
-  const std::filesystem::path path = SweepPaths(dir).manifest();
-  std::ifstream in(path, std::ios::binary);
-  if (!in)
-    throw std::runtime_error("no sweep manifest at " + path.string() +
-                             " (run `rpsweep plan` or `rpsweep run` first)");
-  std::string line;
-  if (!std::getline(in, line) || line != "rpsweep-manifest v1")
-    throw std::runtime_error("unsupported manifest header in " +
-                             path.string());
-  std::string digest;
-  if (!std::getline(in, line) || line.rfind("digest ", 0) != 0)
-    throw std::runtime_error("manifest missing digest line: " +
-                             path.string());
-  digest = line.substr(7);
-  std::size_t runs = 0;
-  if (!std::getline(in, line) || line.rfind("runs ", 0) != 0)
-    throw std::runtime_error("manifest missing runs line: " + path.string());
-  runs = std::strtoull(line.substr(5).c_str(), nullptr, 10);
-  if (!std::getline(in, line) || line != "spec")
-    throw std::runtime_error("manifest missing spec block: " + path.string());
-  std::ostringstream spec_text;
-  spec_text << in.rdbuf();
-  const SweepSpec spec = parse_sweep_spec(spec_text.str());
-  if (spec_digest_hex(spec) != digest)
-    throw std::runtime_error("manifest digest mismatch in " + path.string() +
-                             " (hand-edited spec block?)");
-  if (spec.run_count() != runs)
-    throw std::runtime_error("manifest run count mismatch in " +
-                             path.string());
+  const SweepPaths paths(dir);
+  const io::LedgerManifest manifest = paths.read_manifest();
+  SweepSpec spec = parse_sweep_spec(manifest.block);
+  paths.check_manifest(manifest, spec_digest_hex(spec), spec.run_count());
   return spec;
 }
 
@@ -271,7 +195,7 @@ ExecuteOutcome execute_sweep(const SweepSpec& spec,
   static fault::Site run_site(fault::kSiteSweepRun);
 
   const SweepPaths paths(dir);
-  std::filesystem::create_directories(paths.runs_dir());
+  std::filesystem::create_directories(paths.records_dir());
   const std::filesystem::path cache_dir =
       options.cache_dir.empty() ? io::default_cache_dir() : options.cache_dir;
   const std::string digest = spec_digest_hex(spec);
@@ -303,10 +227,7 @@ ExecuteOutcome execute_sweep(const SweepSpec& spec,
   outcome.total = runs.size();
   std::vector<char> done(runs.size(), 0);
   for (const auto& run : runs)
-    done[run.index] =
-        read_record(paths.record(run.index), digest, run.index).has_value()
-            ? 1
-            : 0;
+    done[run.index] = paths.read_record(digest, run.index) ? 1 : 0;
   for (const char d : done) outcome.skipped += d != 0 ? 1 : 0;
   runs_skipped.add(outcome.skipped);
 
@@ -376,11 +297,8 @@ ExecuteOutcome execute_sweep(const SweepSpec& spec,
         artifacts = &it->second;
       }
       const RunResult result = evaluate_run(spec, runs[id], *artifacts);
-      const std::string content =
-          record_header(digest, id) + "\n" +
-          results_csv_row(spec, runs[id], result) + "\n" +
-          results_json_row(spec, runs[id], result) + "\n";
-      atomic_write(paths.record(id), content);
+      paths.write_record(digest, id, results_csv_row(spec, runs[id], result),
+                         results_json_row(spec, runs[id], result));
       executed.fetch_add(1, std::memory_order_relaxed);
       runs_executed.add();
     }
@@ -393,49 +311,18 @@ ExecuteOutcome execute_sweep(const SweepSpec& spec,
 
 std::size_t completed_runs(const SweepSpec& spec,
                            const std::filesystem::path& dir) {
-  const SweepPaths paths(dir);
-  const std::string digest = spec_digest_hex(spec);
-  std::size_t completed = 0;
-  for (std::size_t i = 0; i < spec.run_count(); ++i)
-    completed += read_record(paths.record(i), digest, i).has_value() ? 1 : 0;
-  return completed;
+  return SweepPaths(dir).completed(spec_digest_hex(spec), spec.run_count());
 }
 
 std::size_t summarize_sweep(const SweepSpec& spec,
                             const std::filesystem::path& dir) {
   obs::Span span("sweep.summarize");
   static obs::Counter summaries("rp.sweep.summaries");
-  const SweepPaths paths(dir);
-  const std::string digest = spec_digest_hex(spec);
-  const std::size_t total = spec.run_count();
-
-  std::string csv = "#rpsweep-results v" +
-                    std::to_string(kResultsSchemaVersion) + " name=" +
-                    spec.name + " spec=" + digest + " runs=" +
-                    std::to_string(total) + "\n" +
-                    results_csv_header(spec) + "\n";
-  std::string json = "{\"schema\":\"rpsweep-results-v" +
-                     std::to_string(kResultsSchemaVersion) + "\",\"name\":\"" +
-                     json_escape(spec.name) + "\",\"spec\":\"" + digest +
-                     "\",\"rows\":[";
-  std::size_t recorded = 0;
-  for (std::size_t i = 0; i < total; ++i) {
-    const auto record = read_record(paths.record(i), digest, i);
-    if (!record)
-      throw std::runtime_error(
-          "sweep incomplete: run " + std::to_string(i) +
-          " has no completion record (" + std::to_string(recorded) + " of " +
-          std::to_string(total) + " recorded) — `rpsweep resume` finishes it");
-    csv += record->csv + "\n";
-    if (i != 0) json += ",";
-    json += record->json;
-    ++recorded;
-  }
-  json += "]}\n";
-  atomic_write(paths.results_csv(), csv);
-  atomic_write(paths.results_json(), json);
+  const std::size_t rows =
+      SweepPaths(dir).collate(spec_digest_hex(spec), spec.run_count(),
+                              spec.name, results_csv_header(spec));
   summaries.add();
-  return recorded;
+  return rows;
 }
 
 }  // namespace rp::sweep

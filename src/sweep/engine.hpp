@@ -1,17 +1,10 @@
 // rp::sweep engine: expand a SweepSpec, execute the runs across the thread
 // pool, and collect a stable, schema-versioned results table.
 //
-// Layout of a sweep directory:
-//
-//   <dir>/manifest.txt        "rpsweep-manifest v1" + spec digest + run
-//                             count + the canonical spec block (the manifest
-//                             alone is enough to resume — no spec file
-//                             needed)
-//   <dir>/runs/run-<i>.rec    one completion record per finished run:
-//                             header line (schema, spec digest, index),
-//                             the run's CSV row, the run's JSON row
-//   <dir>/results.csv         header + rows in run-index order
-//   <dir>/results.json        the same rows as a JSON document
+// A sweep directory is an io::RunLedger (io/ledger.hpp draws its layout)
+// with tool "rpsweep" and unit "run": manifest.txt holds the canonical spec,
+// runs/run-<i>.rec one completion record per finished run, and results.csv /
+// results.json the rows in run-index order.
 //
 // Execution shards over *worlds*, not runs: runs that share every
 // scenario-config field (differing only in econ.* axes) map to one world
@@ -22,11 +15,11 @@
 // rp::util::ThreadPool (RP_SWEEP_JOBS caps the sweep's own pool width
 // independently of RP_THREADS).
 //
-// Resume and determinism: a completion record is written atomically (temp +
-// rename) the moment its run finishes, and execute() skips any run whose
-// record already exists and carries the current spec digest — so a sweep
-// killed mid-flight (including via the RP_FAULT site "sweep.run") resumes
-// with only the missing runs. Every row is a pure function of (spec, run
+// Resume and determinism: a completion record is written atomically the
+// moment its run finishes, and execute() skips any run whose record already
+// exists and carries the current spec digest — so a sweep killed mid-flight
+// (including via the RP_FAULT site "sweep.run") resumes with only the
+// missing runs. Every row is a pure function of (spec, run
 // index): summarize() concatenates record payloads in index order, which
 // makes results.csv byte-identical at any RP_THREADS, interrupted or not.
 #pragma once
@@ -37,6 +30,7 @@
 #include <vector>
 
 #include "core/offload_study.hpp"
+#include "io/ledger.hpp"
 #include "offload/peer_groups.hpp"
 #include "sweep/spec.hpp"
 
@@ -104,15 +98,10 @@ std::string results_csv_row(const SweepSpec& spec, const SweepRun& run,
 std::string results_json_row(const SweepSpec& spec, const SweepRun& run,
                              const RunResult& result);
 
-/// Paths inside a sweep directory.
-struct SweepPaths {
-  explicit SweepPaths(std::filesystem::path dir) : dir(std::move(dir)) {}
-  std::filesystem::path dir;
-  std::filesystem::path manifest() const { return dir / "manifest.txt"; }
-  std::filesystem::path runs_dir() const { return dir / "runs"; }
-  std::filesystem::path record(std::size_t index) const;
-  std::filesystem::path results_csv() const { return dir / "results.csv"; }
-  std::filesystem::path results_json() const { return dir / "results.json"; }
+/// A sweep directory: the io::RunLedger layout under the rpsweep names
+/// (records are runs/run-<i>.rec).
+struct SweepPaths : io::RunLedger {
+  explicit SweepPaths(std::filesystem::path dir);
 };
 
 /// Writes <dir>/manifest.txt atomically (creating <dir>).

@@ -1,8 +1,6 @@
 #include "sweep/spec.hpp"
 
 #include <algorithm>
-#include <charconv>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -10,6 +8,8 @@
 
 #include "core/config_fields.hpp"
 #include "evolve/timeline.hpp"
+#include "io/container.hpp"
+#include "util/strings.hpp"
 
 namespace rp::sweep {
 namespace {
@@ -40,38 +40,16 @@ constexpr EconField kEconFields[] = {
 }
 
 double parse_double_or(std::string_view field, std::string_view value) {
-  double out = 0.0;
-  const auto [ptr, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), out);
-  if (ec != std::errc() || ptr != value.data() + value.size())
-    throw std::invalid_argument("field '" + std::string(field) +
-                                "': bad value '" + std::string(value) + "'");
-  return out;
-}
-
-std::string format_double(double v) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.10g", v);
-  return buffer;
+  if (const auto out = util::parse_exact<double>(value)) return *out;
+  throw std::invalid_argument("field '" + std::string(field) +
+                              "': bad value '" + std::string(value) + "'");
 }
 
 std::uint64_t parse_count(std::size_t line, const std::string& key,
                           std::string_view value) {
-  std::uint64_t out = 0;
-  const auto [ptr, ec] =
-      std::from_chars(value.data(), value.data() + value.size(), out);
-  if (ec != std::errc() || ptr != value.data() + value.size())
-    bad_spec(line, key + " wants an unsigned integer, got '" +
-                       std::string(value) + "'");
-  return out;
-}
-
-std::vector<std::string> split_tokens(const std::string& text) {
-  std::vector<std::string> tokens;
-  std::istringstream stream(text);
-  std::string token;
-  while (stream >> token) tokens.push_back(token);
-  return tokens;
+  if (const auto out = util::parse_exact<std::uint64_t>(value)) return *out;
+  bad_spec(line, key + " wants an unsigned integer, got '" +
+                     std::string(value) + "'");
 }
 
 /// Expands a "lin:<lo>:<hi>:<n>" shorthand; returns false when `token` is
@@ -105,15 +83,6 @@ bool expand_linear(const std::string& token, std::vector<double>& out) {
   return true;
 }
 
-std::uint64_t fnv1a64(std::string_view text) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
-  for (const char c : text) {
-    hash ^= static_cast<std::uint8_t>(c);
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
-
 }  // namespace
 
 std::span<const EconField> econ_fields() { return kEconFields; }
@@ -134,7 +103,7 @@ bool is_sweepable_field(std::string_view name) {
 std::string canonical_field_value(std::string_view name,
                                   std::string_view value) {
   if (find_econ_field(name) != nullptr)
-    return format_double(parse_double_or(name, value));
+    return util::format_double(parse_double_or(name, value));
   // Round-trip through the scenario-config registry: set on a scratch
   // config, read back the canonical token. Throws on unknown field or bad
   // value with the field named.
@@ -182,7 +151,7 @@ SweepSpec parse_sweep_spec(std::string_view text) {
     }
     const auto hash = raw.find('#');
     if (hash != std::string::npos) raw.erase(hash);
-    const std::vector<std::string> tokens = split_tokens(raw);
+    const std::vector<std::string> tokens = util::split_tokens(raw);
     if (tokens.empty()) continue;
     const std::string& key = tokens[0];
     const auto want = [&](std::size_t n) {
@@ -242,7 +211,7 @@ SweepSpec parse_sweep_spec(std::string_view text) {
           if (expand_linear(tokens[i], range)) {
             for (const double v : range)
               axis.values.push_back(
-                  canonical_field_value(axis.field, format_double(v)));
+                  canonical_field_value(axis.field, util::format_double(v)));
           } else {
             axis.values.push_back(
                 canonical_field_value(axis.field, tokens[i]));
@@ -332,11 +301,7 @@ std::string canonical_spec_text(const SweepSpec& spec) {
 }
 
 std::string spec_digest_hex(const SweepSpec& spec) {
-  char buffer[17];
-  std::snprintf(buffer, sizeof buffer, "%016llx",
-                static_cast<unsigned long long>(
-                    fnv1a64(canonical_spec_text(spec))));
-  return buffer;
+  return io::digest_hex(io::fnv1a64(canonical_spec_text(spec)));
 }
 
 std::vector<SweepRun> expand_runs(const SweepSpec& spec) {

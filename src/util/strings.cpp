@@ -1,6 +1,7 @@
 #include "util/strings.hpp"
 
 #include <cctype>
+#include <cstdio>
 
 namespace rp::util {
 
@@ -51,6 +52,27 @@ std::string to_lower(std::string_view s) {
   for (char& c : out)
     c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   return out;
+}
+
+std::vector<std::string> split_tokens(std::string_view text) {
+  std::vector<std::string> tokens;
+  const auto is_space = [](char c) {
+    return std::isspace(static_cast<unsigned char>(c)) != 0;
+  };
+  std::size_t i = 0;
+  while (i < text.size()) {
+    while (i < text.size() && is_space(text[i])) ++i;
+    const std::size_t start = i;
+    while (i < text.size() && !is_space(text[i])) ++i;
+    if (i > start) tokens.emplace_back(text.substr(start, i - start));
+  }
+  return tokens;
+}
+
+std::string format_double(double v) {
+  char buffer[64];
+  std::snprintf(buffer, sizeof buffer, "%.10g", v);
+  return buffer;
 }
 
 }  // namespace rp::util

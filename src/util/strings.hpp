@@ -1,7 +1,10 @@
 // Small string helpers shared across modules (parsing of dotted-quad
-// addresses, rendering of identifiers, etc.).
+// addresses, rendering of identifiers, etc.) and the canonical text the
+// digests are computed over.
 #pragma once
 
+#include <charconv>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -21,7 +24,26 @@ bool is_all_digits(std::string_view s);
 /// non-digit input.
 bool parse_u32(std::string_view s, unsigned long& out);
 
+/// Parses all of `s` as a T with std::from_chars: no whitespace, no '+', no
+/// trailing text, no out-of-range value. nullopt otherwise.
+template <class T>
+std::optional<T> parse_exact(std::string_view s) {
+  T out{};
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), out);
+  if (ec != std::errc() || end != s.data() + s.size()) return std::nullopt;
+  return out;
+}
+
 /// Lower-cases ASCII letters.
 std::string to_lower(std::string_view s);
+
+/// Splits on runs of ASCII whitespace, dropping empty tokens: the tokenizer
+/// of the line grammars (sweep specs, timelines).
+std::vector<std::string> split_tokens(std::string_view text);
+
+/// The canonical spelling of a double: "%.10g". Config fields, sweep and
+/// timeline values, result rows and wire responses all print through it, so
+/// one value has one spelling and the digests over that text are stable.
+std::string format_double(double v);
 
 }  // namespace rp::util

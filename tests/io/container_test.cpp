@@ -92,9 +92,17 @@ TEST(ByteCodec, ExpectEndFlagsTrailingBytes) {
 
 TEST(Checksum, MatchesKnownFnv1aVectors) {
   // Standard FNV-1a 64-bit test vectors.
-  EXPECT_EQ(fnv1a64({}), 14695981039346656037ull);
+  EXPECT_EQ(fnv1a64(std::span<const std::uint8_t>{}), 14695981039346656037ull);
   const std::uint8_t a[] = {'a'};
   EXPECT_EQ(fnv1a64(a), 0xaf63dc4c8601ec8cull);
+  // The text overload hashes the same bytes.
+  EXPECT_EQ(fnv1a64(std::string_view{}), 14695981039346656037ull);
+  EXPECT_EQ(fnv1a64(std::string_view("a")), 0xaf63dc4c8601ec8cull);
+}
+
+TEST(Checksum, DigestHexIsSixteenLowerCaseDigits) {
+  EXPECT_EQ(digest_hex(0), "0000000000000000");
+  EXPECT_EQ(digest_hex(0xaf63dc4c8601ec8cull), "af63dc4c8601ec8c");
 }
 
 std::vector<std::uint8_t> payload(std::string_view s) {

@@ -218,13 +218,5 @@ TEST(Protocol, WorldSpecResolvesDeterministically) {
   EXPECT_THROW(bad.resolve(), std::invalid_argument);
 }
 
-TEST(Protocol, FormatDoubleIsCanonical) {
-  EXPECT_EQ(format_double(0.5), "0.5");
-  EXPECT_EQ(format_double(1.0), "1");
-  EXPECT_EQ(format_double(1e10), "1e+10");
-  // Idempotent: same value, same spelling, every time.
-  EXPECT_EQ(format_double(0.1234567890123), format_double(0.1234567890123));
-}
-
 }  // namespace
 }  // namespace rp::serve

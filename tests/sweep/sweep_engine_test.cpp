@@ -229,6 +229,31 @@ TEST_F(SweepEngineTest, ManifestRoundTripsAndRejectsTampering) {
   EXPECT_THROW(read_manifest(root_ / "nowhere"), std::runtime_error);
 }
 
+TEST_F(SweepEngineTest, ManifestRejectsAMalformedRunCount) {
+  const auto dir = root_ / "bad-count";
+  write_manifest(spec_, dir);
+  const auto path = SweepPaths(dir).manifest();
+  std::string text = read_file(path);
+  const auto at = text.find("runs 24\n");
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, 8, "runs 24x\n");
+  std::ofstream(path, std::ios::trunc) << text;
+  EXPECT_THROW(read_manifest(dir), std::runtime_error);
+}
+
+TEST_F(SweepEngineTest, ResultsJsonEscapesControlCharactersInTheName) {
+  const SweepSpec spec = parse_sweep_spec(
+      std::string(kGridSpec) + "name a\x01" "b\n");
+  ASSERT_EQ(spec.name, "a\x01" "b");
+  const auto dir = root_ / "escaped";
+  execute_sweep(spec, dir, options_);
+  summarize_sweep(spec, dir);
+  const std::string json = read_file(SweepPaths(dir).results_json());
+  EXPECT_NE(json.find("\"name\":\"a\\u0001b\""), std::string::npos)
+      << json.substr(0, 80);
+  EXPECT_EQ(json.find('\x01'), std::string::npos);
+}
+
 // A 3-epoch timeline over the same tiny world as kGridSpec (identical base
 // lines, so the snapshot cache is shared): the epoch axis multiplies the
 // econ grid on overlay views instead of rebuilding worlds per epoch.

@@ -56,5 +56,25 @@ TEST(ToLower, AsciiOnly) {
   EXPECT_EQ(to_lower("123"), "123");
 }
 
+TEST(SplitTokens, SplitsOnWhitespaceRuns) {
+  EXPECT_EQ(split_tokens("  axis econ.h\t0.002  0.006 \r"),
+            (std::vector<std::string>{"axis", "econ.h", "0.002", "0.006"}));
+  EXPECT_TRUE(split_tokens("").empty());
+  EXPECT_TRUE(split_tokens(" \t\v\f ").empty());
+  // Control bytes that are not whitespace stay inside their token.
+  EXPECT_EQ(split_tokens("name a\x01" "b"),
+            (std::vector<std::string>{"name", "a\x01" "b"}));
+}
+
+TEST(Strings, FormatDoubleIsCanonical) {
+  EXPECT_EQ(format_double(0.5), "0.5");
+  EXPECT_EQ(format_double(1.0), "1");
+  EXPECT_EQ(format_double(1e10), "1e+10");
+  EXPECT_EQ(format_double(1.0 / 3.0), "0.3333333333");
+  EXPECT_EQ(format_double(-2.5e-7), "-2.5e-07");
+  // Idempotent: same value, same spelling, every time.
+  EXPECT_EQ(format_double(0.1234567890123), format_double(0.1234567890123));
+}
+
 }  // namespace
 }  // namespace rp::util
