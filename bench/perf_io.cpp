@@ -31,9 +31,7 @@ std::filesystem::path bench_snapshot_path() {
   static const std::filesystem::path path = [] {
     const auto file = std::filesystem::temp_directory_path() /
                       "rp_perf_io_world.rpsnap";
-    io::SaveOptions options;
-    options.with_cones = true;
-    io::save_scenario(bench_world(), file, options);
+    io::save_scenario(bench_world(), file);
     return file;
   }();
   return path;
@@ -79,10 +77,9 @@ BENCHMARK(BM_SnapshotColdWrite)->Unit(benchmark::kMillisecond);
 void BM_SnapshotLoad(benchmark::State& state) {
   const auto path = bench_snapshot_path();
   for (auto _ : state) {
-    io::LoadedWorld loaded = io::load_scenario(path);
+    core::Scenario loaded = io::load_scenario(path);
     benchmark::DoNotOptimize(loaded);
-    state.counters["ases"] =
-        static_cast<double>(loaded.scenario.graph().as_count());
+    state.counters["ases"] = static_cast<double>(loaded.graph().as_count());
   }
   state.SetBytesProcessed(
       state.iterations() *

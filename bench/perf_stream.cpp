@@ -109,9 +109,7 @@ BENCHMARK(BM_BinLogReplay)->Unit(benchmark::kMillisecond);
 /// the union with analyzer.potential_at on reached + candidate.
 void BM_WhatIfDeltaVsRecompute(benchmark::State& state) {
   const auto& analyzer = bench::offload_study().analyzer();
-  const auto& world = bench::scenario();
-  stream::IncrementalOffload engine(analyzer, world.ecosystem(),
-                                    offload::PeerGroup::kAll);
+  stream::IncrementalOffload engine(analyzer, offload::PeerGroup::kAll);
   // Reached: the first five greedy picks — a realistic serve-daemon state.
   std::vector<ixp::IxpId> reached;
   for (const auto& step :
@@ -152,20 +150,6 @@ void BM_WhatIfDeltaVsRecompute(benchmark::State& state) {
   set_thread_counter(state);
 }
 BENCHMARK(BM_WhatIfDeltaVsRecompute)->Unit(benchmark::kMillisecond);
-
-void BM_IncrementalGreedy(benchmark::State& state) {
-  const auto& analyzer = bench::offload_study().analyzer();
-  const auto& world = bench::scenario();
-  stream::IncrementalOffload engine(analyzer, world.ecosystem(),
-                                    offload::PeerGroup::kAll);
-  for (auto _ : state) {
-    const auto curve = engine.greedy(30);
-    benchmark::DoNotOptimize(curve);
-    state.counters["steps"] = static_cast<double>(curve.size());
-  }
-  set_thread_counter(state);
-}
-BENCHMARK(BM_IncrementalGreedy)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -94,10 +94,10 @@ int main(int argc, char** argv) {
       std::filesystem::temp_directory_path() /
       ("rpstat-" + io::config_digest_hex(config) + ".rpsnap");
   io::save_scenario(scenario, roundtrip);
-  const io::LoadedWorld loaded = io::load_scenario(roundtrip);
+  const core::Scenario loaded = io::load_scenario(roundtrip);
   std::filesystem::remove(roundtrip);
   std::printf("snapshot round-trip: %zu ASes preserved\n",
-              loaded.scenario.graph().as_count());
+              loaded.graph().as_count());
 
   core::SpreadStudyConfig study_config;
   study_config.campaign.length = util::SimDuration::days(fast ? 2 : 7);

@@ -168,7 +168,6 @@ int cmd_ingest(int argc, char** argv) {
   const offload::OffloadAnalyzer& analyzer = bundle.study.analyzer();
   stream::BinLogSource source(log_path);
   stream::StreamSession session(source, analyzer,
-                                bundle.scenario->ecosystem(),
                                 static_cast<offload::PeerGroup>(group),
                                 session_config);
   if (resume && session.resume())
@@ -208,7 +207,8 @@ int cmd_ingest(int argc, char** argv) {
   std::printf("potential.all.out %.17g\n", everywhere.outbound_bps);
   std::printf("potential.all.covered %zu\n", everywhere.covered_networks);
 
-  const auto curve = engine.greedy(steps);
+  const auto curve =
+      analyzer.greedy_by_traffic(static_cast<offload::PeerGroup>(group), steps);
   std::printf("greedy.steps %zu\n", curve.size());
   for (std::size_t i = 0; i < curve.size(); ++i) {
     std::printf("greedy.%zu %s %.17g %.17g %.17g %.17g\n", i,

@@ -15,7 +15,6 @@
 #include <string>
 
 #include "core/config_fields.hpp"
-#include "core/offload_study.hpp"
 #include "core/scenario.hpp"
 #include "io/snapshot.hpp"
 #include "obs_cli.hpp"
@@ -27,7 +26,7 @@ using namespace rp;
 int usage() {
   std::fprintf(stderr,
                "usage: rpworld save [--fast] [--table1] [--seed N] [--scale F]"
-               " [--cache-dir DIR] [--out FILE] [--with-rib] [--no-cones]\n"
+               " [--cache-dir DIR] [--out FILE]\n"
                "       rpworld info <file>\n"
                "       rpworld verify <file>\n"
                "       rpworld diff <a> <b>\n"
@@ -53,7 +52,7 @@ core::ScenarioConfig make_config(bool fast, bool table1, std::uint64_t seed,
 }
 
 int cmd_save(int argc, char** argv) {
-  bool fast = false, table1 = false, with_rib = false, with_cones = true;
+  bool fast = false, table1 = false;
   std::uint64_t seed = 2014;
   double scale = 1.0;
   std::filesystem::path cache_dir = io::default_cache_dir();
@@ -69,8 +68,6 @@ int cmd_save(int argc, char** argv) {
     };
     if (arg == "--fast") fast = true;
     else if (arg == "--table1") table1 = true;
-    else if (arg == "--with-rib") with_rib = true;
-    else if (arg == "--no-cones") with_cones = false;
     else if (arg == "--seed") seed = std::strtoull(value(), nullptr, 10);
     else if (arg == "--scale") scale = std::strtod(value(), nullptr);
     else if (arg == "--cache-dir") cache_dir = value();
@@ -102,14 +99,7 @@ int cmd_save(int argc, char** argv) {
               scenario.vantage().to_string().c_str());
 
   if (out) {
-    io::SaveOptions options;
-    options.with_cones = with_cones;
-    std::optional<bgp::Rib> rib;
-    if (with_rib) {
-      rib = bgp::Rib::build(scenario.graph(), scenario.vantage());
-      options.rib = &*rib;
-    }
-    io::save_scenario(scenario, *out, options);
+    io::save_scenario(scenario, *out);
     std::printf("wrote %s (%ju bytes)\n", out->string().c_str(),
                 static_cast<std::uintmax_t>(std::filesystem::file_size(*out)));
   }
@@ -133,12 +123,7 @@ int cmd_info(const char* file) {
               info.as_count, info.transit_links, info.peering_links,
               info.ixp_count, info.interface_count, info.provider_count,
               info.measured_ixp_count);
-  std::printf("vantage: AS%u; cones: %s; rib: %s\n", info.vantage_asn,
-              info.has_cones ? "embedded" : "absent",
-              info.has_rib
-                  ? ("embedded (" + std::to_string(info.rib_destinations) +
-                     " destinations)").c_str()
-                  : "absent");
+  std::printf("vantage: AS%u\n", info.vantage_asn);
   return 0;
 }
 
@@ -167,7 +152,8 @@ int cmd_diff(const char* file_a, const char* file_b) {
          std::to_string(b.format_version));
   report("digest", std::to_string(a.config_digest),
          std::to_string(b.config_digest));
-  for (std::uint32_t id = 1; id <= 7; ++id) {
+  for (std::uint32_t id = io::kConfigSection; id <= io::kVantageSection;
+       ++id) {
     auto find = [id](const io::SnapshotInfo& info) -> std::string {
       for (const auto& s : info.sections)
         if (s.id == id)

@@ -108,54 +108,12 @@ run_ctest() {
   ctest --preset "$preset" -j
 }
 
-# rpworld end to end: save/info/verify/diff on a healthy snapshot, cache-hit
-# on rerun, and the documented per-class exit codes on damaged ones
-# (0 OK, 1 differ, 3 io, 4 corrupt, 5 truncated, 6 future version).
+# rpworld end to end (save/info/verify/diff and the per-class exit codes).
+# The smoke lives in its own script so ctest runs it too (label `smoke`).
 snapshot_smoke() {
   local build="$1"
-  echo "=== [$build] snapshot smoke ==="
-  local dir rpworld="build/$build/examples/rpworld"
-  dir="$(tmpdir)"
-  "$rpworld" save --fast --cache-dir "$dir" --out "$dir/world.rpsnap"
-  "$rpworld" info "$dir/world.rpsnap"
-  "$rpworld" verify "$dir/world.rpsnap"
-  # A rerun with the same config must load the cached snapshot, not rebuild.
-  "$rpworld" save --fast --cache-dir "$dir" | tee "$dir/rerun.log"
-  grep -q "cache hit" "$dir/rerun.log"
-  # The explicit save and the cache entry must describe identical worlds.
-  "$rpworld" diff "$dir/world.rpsnap" "$dir"/world-*.rpsnap
-
-  echo "--- rpworld exit-code classes ---"
-  # Corrupt: flip a byte mid-file.
-  python3 - "$dir/world.rpsnap" "$dir/corrupt.rpsnap" <<'EOF'
-import sys
-data = bytearray(open(sys.argv[1], 'rb').read())
-data[len(data) // 2] ^= 0x40
-open(sys.argv[2], 'wb').write(data)
-EOF
-  expect_rc 4 "$rpworld" verify "$dir/corrupt.rpsnap"
-  # Truncated: drop the tail.
-  python3 - "$dir/world.rpsnap" "$dir/trunc.rpsnap" <<'EOF'
-import sys
-data = open(sys.argv[1], 'rb').read()
-open(sys.argv[2], 'wb').write(data[: len(data) * 3 // 4])
-EOF
-  expect_rc 5 "$rpworld" verify "$dir/trunc.rpsnap"
-  # Future format version: bump the version field after the 8-byte magic.
-  python3 - "$dir/world.rpsnap" "$dir/future.rpsnap" <<'EOF'
-import sys
-data = bytearray(open(sys.argv[1], 'rb').read())
-data[8] += 1
-open(sys.argv[2], 'wb').write(data)
-EOF
-  expect_rc 6 "$rpworld" verify "$dir/future.rpsnap"
-  # Io: the file is not there.
-  expect_rc 3 "$rpworld" verify "$dir/missing.rpsnap"
-  # diff classifies a damaged operand the same way verify does...
-  expect_rc 5 "$rpworld" diff "$dir/world.rpsnap" "$dir/trunc.rpsnap"
-  expect_rc 6 "$rpworld" diff "$dir/world.rpsnap" "$dir/future.rpsnap"
-  # ...and a healthy pair still reports identical worlds.
-  expect_rc 0 "$rpworld" diff "$dir/world.rpsnap" "$dir/world.rpsnap"
+  echo "=== [$build] snapshot smoke (scripts/smoke_snapshot.sh) ==="
+  scripts/smoke_snapshot.sh "build/$build/examples"
 }
 
 obs_smoke() {
@@ -244,8 +202,7 @@ bench = json.load(open(sys.argv[1]))
 for key in ("BM_StreamIngestBins.bins_per_sec",
             "BM_BinLogReplay.bins_per_sec",
             "BM_WhatIfDeltaVsRecompute.delta_speedup",
-            "BM_WhatIfDeltaVsRecompute.whatifs_per_sec",
-            "BM_IncrementalGreedy.steps"):
+            "BM_WhatIfDeltaVsRecompute.whatifs_per_sec"):
     assert bench.get(key, 0) > 0, (key, sorted(bench))
 EOF
   # The epoch-overlay gate is a standalone arm-vs-arm harness (no
@@ -394,42 +351,13 @@ figure_smoke() {
   done
 }
 
-# rpsweep and rpevolve kill/resume byte-identity (DESIGN.md §12, §17). The
-# smokes live in their own script so ctest runs them too (label `smoke`).
+# rpsweep, rpevolve and rpstream kill/resume byte-identity (DESIGN.md §12,
+# §16, §17). The smokes live in their own script so ctest runs them too
+# (label `smoke`).
 resume_smoke() {
   local build="$1"
   echo "=== [$build] resume smokes (scripts/smoke_resume.sh) ==="
   scripts/smoke_resume.sh "build/$build/examples"
-}
-
-# rpstream end to end: a 400-bin fast-world flow log ingested uninterrupted
-# at RP_THREADS=1 (the reference), then again at 8 threads killed by a
-# stream.bin fault at the 300th frame (two checkpoints survive), resumed,
-# and the %.17g summaries — billing p95s, live offload, greedy curve —
-# compared byte for byte: the streaming determinism contract of DESIGN.md §16.
-stream_smoke() {
-  local build="$1"
-  echo "=== [$build] stream smoke (rpstream ingest/kill/resume byte-identity) ==="
-  local dir rpstream="build/$build/examples/rpstream"
-  dir="$(tmpdir)"
-  "$rpstream" log --fast --span-days 2 --cache-dir "$dir/cache" \
-    --out "$dir/bins.rpsnap" --bins 400 2> /dev/null
-  # Reference: single-threaded, uninterrupted.
-  RP_THREADS=1 "$rpstream" ingest --fast --span-days 2 \
-    --cache-dir "$dir/cache" --log "$dir/bins.rpsnap" \
-    > "$dir/full.txt" 2> /dev/null
-  # The same log at 8 threads, killed mid-ingest at the 300th frame...
-  expect_rc 9 env RP_THREADS=8 RP_FAULT=stream.bin:nth=300 \
-    "$rpstream" ingest --fast --span-days 2 --cache-dir "$dir/cache" \
-    --log "$dir/bins.rpsnap" --checkpoint "$dir/ckpt.rpsnap" --every 100
-  # ...resumes from the last checkpoint (bin 200)...
-  RP_THREADS=8 "$rpstream" ingest --fast --span-days 2 \
-    --cache-dir "$dir/cache" --log "$dir/bins.rpsnap" \
-    --checkpoint "$dir/ckpt.rpsnap" --resume \
-    > "$dir/resumed.txt" 2> "$dir/resume.log"
-  grep -q "resumed at bin 200" "$dir/resume.log"
-  # ...to a byte-identical summary.
-  cmp "$dir/full.txt" "$dir/resumed.txt"
 }
 
 # The concurrency-sensitive suites again at a fixed high thread count, so the
@@ -461,7 +389,6 @@ run_lane() {
       obs_smoke "$preset"
       fault_smoke "$preset"
       resume_smoke "$preset"
-      stream_smoke "$preset"
       serve_smoke "$preset"
       perf_smoke "$preset"
       figure_smoke "$preset"

@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
-# Kill/resume byte-identity smokes for the two resumable studies:
+# Kill/resume byte-identity smokes for the resumable studies and the stream:
 #
 #   scripts/smoke_resume.sh <examples-bin-dir>
 #
-# rpsweep and rpevolve each run once uninterrupted at RP_THREADS=1, then
-# again at RP_THREADS=8 killed mid-study by an injected fault, are resumed
-# from their completion records, and the results (and epoch snapshots) are
-# compared byte for byte: the resume + determinism contract of DESIGN.md §12
-# and §17. Registered with ctest under the label `smoke`; scripts/ci.sh runs
-# it too.
+# rpsweep, rpevolve and rpstream each run once uninterrupted at
+# RP_THREADS=1, then again at RP_THREADS=8 killed mid-run by an injected
+# fault, are resumed from their completion records (or stream checkpoint),
+# and the results (epoch snapshots, stream summaries) are compared byte for
+# byte: the resume + determinism contract of DESIGN.md §12, §16 and §17.
+# Registered with ctest under the label `smoke`; scripts/ci.sh runs it too.
 set -euo pipefail
 
 if [[ $# -ne 1 ]]; then
@@ -116,6 +116,36 @@ evolve_smoke() {
   done
 }
 
+# rpstream end to end: a 400-bin fast-world flow log ingested uninterrupted
+# at RP_THREADS=1 (the reference), then again at 8 threads killed by a
+# stream.bin fault at the 300th frame (two checkpoints survive), resumed,
+# and the %.17g summaries — billing p95s, live offload, greedy curve —
+# compared byte for byte: the streaming determinism contract of DESIGN.md §16.
+stream_smoke() {
+  echo "=== stream smoke (rpstream ingest/kill/resume byte-identity) ==="
+  local dir rpstream="$BIN/rpstream"
+  dir="$(tmpdir)"
+  "$rpstream" log --fast --span-days 2 --cache-dir "$dir/cache" \
+    --out "$dir/bins.rpsnap" --bins 400 2> /dev/null
+  # Reference: single-threaded, uninterrupted.
+  RP_THREADS=1 "$rpstream" ingest --fast --span-days 2 \
+    --cache-dir "$dir/cache" --log "$dir/bins.rpsnap" \
+    > "$dir/full.txt" 2> /dev/null
+  # The same log at 8 threads, killed mid-ingest at the 300th frame...
+  expect_rc 9 env RP_THREADS=8 RP_FAULT=stream.bin:nth=300 \
+    "$rpstream" ingest --fast --span-days 2 --cache-dir "$dir/cache" \
+    --log "$dir/bins.rpsnap" --checkpoint "$dir/ckpt.rpsnap" --every 100
+  # ...resumes from the last checkpoint (bin 200)...
+  RP_THREADS=8 "$rpstream" ingest --fast --span-days 2 \
+    --cache-dir "$dir/cache" --log "$dir/bins.rpsnap" \
+    --checkpoint "$dir/ckpt.rpsnap" --resume \
+    > "$dir/resumed.txt" 2> "$dir/resume.log"
+  grep -q "resumed at bin 200" "$dir/resume.log"
+  # ...to a byte-identical summary.
+  cmp "$dir/full.txt" "$dir/resumed.txt"
+}
+
 sweep_smoke
 evolve_smoke
-echo "smoke_resume.sh: sweep and evolve resume smokes passed"
+stream_smoke
+echo "smoke_resume.sh: sweep, evolve and stream resume smokes passed"

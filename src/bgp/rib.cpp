@@ -1,7 +1,6 @@
 #include "bgp/rib.hpp"
 
 #include <optional>
-#include <stdexcept>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -41,22 +40,6 @@ Rib Rib::build(const topology::AsGraph& graph, net::Asn vantage) {
   static obs::Counter prefixes("rp.bgp.prefixes.inserted");
   computed.add(nodes.size());
   prefixes.add(inserted);
-  return rib;
-}
-
-Rib Rib::restore(const topology::AsGraph& graph, net::Asn vantage,
-                 std::span<const std::pair<net::Asn, Route>> routes) {
-  Rib rib;
-  rib.vantage_ = vantage;
-  for (const auto& [destination, route] : routes) {
-    const topology::AsNode& node = graph.node(destination);  // Throws unknown.
-    if (rib.by_destination_.contains(destination))
-      throw std::invalid_argument("Rib::restore: duplicate destination " +
-                                  destination.to_string());
-    for (const auto& prefix : node.prefixes)
-      rib.trie_.insert(prefix, RibEntry{destination, route});
-    rib.by_destination_.emplace(destination, route);
-  }
   return rib;
 }
 

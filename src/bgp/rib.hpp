@@ -8,9 +8,7 @@
 
 #include <cstddef>
 #include <optional>
-#include <span>
 #include <unordered_map>
-#include <utility>
 
 #include "bgp/route.hpp"
 #include "bgp/route_computer.hpp"
@@ -30,14 +28,6 @@ class Rib {
   /// Computes the vantage's best route to every AS in `graph` and indexes it
   /// by originated prefix. Unreachable destinations are omitted.
   static Rib build(const topology::AsGraph& graph, net::Asn vantage);
-
-  /// Rebuilds a RIB from precomputed routes (rp::io snapshot load): inserts
-  /// each destination's prefixes exactly as build() would, skipping the route
-  /// computation. Routes must be listed in graph node order for the result
-  /// to be identical to build()'s. Throws std::invalid_argument if a
-  /// destination is unknown to the graph or listed twice.
-  static Rib restore(const topology::AsGraph& graph, net::Asn vantage,
-                     std::span<const std::pair<net::Asn, Route>> routes);
 
   net::Asn vantage() const { return vantage_; }
 

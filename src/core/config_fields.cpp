@@ -1,6 +1,7 @@
 #include "core/config_fields.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 #include "util/strings.hpp"
@@ -21,8 +22,13 @@ std::uint64_t parse_u64(std::string_view field, std::string_view value) {
 }
 
 double parse_double(std::string_view field, std::string_view value) {
-  if (const auto out = util::parse_exact<double>(value)) return *out;
-  bad_value(field, value, "expected a number");
+  const auto out = util::parse_exact<double>(value);
+  if (!out) bad_value(field, value, "expected a number");
+  // NaN and the infinities parse, but no knob has a meaning for them: a NaN
+  // membership scale would still build a (wrong) world.
+  if (!std::isfinite(*out))
+    bad_value(field, value, "expected a finite number");
+  return *out;
 }
 
 bool parse_bool(std::string_view field, std::string_view value) {

@@ -52,12 +52,11 @@ Scenario Scenario::build_cached(const ScenarioConfig& config,
   if (std::filesystem::exists(out.path, ec)) {
     try {
       load_site.maybe_throw();
-      io::LoadedWorld world = io::load_scenario(out.path);
-      if (io::config_digest(world.scenario.config()) ==
-          io::config_digest(config)) {
+      Scenario world = io::load_scenario(out.path);
+      if (io::config_digest(world.config()) == io::config_digest(config)) {
         out.outcome = SnapshotCacheResult::Outcome::kHit;
         cache_counter(out.outcome).add();
-        return std::move(world.scenario);
+        return world;
       }
       // A digest collision in the file name (or a hand-renamed file): the
       // snapshot is valid but describes a different world.

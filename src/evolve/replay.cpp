@@ -144,11 +144,8 @@ ReplayOutcome replay_timeline(const Timeline& timeline,
       continue;
     }
     const EpochResult result = evaluate_epoch(engine, k, options);
-    if (options.snapshots) {
-      io::SaveOptions save;
-      save.with_cones = false;  // the cone memo belongs to the shared graph
-      io::save_scenario(engine.view_at(k), paths.snapshot(k), save);
-    }
+    if (options.snapshots)
+      io::save_scenario(engine.view_at(k), paths.snapshot(k));
     paths.write_record(digest, k, results_csv_row(result),
                        results_json_row(result));
     ++outcome.executed;

@@ -383,108 +383,6 @@ std::vector<std::uint8_t> encode_vantage(const core::WorldView& world) {
   return std::move(out).take();
 }
 
-// --- kConesSection -----------------------------------------------------------
-// Each mask's words are varint-packed: stub cones are almost entirely zero
-// words (one byte each), so the section stays a few MB even at paper scale.
-
-std::vector<std::uint8_t> encode_cones(const topology::AsGraph::ConeMemo& memo) {
-  ByteWriter out;
-  out.varint(memo.masks.size());
-  for (const util::DynamicBitset& mask : memo.masks) {
-    out.varint(mask.size());
-    for (std::uint64_t word : mask.words()) out.varint(word);
-  }
-  for (std::uint64_t addresses : memo.addresses) out.varint(addresses);
-  for (std::size_t size : memo.sizes) out.varint(size);
-  return std::move(out).take();
-}
-
-topology::AsGraph::ConeMemo decode_cones(std::span<const std::uint8_t> payload,
-                                         std::size_t as_count) {
-  ByteReader in(payload, "cones section");
-  topology::AsGraph::ConeMemo memo;
-  const std::size_t count = checked_count(in);
-  if (count != as_count)
-    throw SnapshotError("snapshot: cone memo covers " + std::to_string(count) +
-                        " nodes but the graph has " + std::to_string(as_count));
-  memo.masks.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::uint64_t bits = in.varint();
-    if (bits != as_count)
-      throw SnapshotError("snapshot: cone mask width mismatch");
-    std::vector<std::uint64_t> words((bits + 63) / 64);
-    for (std::uint64_t& word : words) word = in.varint();
-    try {
-      memo.masks.push_back(
-          util::DynamicBitset::from_words(as_count, std::move(words)));
-    } catch (const std::invalid_argument& e) {
-      throw SnapshotError(std::string("snapshot: invalid cone mask: ") +
-                          e.what());
-    }
-  }
-  memo.addresses.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) memo.addresses.push_back(in.varint());
-  memo.sizes.reserve(count);
-  for (std::size_t i = 0; i < count; ++i)
-    memo.sizes.push_back(static_cast<std::size_t>(in.varint()));
-  in.expect_end();
-  return memo;
-}
-
-// --- kRibSection -------------------------------------------------------------
-
-std::vector<std::uint8_t> encode_rib(const topology::AsGraph& graph,
-                                     const bgp::Rib& rib) {
-  ByteWriter out;
-  out.varint(rib.vantage().value());
-  // Destinations in graph node order — the same order Rib::build inserts —
-  // so restore() reproduces the RIB exactly.
-  std::uint64_t routed = 0;
-  for (const topology::AsNode& node : graph.nodes())
-    if (rib.route_to(node.asn) != nullptr) ++routed;
-  out.varint(routed);
-  for (const topology::AsNode& node : graph.nodes()) {
-    const bgp::Route* route = rib.route_to(node.asn);
-    if (route == nullptr) continue;
-    out.varint(node.asn.value());
-    out.varint(route->destination.value());
-    out.u8(static_cast<std::uint8_t>(route->source));
-    out.varint(route->as_path.size());
-    for (net::Asn hop : route->as_path) out.varint(hop.value());
-  }
-  return std::move(out).take();
-}
-
-bgp::Rib decode_rib(std::span<const std::uint8_t> payload,
-                    const topology::AsGraph& graph) {
-  ByteReader in(payload, "rib section");
-  const net::Asn vantage{static_cast<std::uint32_t>(in.varint())};
-  const std::size_t count = checked_count(in);
-  std::vector<std::pair<net::Asn, bgp::Route>> routes;
-  routes.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const net::Asn destination{static_cast<std::uint32_t>(in.varint())};
-    bgp::Route route;
-    route.destination = net::Asn{static_cast<std::uint32_t>(in.varint())};
-    const std::uint8_t source = in.u8();
-    if (source > static_cast<std::uint8_t>(bgp::RouteSource::kProvider))
-      throw SnapshotError("snapshot: invalid route source code " +
-                          std::to_string(source));
-    route.source = static_cast<bgp::RouteSource>(source);
-    const std::size_t hops = checked_count(in);
-    route.as_path.reserve(hops);
-    for (std::size_t h = 0; h < hops; ++h)
-      route.as_path.push_back(net::Asn{static_cast<std::uint32_t>(in.varint())});
-    routes.emplace_back(destination, std::move(route));
-  }
-  in.expect_end();
-  try {
-    return bgp::Rib::restore(graph, vantage, routes);
-  } catch (const std::exception& e) {
-    throw SnapshotError(std::string("snapshot: inconsistent RIB: ") + e.what());
-  }
-}
-
 }  // namespace
 
 const char* section_name(std::uint32_t id) {
@@ -494,21 +392,13 @@ const char* section_name(std::uint32_t id) {
     case kEdgesSection: return "edges";
     case kEcosystemSection: return "ecosystem";
     case kVantageSection: return "vantage";
-    case kConesSection: return "cones";
-    case kRibSection: return "rib";
   }
   return "?";
 }
 
-std::vector<std::uint8_t> encode_scenario(const core::WorldView& world,
-                                          const SaveOptions& options) {
+std::vector<std::uint8_t> encode_scenario(const core::WorldView& world) {
   obs::Span span("io.encode_scenario");
   const topology::AsGraph& graph = *world.graph;
-
-  // Force the cone memo before fanning out so its (mutex-guarded) build does
-  // not run concurrently with the node/edge encoders.
-  topology::AsGraph::ConeMemo cones;
-  if (options.with_cones) cones = graph.export_cones();
 
   // One encoder per section; parallel_transform keeps results in slot order,
   // so the assembled bytes are identical at any thread count.
@@ -526,12 +416,6 @@ std::vector<std::uint8_t> encode_scenario(const core::WorldView& world,
                   }});
   jobs.push_back(
       {kVantageSection, [&world] { return encode_vantage(world); }});
-  if (options.with_cones)
-    jobs.push_back({kConesSection, [&cones] { return encode_cones(cones); }});
-  if (options.rib != nullptr)
-    jobs.push_back({kRibSection, [&graph, rib = options.rib] {
-                      return encode_rib(graph, *rib);
-                    }});
 
   std::vector<std::vector<std::uint8_t>> payloads =
       util::ThreadPool::global().parallel_transform(
@@ -546,9 +430,8 @@ std::vector<std::uint8_t> encode_scenario(const core::WorldView& world,
 }
 
 void save_scenario(const core::WorldView& world,
-                   const std::filesystem::path& path,
-                   const SaveOptions& options) {
-  write_bytes_atomic(encode_scenario(world, options), path);
+                   const std::filesystem::path& path) {
+  write_bytes_atomic(encode_scenario(world), path);
 }
 
 namespace {
@@ -571,7 +454,7 @@ std::vector<std::uint8_t> read_file_bytes(const std::filesystem::path& path) {
 
 }  // namespace
 
-LoadedWorld decode_scenario(std::span<const std::uint8_t> bytes) {
+core::Scenario decode_scenario(std::span<const std::uint8_t> bytes) {
   obs::Span span("io.decode_scenario");
   ContainerReader container =
       ContainerReader::from_bytes({bytes.begin(), bytes.end()});
@@ -587,10 +470,9 @@ LoadedWorld decode_scenario(std::span<const std::uint8_t> bytes) {
   const core::ScenarioConfig config =
       decode_config(container.section(kConfigSection));
 
-  // The graph chain (nodes -> edges -> cones) and the ecosystem decode are
+  // The graph chain (nodes -> edges) and the ecosystem decode are
   // independent; run them as two pool tasks.
   topology::AsGraph graph;
-  bool had_cones = false;
   ixp::IxpEcosystem ecosystem;
   util::ThreadPool::global().parallel_for(2, [&](std::size_t task) {
     if (task == 0) {
@@ -598,11 +480,6 @@ LoadedWorld decode_scenario(std::span<const std::uint8_t> bytes) {
       std::vector<topology::AsNode> nodes =
           decode_nodes(container.section(kNodesSection));
       graph = decode_graph(container.section(kEdgesSection), std::move(nodes));
-      if (container.has(kConesSection)) {
-        graph.adopt_cones(
-            decode_cones(container.section(kConesSection), graph.as_count()));
-        had_cones = true;
-      }
     } else {
       obs::ScopedTimer timer(section_decode_hist());
       ecosystem = decode_ecosystem(container.section(kEcosystemSection));
@@ -635,19 +512,12 @@ LoadedWorld decode_scenario(std::span<const std::uint8_t> bytes) {
   }
   vantage_in.expect_end();
 
-  LoadedWorld world{
-      core::Scenario::from_parts(config, std::move(graph), std::move(ecosystem),
-                                 vantage, std::move(measured_ixps)),
-      std::nullopt, had_cones};
-  if (container.has(kRibSection)) {
-    obs::ScopedTimer timer(section_decode_hist());
-    world.rib =
-        decode_rib(container.section(kRibSection), world.scenario.graph());
-  }
-  return world;
+  return core::Scenario::from_parts(config, std::move(graph),
+                                    std::move(ecosystem), vantage,
+                                    std::move(measured_ixps));
 }
 
-LoadedWorld load_scenario(const std::filesystem::path& path) {
+core::Scenario load_scenario(const std::filesystem::path& path) {
   return decode_scenario(read_file_bytes(path));
 }
 
@@ -679,8 +549,7 @@ SnapshotInfo snapshot_info(const std::filesystem::path& path) {
   info.format_version = container.version();
   info.sections = container.sections();
 
-  LoadedWorld world = decode_scenario(bytes);
-  const core::Scenario& scenario = world.scenario;
+  const core::Scenario scenario = decode_scenario(bytes);
   info.config_digest = config_digest(scenario.config());
   info.seed = scenario.config().seed;
   info.as_count = scenario.graph().as_count();
@@ -692,17 +561,14 @@ SnapshotInfo snapshot_info(const std::filesystem::path& path) {
     info.interface_count += ixp.interfaces().size();
   info.measured_ixp_count = scenario.measured_ixps().size();
   info.vantage_asn = scenario.vantage().value();
-  info.has_cones = world.had_cones;
-  info.has_rib = world.rib.has_value();
-  if (world.rib) info.rib_destinations = world.rib->destination_count();
   return info;
 }
 
 std::optional<VerifyFailure> verify_snapshot(
     const std::filesystem::path& path) {
   try {
-    LoadedWorld world = load_scenario(path);
-    if (auto violation = world.scenario.graph().validate())
+    const core::Scenario scenario = load_scenario(path);
+    if (auto violation = scenario.graph().validate())
       return VerifyFailure{"graph invariant violated: " + *violation,
                            SnapshotErrorClass::kInvariant};
   } catch (const SnapshotError& e) {

@@ -1,13 +1,15 @@
-// Versioned binary world snapshots: save/load a whole core::Scenario (and
-// optionally its computed hot caches) through the rp-snapshot container.
+// Versioned binary world snapshots: save/load a whole core::Scenario through
+// the rp-snapshot container.
 //
 // A Scenario is fully determined by its config + seed, so a snapshot is a
 // cache, not a source of truth — but construction at paper scale is costly
 // while loading is mostly memcpy, and a snapshot file can be shared across
 // processes (the prerequisite for sharded studies). Loads are byte-identical
-// to the world that was saved: node order, adjacency order, interface order,
-// and the cone memo all survive exactly, so SpreadStudy / OffloadAnalyzer
-// outputs match a fresh build bit-for-bit at any RP_THREADS.
+// to the world that was saved: node order, adjacency order and interface
+// order all survive exactly, so SpreadStudy / OffloadAnalyzer outputs match a
+// fresh build bit-for-bit at any RP_THREADS. Derived state (the customer-cone
+// memo, the vantage RIB) is not persisted; it is rebuilt lazily on first use,
+// as for any freshly built world.
 //
 // Sections (see container.hpp for the envelope):
 //   kConfigSection     ScenarioConfig (every knob, varint/f64-bit packed)
@@ -16,8 +18,9 @@
 //                      node-index varints, preserving insertion order
 //   kEcosystemSection  remote-peering providers + IXPs with interfaces & LGs
 //   kVantageSection    vantage ASN + measured-IXP ids
-//   kConesSection      (optional) customer-cone bitsets + address totals
-//   kRibSection        (optional) the vantage RIB's selected routes
+// The decoder ignores any other section id, so images that carry extra
+// sections (older writers embedded the cone memo and RIB as ids 6 and 7)
+// still load.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "bgp/rib.hpp"
 #include "core/scenario.hpp"
 #include "io/container.hpp"
 
@@ -38,59 +40,37 @@ inline constexpr std::uint32_t kNodesSection = 2;
 inline constexpr std::uint32_t kEdgesSection = 3;
 inline constexpr std::uint32_t kEcosystemSection = 4;
 inline constexpr std::uint32_t kVantageSection = 5;
-inline constexpr std::uint32_t kConesSection = 6;
-inline constexpr std::uint32_t kRibSection = 7;
 
 /// Human-readable section name for CLI output ("?" for unknown ids).
 const char* section_name(std::uint32_t id);
-
-struct SaveOptions {
-  /// Embed the customer-cone memo (forces computing it first) so loads skip
-  /// the topological sweep.
-  bool with_cones = true;
-  /// Embed this RIB's routes (nullptr omits the section).
-  const bgp::Rib* rib = nullptr;
-};
 
 /// Encodes a world view into a full container image. Section payloads are
 /// encoded in parallel across rp::util::ThreadPool::global(); the bytes are
 /// identical at any thread count. Epoch overlays (src/evolve) encode through
 /// this entry point without materializing a Scenario copy.
-std::vector<std::uint8_t> encode_scenario(const core::WorldView& world,
-                                          const SaveOptions& options = {});
+std::vector<std::uint8_t> encode_scenario(const core::WorldView& world);
 
 inline std::vector<std::uint8_t> encode_scenario(
-    const core::Scenario& scenario, const SaveOptions& options = {}) {
-  return encode_scenario(scenario.view(), options);
+    const core::Scenario& scenario) {
+  return encode_scenario(scenario.view());
 }
 
 /// encode_scenario + atomic file write (temp file, then rename).
 void save_scenario(const core::WorldView& world,
-                   const std::filesystem::path& path,
-                   const SaveOptions& options = {});
+                   const std::filesystem::path& path);
 
 inline void save_scenario(const core::Scenario& scenario,
-                          const std::filesystem::path& path,
-                          const SaveOptions& options = {}) {
-  save_scenario(scenario.view(), path, options);
+                          const std::filesystem::path& path) {
+  save_scenario(scenario.view(), path);
 }
-
-/// A decoded snapshot: the world plus whatever optional artifacts it embeds.
-struct LoadedWorld {
-  core::Scenario scenario;
-  /// Present when the snapshot carried a kRibSection.
-  std::optional<bgp::Rib> rib;
-  /// Whether the cone memo was embedded (it is adopted into the graph).
-  bool had_cones = false;
-};
 
 /// Decodes a container image. Throws SnapshotError on any corruption,
 /// truncation, version mismatch, or cross-section inconsistency — a failed
 /// load never returns a partially populated world.
-LoadedWorld decode_scenario(std::span<const std::uint8_t> bytes);
+core::Scenario decode_scenario(std::span<const std::uint8_t> bytes);
 
 /// Reads, verifies, and decodes a snapshot file.
-LoadedWorld load_scenario(const std::filesystem::path& path);
+core::Scenario load_scenario(const std::filesystem::path& path);
 
 /// The cache key: FNV-1a over the canonical kConfigSection encoding of the
 /// config, so any knob change (including nested topology knobs and the seed)
@@ -121,9 +101,6 @@ struct SnapshotInfo {
   std::size_t interface_count = 0;
   std::size_t measured_ixp_count = 0;
   std::uint32_t vantage_asn = 0;
-  bool has_cones = false;
-  bool has_rib = false;
-  std::size_t rib_destinations = 0;
 };
 
 /// Fully decodes `path` and summarizes it (so a successful info implies a

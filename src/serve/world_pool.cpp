@@ -91,8 +91,8 @@ World::WhatIfLease World::what_if_engine(offload::PeerGroup group) const {
   std::unique_lock<std::mutex> lock(whatif_mutexes_[slot]);
   if (!whatif_[slot]) {
     obs::Span span("serve.world.whatif_engine");
-    whatif_[slot] = std::make_unique<stream::IncrementalOffload>(
-        study.analyzer(), scenario_.ecosystem(), group);
+    whatif_[slot] =
+        std::make_unique<stream::IncrementalOffload>(study.analyzer(), group);
   }
   return {std::move(lock), whatif_[slot].get()};
 }

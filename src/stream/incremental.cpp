@@ -6,7 +6,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/thread_pool.hpp"
 
 namespace rp::stream {
 
@@ -33,16 +32,12 @@ obs::Counter& block_flushes() {
 }  // namespace
 
 IncrementalOffload::IncrementalOffload(
-    const offload::OffloadAnalyzer& analyzer,
-    const ixp::IxpEcosystem& ecosystem, offload::PeerGroup group)
-    : analyzer_(&analyzer),
-      ecosystem_(&ecosystem),
-      group_(group),
+    const offload::OffloadAnalyzer& analyzer, offload::PeerGroup group)
+    : group_(group),
       coverage_(&analyzer.coverage_masks(group)),
       endpoint_count_(analyzer.transit_endpoints().size()),
       base_in_(endpoint_count_),
       base_out_(endpoint_count_),
-      weight_(endpoint_count_),
       reached_flag_(coverage_->size(), false),
       cover_count_(endpoint_count_, 0),
       covered_(endpoint_count_),
@@ -51,7 +46,6 @@ IncrementalOffload::IncrementalOffload(
   for (std::size_t i = 0; i < endpoint_count_; ++i) {
     base_in_[i] = endpoints[i].inbound_bps;
     base_out_[i] = endpoints[i].outbound_bps;
-    weight_[i] = endpoints[i].total_bps();
   }
 }
 
@@ -216,109 +210,9 @@ offload::Potential IncrementalOffload::what_if(
   return p;
 }
 
-double IncrementalOffload::gain_of(ixp::IxpId id) const {
-  if (id >= coverage_->size())
-    throw std::invalid_argument("IncrementalOffload::gain_of: unknown IXP");
-  if (reached_flag_[id]) return 0.0;
-  double gain = 0.0;
-  // Word-level and-not over the mask's uncovered bits, summed in ascending
-  // endpoint order — the summation order of the batch greedy's
-  // for_each_intersection(remaining) scan.
-  const auto& mask_words = (*coverage_)[id].words();
-  const auto& covered_words = covered_.words();
-  for (std::size_t w = 0; w < mask_words.size(); ++w) {
-    std::uint64_t bits = mask_words[w] & ~covered_words[w];
-    while (bits != 0) {
-      gain += weight_[w * 64 + static_cast<std::size_t>(std::countr_zero(bits))];
-      bits &= bits - 1;
-    }
-  }
-  return gain;
-}
-
-std::vector<double> IncrementalOffload::frontier() const {
-  std::vector<double> gains(coverage_->size());
-  util::ThreadPool::global().parallel_for(
-      coverage_->size(),
-      [this, &gains](std::size_t x) {
-        gains[x] = reached_flag_[x] ? 0.0
-                                    : gain_of(static_cast<ixp::IxpId>(x));
-      });
-  return gains;
-}
-
-std::vector<offload::GreedyStep> IncrementalOffload::greedy(
-    std::size_t max_steps) const {
-  // A step-for-step replica of OffloadAnalyzer::greedy over the same cached
-  // masks: identical summation orders, identical strict-> argmax with ties
-  // to the lower IXP index, identical stop condition — so the curve matches
-  // the batch greedy_by_traffic byte for byte.
-  obs::Span span("stream.greedy");
-  const std::vector<util::DynamicBitset>& coverage = *coverage_;
-
-  util::DynamicBitset remaining(endpoint_count_);
-  for (std::size_t i = 0; i < endpoint_count_; ++i) remaining.set(i);
-
-  double remaining_in = analyzer_->transit_inbound_bps();
-  double remaining_out = analyzer_->transit_outbound_bps();
-  double remaining_weight = 0.0;
-  for (std::size_t i = 0; i < endpoint_count_; ++i)
-    remaining_weight += weight_[i];
-
-  std::vector<bool> used(coverage.size(), false);
-  std::vector<offload::GreedyStep> steps;
-  std::vector<double> gains(coverage.size());
-  util::ThreadPool& pool = util::ThreadPool::global();
-  const auto& endpoints = analyzer_->transit_endpoints();
-
-  for (std::size_t step = 0; step < max_steps; ++step) {
-    pool.parallel_for(coverage.size(), [&](std::size_t x) {
-      if (used[x]) {
-        gains[x] = 0.0;
-        return;
-      }
-      double gain = 0.0;
-      coverage[x].for_each_intersection(
-          remaining, [this, &gain](std::size_t i) { gain += weight_[i]; });
-      gains[x] = gain;
-    });
-    double best_gain = 0.0;
-    std::size_t best_ixp = coverage.size();
-    for (std::size_t x = 0; x < coverage.size(); ++x) {
-      if (used[x]) continue;
-      if (gains[x] > best_gain) {
-        best_gain = gains[x];
-        best_ixp = x;
-      }
-    }
-    if (best_ixp == coverage.size() || best_gain <= 0.0) break;
-
-    offload::GreedyStep result;
-    result.ixp_id = ecosystem_->ixps()[best_ixp].id();
-    result.acronym = ecosystem_->ixps()[best_ixp].acronym();
-    result.gained = best_gain;
-
-    coverage[best_ixp].for_each_intersection(
-        remaining,
-        [&endpoints, &remaining_in, &remaining_out](std::size_t i) {
-          remaining_in -= endpoints[i].inbound_bps;
-          remaining_out -= endpoints[i].outbound_bps;
-        });
-    remaining.subtract(coverage[best_ixp]);
-    remaining_weight -= best_gain;
-    used[best_ixp] = true;
-
-    result.remaining = remaining_weight;
-    result.remaining_inbound_bps = remaining_in;
-    result.remaining_outbound_bps = remaining_out;
-    steps.push_back(std::move(result));
-  }
-  return steps;
-}
-
 std::size_t IncrementalOffload::retained_bytes() const {
-  return (base_in_.capacity() + base_out_.capacity() + weight_.capacity() +
-          live_in_.capacity() + live_out_.capacity()) *
+  return (base_in_.capacity() + base_out_.capacity() + live_in_.capacity() +
+          live_out_.capacity()) *
              sizeof(double) +
          cover_count_.capacity() * sizeof(std::uint32_t) +
          covered_.words().size() * sizeof(std::uint64_t) +

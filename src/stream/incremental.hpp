@@ -21,14 +21,6 @@
 //                           sum, not its bit-for-bit FP twin; the contract
 //                           is self-consistency, documented in DESIGN.md
 //                           §16.)
-//   gain_of / frontier()    marginal gain of one more IXP against the live
-//                           covered set — the greedy frontier, without
-//                           recomputing the already-reached union.
-//   greedy()                the Fig. 9 curve from the live masks, replicating
-//                           the batch greedy_by_traffic step for step
-//                           (same summation order, same tie-break), so the
-//                           streaming curve is byte-identical to the batch
-//                           one at any RP_THREADS.
 //   on_bin / live_potential the latest bin's rates over the covered set —
 //                           "what is offloadable right now" — updated by one
 //                           column swap per arriving frame.
@@ -48,9 +40,8 @@ namespace rp::stream {
 class IncrementalOffload {
  public:
   /// Binds to `analyzer`'s cached coverage masks for `group` (building them
-  /// on first use). The analyzer and ecosystem must outlive this object.
+  /// on first use). The analyzer must outlive this object.
   IncrementalOffload(const offload::OffloadAnalyzer& analyzer,
-                     const ixp::IxpEcosystem& ecosystem,
                      offload::PeerGroup group);
 
   offload::PeerGroup group() const { return group_; }
@@ -72,18 +63,6 @@ class IncrementalOffload {
   /// ignored). A pure read: word-level and-not of the added masks against
   /// the live covered set, no state change — the serve what-if fast path.
   offload::Potential what_if(std::span<const ixp::IxpId> added);
-
-  /// Marginal §4-average-weight gain of adding `id` to the current reached
-  /// set (0 for an already-reached id).
-  double gain_of(ixp::IxpId id) const;
-  /// gain_of for every IXP, indexed by IxpId (computed across the pool;
-  /// values are identical at any RP_THREADS).
-  std::vector<double> frontier() const;
-
-  /// The Fig. 9 greedy curve from the live coverage masks, byte-identical to
-  /// OffloadAnalyzer::greedy_by_traffic(group, max_steps). Ignores (and does
-  /// not disturb) the current reached set.
-  std::vector<offload::GreedyStep> greedy(std::size_t max_steps) const;
 
   /// Publishes the latest bin's per-endpoint rates (columns in endpoint
   /// order — the analyzer's transit_endpoints() order). Throws
@@ -118,8 +97,6 @@ class IncrementalOffload {
   void mark_dirty(std::size_t endpoint);
   void apply_mask(const util::DynamicBitset& mask, bool add);
 
-  const offload::OffloadAnalyzer* analyzer_;
-  const ixp::IxpEcosystem* ecosystem_;
   offload::PeerGroup group_;
   /// Coverage masks indexed by IxpId (borrowed from the analyzer's cache).
   const std::vector<util::DynamicBitset>* coverage_;
@@ -128,7 +105,6 @@ class IncrementalOffload {
   /// §4-average endpoint weights, endpoint order.
   std::vector<double> base_in_;
   std::vector<double> base_out_;
-  std::vector<double> weight_;
   /// Latest bin's rates, endpoint order (empty before the first on_bin).
   std::vector<double> live_in_;
   std::vector<double> live_out_;

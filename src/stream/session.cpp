@@ -33,13 +33,12 @@ BinSchema endpoint_schema(const offload::OffloadAnalyzer& analyzer) {
 
 StreamSession::StreamSession(BinSource& source,
                              const offload::OffloadAnalyzer& analyzer,
-                             const ixp::IxpEcosystem& ecosystem,
                              offload::PeerGroup group,
                              StreamSessionConfig config)
     : source_(&source),
       config_(std::move(config)),
       ingest_(endpoint_schema(analyzer), maximal_coverage(analyzer, group)),
-      incremental_(analyzer, ecosystem, group) {
+      incremental_(analyzer, group) {
   if (!(source.schema() == ingest_.schema()))
     throw std::invalid_argument(
         "StreamSession: source schema != analyzer transit endpoints");

@@ -39,8 +39,7 @@ class StreamSession {
   /// union of `group` coverage over all reachable IXPs (the maximal-offload
   /// series of Fig. 5b).
   StreamSession(BinSource& source, const offload::OffloadAnalyzer& analyzer,
-                const ixp::IxpEcosystem& ecosystem, offload::PeerGroup group,
-                StreamSessionConfig config = {});
+                offload::PeerGroup group, StreamSessionConfig config = {});
 
   /// Consumes up to `max_bins` further bins (until the source runs dry),
   /// checkpointing on the configured cadence. Returns the number of bins

@@ -388,27 +388,6 @@ AsGraph AsGraph::restore(SnapshotParts parts) {
   return graph;
 }
 
-AsGraph::ConeMemo AsGraph::export_cones() const {
-  ensure_cones();
-  std::scoped_lock lock(cone_mutex_);
-  return ConeMemo{cone_masks_, cone_addresses_, cone_sizes_};
-}
-
-void AsGraph::adopt_cones(ConeMemo memo) {
-  const std::size_t n = nodes_.size();
-  if (memo.masks.size() != n || memo.addresses.size() != n ||
-      memo.sizes.size() != n)
-    throw std::invalid_argument("AsGraph::adopt_cones: memo size mismatch");
-  for (const auto& mask : memo.masks)
-    if (mask.size() != n)
-      throw std::invalid_argument("AsGraph::adopt_cones: mask width mismatch");
-  std::scoped_lock lock(cone_mutex_);
-  cone_masks_ = std::move(memo.masks);
-  cone_addresses_ = std::move(memo.addresses);
-  cone_sizes_ = std::move(memo.sizes);
-  cones_built_.store(true, std::memory_order_release);
-}
-
 std::size_t AsGraph::index_of(net::Asn asn) const {
   const auto it = index_.find(asn);
   if (it == index_.end())

@@ -116,25 +116,6 @@ class AsGraph {
   /// snapshot can never produce a half-formed graph.
   static AsGraph restore(SnapshotParts parts);
 
-  /// The memoized cone state, exportable so snapshots can persist it.
-  struct ConeMemo {
-    std::vector<util::DynamicBitset> masks;
-    std::vector<std::uint64_t> addresses;
-    std::vector<std::size_t> sizes;
-  };
-
-  /// Whether the cone memo has been built (and would be exported).
-  bool cones_ready() const {
-    return cones_built_.load(std::memory_order_acquire);
-  }
-  /// Builds the memo if needed and returns a copy.
-  ConeMemo export_cones() const;
-  /// Installs a previously exported memo, skipping the topological sweep.
-  /// The memo must come from export_cones() on an identical graph; vector
-  /// and bitset dimensions are validated, contents are trusted (snapshot
-  /// checksums cover them).
-  void adopt_cones(ConeMemo memo);
-
  private:
   struct Adjacency {
     std::vector<net::Asn> providers;

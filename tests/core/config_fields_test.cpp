@@ -65,6 +65,21 @@ TEST(ConfigFields, ErrorsNameTheFieldAndToken) {
                std::invalid_argument);
   EXPECT_THROW(set_config_field(config, "euroix", "maybe"),
                std::invalid_argument);
+  // Non-finite doubles parse as numbers but name no world.
+  for (const char* token : {"nan", "NaN", "inf", "-inf", "infinity"}) {
+    for (const char* field : {"membership_scale", "probe_headroom"}) {
+      try {
+        set_config_field(config, field, token);
+        FAIL() << field << " accepted " << token;
+      } catch (const std::invalid_argument& error) {
+        const std::string what = error.what();
+        EXPECT_NE(what.find(field), std::string::npos) << what;
+        EXPECT_NE(what.find(token), std::string::npos) << what;
+      }
+    }
+  }
+  EXPECT_EQ(config.membership_scale, ScenarioConfig{}.membership_scale);
+  EXPECT_EQ(config.probe_headroom, ScenarioConfig{}.probe_headroom);
   try {
     set_config_field(config, "bogus", "1");
     FAIL() << "accepted unknown field";

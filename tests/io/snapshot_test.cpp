@@ -97,11 +97,7 @@ void expect_same_world(const core::Scenario& a, const core::Scenario& b) {
 TEST(Snapshot, RoundTripReproducesTheWorldExactly) {
   const core::Scenario& original = small_world();
   const std::vector<std::uint8_t> image = encode_scenario(original);
-  const LoadedWorld loaded = decode_scenario(image);
-  EXPECT_TRUE(loaded.had_cones);
-  EXPECT_FALSE(loaded.rib.has_value());
-  expect_same_world(original, loaded.scenario);
-  EXPECT_TRUE(loaded.scenario.graph().cones_ready());
+  expect_same_world(original, decode_scenario(image));
 }
 
 TEST(Snapshot, EncodeIsByteIdenticalAcrossThreadCounts) {
@@ -153,43 +149,49 @@ std::string offload_fingerprint(const core::Scenario& scenario) {
 
 TEST(Snapshot, StudiesOnLoadedWorldMatchByteForByte) {
   const core::Scenario& original = small_world();
-  const LoadedWorld loaded = decode_scenario(encode_scenario(original));
-  EXPECT_EQ(spread_fingerprint(original), spread_fingerprint(loaded.scenario));
-  EXPECT_EQ(offload_fingerprint(original),
-            offload_fingerprint(loaded.scenario));
+  const core::Scenario loaded = decode_scenario(encode_scenario(original));
+  EXPECT_EQ(spread_fingerprint(original), spread_fingerprint(loaded));
+  EXPECT_EQ(offload_fingerprint(original), offload_fingerprint(loaded));
 }
 
-TEST(Snapshot, RibSectionRoundTripsSelectedRoutes) {
-  const core::Scenario& world = small_world();
-  const bgp::Rib rib = bgp::Rib::build(world.graph(), world.vantage());
-  SaveOptions options;
-  options.rib = &rib;
-  const LoadedWorld loaded = decode_scenario(encode_scenario(world, options));
-  ASSERT_TRUE(loaded.rib.has_value());
-  for (const auto& node : world.graph().nodes()) {
-    const bgp::Route* a = rib.route_to(node.asn);
-    const bgp::Route* b = loaded.rib->route_to(node.asn);
-    ASSERT_EQ(a == nullptr, b == nullptr) << node.asn.to_string();
-    if (a == nullptr) continue;
-    EXPECT_EQ(a->destination, b->destination);
-    EXPECT_EQ(a->source, b->source);
-    ASSERT_EQ(a->as_path.size(), b->as_path.size());
-    for (std::size_t i = 0; i < a->as_path.size(); ++i)
-      EXPECT_EQ(a->as_path[i], b->as_path[i]);
+// Older writers also stored the cone memo and the vantage RIB, as sections 6
+// and 7. The decoder ignores both, so such files still load: the world is the
+// saved one, and its cones come from the graph, not from the file.
+TEST(Snapshot, ExtraSectionsAreIgnored) {
+  const core::Scenario& original = small_world();
+  const auto image = encode_scenario(original);
+  const ContainerReader reader = ContainerReader::from_bytes(image);
+  ContainerWriter writer;
+  for (const auto& entry : reader.sections()) {
+    const auto body = reader.section(entry.id);
+    writer.add_section(entry.id, {body.begin(), body.end()});
   }
-}
+  // Section 6 in the old cone-memo layout, with every mask empty: a decoder
+  // that adopted it would report wrong cones.
+  const std::size_t n = original.graph().as_count();
+  ByteWriter cones;
+  cones.varint(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    cones.varint(n);
+    for (std::size_t w = 0; w < (n + 63) / 64; ++w) cones.varint(0);
+  }
+  for (std::size_t i = 0; i < 2 * n; ++i) cones.varint(0);
+  writer.add_section(6, cones.take());
+  // Section 7 in the old RIB layout: the vantage and no routes.
+  ByteWriter rib;
+  rib.varint(original.vantage().value());
+  rib.varint(0);
+  writer.add_section(7, rib.take());
 
-TEST(Snapshot, ConesCanBeOmitted) {
-  SaveOptions options;
-  options.with_cones = false;
-  const LoadedWorld loaded =
-      decode_scenario(encode_scenario(small_world(), options));
-  EXPECT_FALSE(loaded.had_cones);
-  EXPECT_FALSE(loaded.scenario.graph().cones_ready());
-  // The loaded graph can still compute cones on demand.
-  EXPECT_GT(
-      loaded.scenario.graph().customer_cone(loaded.scenario.vantage()).size(),
-      0u);
+  const core::Scenario loaded = decode_scenario(writer.serialize());
+  expect_same_world(original, loaded);
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(loaded.graph().cone_mask(i), original.graph().cone_mask(i))
+        << "node " << i;
+    const net::Asn asn = original.graph().nodes()[i].asn;
+    EXPECT_EQ(loaded.graph().cone_address_count(asn),
+              original.graph().cone_address_count(asn));
+  }
 }
 
 // The default world's cache key: every snapshot cache and sweep world column
@@ -247,8 +249,7 @@ class SnapshotFileTest : public testing::Test {
 };
 
 TEST_F(SnapshotFileTest, LoadsWhatWasSaved) {
-  const LoadedWorld loaded = load_scenario(path_);
-  expect_same_world(small_world(), loaded.scenario);
+  expect_same_world(small_world(), load_scenario(path_));
   EXPECT_FALSE(verify_snapshot(path_).has_value());
 }
 
@@ -261,9 +262,7 @@ TEST_F(SnapshotFileTest, InfoSummarizesTheWorld) {
   EXPECT_EQ(info.as_count, small_world().graph().as_count());
   EXPECT_EQ(info.ixp_count, small_world().ecosystem().ixps().size());
   EXPECT_EQ(info.vantage_asn, small_world().vantage().value());
-  EXPECT_TRUE(info.has_cones);
-  EXPECT_FALSE(info.has_rib);
-  EXPECT_GE(info.sections.size(), 5u);
+  EXPECT_EQ(info.sections.size(), 5u);
 }
 
 TEST_F(SnapshotFileTest, BitFlipIsDetectedNotLoaded) {

@@ -54,7 +54,7 @@ std::string pipeline_fingerprint(const Scenario& scenario, unsigned threads) {
       offload.analyzer().greedy_by_traffic(offload::PeerGroup::kAll, 4);
 
   const auto bytes = io::encode_scenario(scenario);
-  const io::LoadedWorld loaded = io::decode_scenario(bytes);
+  const Scenario loaded = io::decode_scenario(bytes);
 
   std::ostringstream os;
   obs::write_metrics_json(
@@ -87,7 +87,7 @@ TEST(ObsDeterminism, SchedulingMetricsExistButAreExcluded) {
   obs::MetricsRegistry::global().reset();
   obs::set_metrics_enabled(true);
   const auto bytes = io::encode_scenario(scenario);
-  const io::LoadedWorld loaded = io::decode_scenario(bytes);
+  const Scenario loaded = io::decode_scenario(bytes);
   obs::set_metrics_enabled(false);
   util::ThreadPool::set_global_threads(0);
 

@@ -34,7 +34,7 @@ TEST(IncrementalOffload, PotentialMatchesBatchAnalyzerPerSet) {
   StreamWorld w;
   for (const offload::PeerGroup group :
        {offload::PeerGroup::kOpen, offload::PeerGroup::kAll}) {
-    IncrementalOffload engine(*w.analyzer, w.eco, group);
+    IncrementalOffload engine(*w.analyzer, group);
     const std::vector<std::vector<const char*>> sets = {
         {}, {"X1"}, {"X2"}, {"X1", "X2"}, {"X1", "X2", "HOME"}};
     for (const auto& acronyms : sets) {
@@ -49,7 +49,7 @@ TEST(IncrementalOffload, PotentialMatchesBatchAnalyzerPerSet) {
 
 TEST(IncrementalOffload, SingleIxpDeltasTrackTheBatchAnswer) {
   StreamWorld w;
-  IncrementalOffload engine(*w.analyzer, w.eco, offload::PeerGroup::kAll);
+  IncrementalOffload engine(*w.analyzer, offload::PeerGroup::kAll);
   const auto x1 = id_of(w, "X1");
   const auto x2 = id_of(w, "X2");
 
@@ -75,7 +75,7 @@ TEST(IncrementalOffload, AddThenRemoveRestoresExactBytes) {
   // survive a remove, and the blockwise total is a pure function of the
   // covered set — so undoing a delta restores bit-identical values.
   StreamWorld w;
-  IncrementalOffload engine(*w.analyzer, w.eco, offload::PeerGroup::kAll);
+  IncrementalOffload engine(*w.analyzer, offload::PeerGroup::kAll);
   const auto x1 = id_of(w, "X1");
   const auto x2 = id_of(w, "X2");
   engine.add_ixp(x1);
@@ -90,7 +90,7 @@ TEST(IncrementalOffload, AddThenRemoveRestoresExactBytes) {
 
 TEST(IncrementalOffload, WhatIfReadsWithoutDisturbingState) {
   StreamWorld w;
-  IncrementalOffload engine(*w.analyzer, w.eco, offload::PeerGroup::kAll);
+  IncrementalOffload engine(*w.analyzer, offload::PeerGroup::kAll);
   const auto x1 = id_of(w, "X1");
   const auto x2 = id_of(w, "X2");
   engine.add_ixp(x1);
@@ -116,7 +116,7 @@ TEST(IncrementalOffload, WhatIfReadsWithoutDisturbingState) {
 
 TEST(IncrementalOffload, DeltaErrorsThrow) {
   StreamWorld w;
-  IncrementalOffload engine(*w.analyzer, w.eco, offload::PeerGroup::kAll);
+  IncrementalOffload engine(*w.analyzer, offload::PeerGroup::kAll);
   const auto x1 = id_of(w, "X1");
   EXPECT_THROW(engine.add_ixp(999), std::invalid_argument);
   EXPECT_THROW(engine.remove_ixp(x1), std::invalid_argument);
@@ -124,9 +124,11 @@ TEST(IncrementalOffload, DeltaErrorsThrow) {
   EXPECT_THROW(engine.add_ixp(x1), std::invalid_argument);
 }
 
+// The marginal gain of one more IXP, as the batch analyzer answers it
+// (potential with it minus potential without it), is the what-if delta.
 TEST(IncrementalOffload, GainOfMatchesWhatIfDelta) {
   StreamWorld w;
-  IncrementalOffload engine(*w.analyzer, w.eco, offload::PeerGroup::kAll);
+  IncrementalOffload engine(*w.analyzer, offload::PeerGroup::kAll);
   const auto x1 = id_of(w, "X1");
   const auto x2 = id_of(w, "X2");
   engine.add_ixp(x1);
@@ -134,52 +136,40 @@ TEST(IncrementalOffload, GainOfMatchesWhatIfDelta) {
   const offload::Potential whatif =
       engine.what_if(std::vector<ixp::IxpId>{x2});
   const double delta = whatif.total_bps() - base.total_bps();
-  EXPECT_NEAR(engine.gain_of(x2), delta, 1e-9 * std::abs(delta) + 1e-6);
-  EXPECT_EQ(engine.gain_of(x1), 0.0);  // Already reached.
+  const std::vector<ixp::IxpId> reached{x1};
+  const std::vector<ixp::IxpId> extended{x1, x2};
+  const double gain =
+      w.analyzer->potential_at(extended, offload::PeerGroup::kAll)
+          .total_bps() -
+      w.analyzer->potential_at(reached, offload::PeerGroup::kAll).total_bps();
+  EXPECT_GT(gain, 0.0);
+  EXPECT_NEAR(delta, gain, 1e-9 * std::abs(gain) + 1e-6);
+  // An already-reached IXP adds nothing.
+  EXPECT_EQ(engine.what_if(reached).total_bps(), base.total_bps());
+}
 
-  const auto frontier = engine.frontier();
-  ASSERT_EQ(frontier.size(), w.eco.ixps().size());
-  EXPECT_EQ(frontier[x2], engine.gain_of(x2));
-  EXPECT_EQ(frontier[x1], 0.0);
+/// Single-IXP what-if totals for every IXP, on a world whose coverage masks
+/// are built under `threads` pool threads.
+std::vector<double> what_if_frontier(std::size_t threads) {
+  util::ThreadPool::set_global_threads(threads);
+  StreamWorld w;
+  IncrementalOffload engine(*w.analyzer, offload::PeerGroup::kAll);
+  engine.add_ixp(id_of(w, "X1"));
+  std::vector<double> totals;
+  for (ixp::IxpId id = 0; id < w.eco.ixps().size(); ++id)
+    totals.push_back(
+        engine.what_if(std::span<const ixp::IxpId>{&id, 1}).total_bps());
+  util::ThreadPool::set_global_threads(0);
+  return totals;
 }
 
 TEST(IncrementalOffload, FrontierInvariantAcrossThreadWidths) {
-  StreamWorld w;
-  IncrementalOffload engine(*w.analyzer, w.eco, offload::PeerGroup::kAll);
-  engine.add_ixp(id_of(w, "X1"));
-  util::ThreadPool::set_global_threads(1);
-  const auto narrow = engine.frontier();
-  util::ThreadPool::set_global_threads(8);
-  const auto wide = engine.frontier();
-  util::ThreadPool::set_global_threads(0);
-  EXPECT_EQ(narrow, wide);
-}
-
-TEST(IncrementalOffload, GreedyCurveIsByteIdenticalToBatch) {
-  StreamWorld w;
-  for (const offload::PeerGroup group :
-       {offload::PeerGroup::kOpen, offload::PeerGroup::kAll}) {
-    IncrementalOffload engine(*w.analyzer, w.eco, group);
-    engine.add_ixp(id_of(w, "X1"));  // Greedy must ignore the reached set.
-    const auto streaming = engine.greedy(10);
-    const auto batch = w.analyzer->greedy_by_traffic(group, 10);
-    ASSERT_EQ(streaming.size(), batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      EXPECT_EQ(streaming[i].ixp_id, batch[i].ixp_id) << "step " << i;
-      EXPECT_EQ(streaming[i].acronym, batch[i].acronym);
-      EXPECT_EQ(streaming[i].gained, batch[i].gained);
-      EXPECT_EQ(streaming[i].remaining, batch[i].remaining);
-      EXPECT_EQ(streaming[i].remaining_inbound_bps,
-                batch[i].remaining_inbound_bps);
-      EXPECT_EQ(streaming[i].remaining_outbound_bps,
-                batch[i].remaining_outbound_bps);
-    }
-  }
+  EXPECT_EQ(what_if_frontier(1), what_if_frontier(8));
 }
 
 TEST(IncrementalOffload, LivePotentialTracksLatestBin) {
   StreamWorld w;
-  IncrementalOffload engine(*w.analyzer, w.eco, offload::PeerGroup::kAll);
+  IncrementalOffload engine(*w.analyzer, offload::PeerGroup::kAll);
   engine.reset(w.analyzer->all_ixps());
   EXPECT_FALSE(engine.has_live_bin());
   EXPECT_THROW(engine.live_potential(), std::logic_error);

@@ -30,15 +30,14 @@ TEST(StreamSession, RejectsMismatchedSchema) {
   auto networks = w.endpoint_networks();
   std::swap(networks.front(), networks.back());
   RateModelBinSource source(*w.rates, networks);
-  EXPECT_THROW(StreamSession(source, *w.analyzer, w.eco,
-                             offload::PeerGroup::kAll),
+  EXPECT_THROW(StreamSession(source, *w.analyzer, offload::PeerGroup::kAll),
                std::invalid_argument);
 }
 
 TEST(StreamSession, StreamingP95MatchesBatchBitForBit) {
   StreamWorld w;
   RateModelBinSource source(*w.rates, w.endpoint_networks());
-  StreamSession session(source, *w.analyzer, w.eco, offload::PeerGroup::kAll);
+  StreamSession session(source, *w.analyzer, offload::PeerGroup::kAll);
   const std::uint64_t consumed = session.run();
   EXPECT_EQ(consumed, w.rates->bin_count());
 
@@ -64,8 +63,7 @@ TEST(StreamSession, IngestStateInvariantAcrossThreadWidths) {
   for (const unsigned threads : {1u, 8u}) {
     util::ThreadPool::set_global_threads(threads);
     RateModelBinSource source(*w.rates, w.endpoint_networks());
-    StreamSession session(source, *w.analyzer, w.eco,
-                          offload::PeerGroup::kAll);
+    StreamSession session(source, *w.analyzer, offload::PeerGroup::kAll);
     session.run();
     (threads == 1 ? narrow : wide) = ingest_bytes(session.ingest());
   }
@@ -76,7 +74,7 @@ TEST(StreamSession, IngestStateInvariantAcrossThreadWidths) {
 TEST(StreamSession, OrderedArrivalContractEnforced) {
   StreamWorld w;
   RateModelBinSource source(*w.rates, w.endpoint_networks());
-  StreamSession session(source, *w.analyzer, w.eco, offload::PeerGroup::kAll);
+  StreamSession session(source, *w.analyzer, offload::PeerGroup::kAll);
   session.run(3);
   BinFrame gap;
   source.seek(7);
@@ -95,16 +93,23 @@ TEST(StreamSession, KillResumeReproducesUninterruptedBytes) {
     ASSERT_EQ(write_bin_log(recorder, 200, log_path), 200u);
   }
 
+  // A reached set other than the session's default (every IXP), so only a
+  // checkpoint that restores it reproduces the live view.
+  const ixp::Ixp* x1 = w.eco.find("X1");
+  ASSERT_NE(x1, nullptr);
+  const std::vector<ixp::IxpId> reached{x1->id()};
+
   // Reference: one uninterrupted replay.
   std::vector<std::uint8_t> reference;
-  std::vector<offload::GreedyStep> reference_curve;
+  offload::Potential reference_live;
   {
     BinLogSource source(log_path);
-    StreamSession session(source, *w.analyzer, w.eco,
-                          offload::PeerGroup::kAll);
+    StreamSession session(source, *w.analyzer, offload::PeerGroup::kAll);
+    session.incremental().reset(reached);
     session.run();
     reference = ingest_bytes(session.ingest());
-    reference_curve = session.incremental().greedy(5);
+    ASSERT_EQ(session.incremental().live_bin(), 199u);
+    reference_live = session.incremental().live_potential();
   }
 
   // Replay killed mid-stream by the stream.bin fault site, after the
@@ -115,8 +120,9 @@ TEST(StreamSession, KillResumeReproducesUninterruptedBytes) {
   fault::arm(std::string(fault::kSiteStreamBin) + ":nth=150");
   {
     BinLogSource source(log_path);
-    StreamSession session(source, *w.analyzer, w.eco,
-                          offload::PeerGroup::kAll, config);
+    StreamSession session(source, *w.analyzer, offload::PeerGroup::kAll,
+                          config);
+    session.incremental().reset(reached);
     EXPECT_THROW(session.run(), fault::InjectedFault);
   }
   fault::disarm_all();
@@ -125,21 +131,21 @@ TEST(StreamSession, KillResumeReproducesUninterruptedBytes) {
   // A fresh process resumes from the checkpoint and finishes the stream.
   {
     BinLogSource source(log_path);
-    StreamSession session(source, *w.analyzer, w.eco,
-                          offload::PeerGroup::kAll, config);
+    StreamSession session(source, *w.analyzer, offload::PeerGroup::kAll,
+                          config);
     ASSERT_TRUE(session.resume());
     EXPECT_EQ(session.ingest().bins(), 120u);
     session.run();
     EXPECT_EQ(session.ingest().bins(), 200u);
     EXPECT_EQ(ingest_bytes(session.ingest()), reference);
 
-    const auto curve = session.incremental().greedy(5);
-    ASSERT_EQ(curve.size(), reference_curve.size());
-    for (std::size_t i = 0; i < curve.size(); ++i) {
-      EXPECT_EQ(curve[i].acronym, reference_curve[i].acronym);
-      EXPECT_EQ(curve[i].gained, reference_curve[i].gained);
-      EXPECT_EQ(curve[i].remaining, reference_curve[i].remaining);
-    }
+    IncrementalOffload& live = session.incremental();
+    EXPECT_EQ(live.reached(), reached);
+    EXPECT_EQ(live.live_bin(), 199u);
+    const offload::Potential potential = live.live_potential();
+    EXPECT_EQ(potential.inbound_bps, reference_live.inbound_bps);
+    EXPECT_EQ(potential.outbound_bps, reference_live.outbound_bps);
+    EXPECT_EQ(potential.covered_networks, reference_live.covered_networks);
   }
   std::filesystem::remove(log_path);
   std::filesystem::remove(ckpt_path);
@@ -151,7 +157,7 @@ TEST(StreamSession, ResumeWithoutCheckpointReturnsFalse) {
   StreamSessionConfig config;
   config.checkpoint_path = temp_file("rp_stream_session_missing.rpsnap");
   std::filesystem::remove(config.checkpoint_path);
-  StreamSession session(source, *w.analyzer, w.eco, offload::PeerGroup::kAll,
+  StreamSession session(source, *w.analyzer, offload::PeerGroup::kAll,
                         config);
   EXPECT_FALSE(session.resume());
 }
@@ -163,15 +169,15 @@ TEST(StreamSession, ResumeRejectsACorruptCheckpoint) {
   config.checkpoint_path = ckpt_path;
   {
     RateModelBinSource source(*w.rates, w.endpoint_networks());
-    StreamSession session(source, *w.analyzer, w.eco,
-                          offload::PeerGroup::kAll, config);
+    StreamSession session(source, *w.analyzer, offload::PeerGroup::kAll,
+                          config);
     session.run(10);
     session.checkpoint();
   }
   const auto size = std::filesystem::file_size(ckpt_path);
   std::filesystem::resize_file(ckpt_path, size - 7);
   RateModelBinSource source(*w.rates, w.endpoint_networks());
-  StreamSession session(source, *w.analyzer, w.eco, offload::PeerGroup::kAll,
+  StreamSession session(source, *w.analyzer, offload::PeerGroup::kAll,
                         config);
   EXPECT_THROW(session.resume(), io::SnapshotError);
   std::filesystem::remove(ckpt_path);
