@@ -1,11 +1,7 @@
 #include "bgp/rib.hpp"
 
-#include <optional>
-#include <vector>
-
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/thread_pool.hpp"
 
 namespace rp::bgp {
 
@@ -16,25 +12,24 @@ Rib Rib::build(const topology::AsGraph& graph, net::Asn vantage) {
   Rib rib;
   rib.vantage_ = vantage;
   const RouteComputer computer(graph);
+  ScopedRoutes routes(computer);
   const auto& nodes = graph.nodes();
 
-  // Destination route builds are independent; fan them out and do the
-  // (order-sensitive) trie/map inserts serially in node order afterwards so
-  // the resulting RIB is identical at any thread count.
-  const std::vector<std::optional<Route>> routes =
-      util::ThreadPool::global().parallel_transform(
-          nodes.size(), [&computer, &nodes, vantage](std::size_t i) {
-            return computer.routes_to(nodes[i].asn).route_from(vantage);
-          });
-
+  // Only the vantage's route is kept, so each destination costs its own
+  // provider ancestors plus the vantage's provider closure (a handful of
+  // ASes): a serial loop in node order, which is also the order the
+  // order-sensitive trie/map inserts need.
+  const net::Asn sources[] = {vantage};
   std::uint64_t inserted = 0;
-  for (std::size_t i = 0; i < nodes.size(); ++i) {
-    if (!routes[i]) continue;
-    for (const auto& prefix : nodes[i].prefixes) {
-      rib.trie_.insert(prefix, RibEntry{nodes[i].asn, *routes[i]});
+  for (const auto& node : nodes) {
+    routes.compute(node.asn, sources);
+    const std::optional<Route> route = routes.route_from(vantage);
+    if (!route) continue;
+    for (const auto& prefix : node.prefixes) {
+      rib.trie_.insert(prefix, RibEntry{node.asn, *route});
       ++inserted;
     }
-    rib.by_destination_.emplace(nodes[i].asn, *routes[i]);
+    rib.by_destination_.emplace(node.asn, *route);
   }
   static obs::Counter computed("rp.bgp.routes.computed");
   static obs::Counter prefixes("rp.bgp.prefixes.inserted");

@@ -1,5 +1,7 @@
 #include "bgp/route_computer.hpp"
 
+#include <algorithm>
+#include <functional>
 #include <limits>
 #include <queue>
 #include <stdexcept>
@@ -195,6 +197,156 @@ DestinationRoutes RouteComputer::routes_to(net::Asn destination) const {
 std::optional<Route> RouteComputer::route(net::Asn source,
                                           net::Asn destination) const {
   return routes_to(destination).route_from(source);
+}
+
+ScopedRoutes::ScopedRoutes(const RouteComputer& computer)
+    : computer_(&computer) {
+  const std::size_t n = computer.asn_values_.size();
+  routed_.assign(n, 0);
+  settled_.assign(n, 0);
+  source_.resize(n);
+  hops_.resize(n);
+  next_.resize(n);
+}
+
+void ScopedRoutes::set_route(std::size_t i, RouteSource source, unsigned hops,
+                             std::int32_t next) {
+  routed_[i] = epoch_;
+  source_[i] = source;
+  hops_[i] = hops;
+  next_[i] = next;
+}
+
+void ScopedRoutes::compute(net::Asn destination,
+                           std::span<const net::Asn> sources) {
+  const auto& graph = *computer_->graph_;
+  const auto& asn = computer_->asn_values_;
+  if (++epoch_ == 0) {  // Wrapped: clear every stale stamp once.
+    std::fill(routed_.begin(), routed_.end(), 0);
+    std::fill(settled_.begin(), settled_.end(), 0);
+    epoch_ = 1;
+  }
+  destination_ = destination;
+
+  // Phase 1 of routes_to, level by level up the provider hierarchy. A
+  // provider first reached in this level keeps the lowest-ASN child; one
+  // reached in an earlier level has fewer hops and never matches the tie.
+  const std::size_t dest = graph.index_of(destination);
+  set_route(dest, RouteSource::kOrigin, 0, -1);
+  level_.assign(1, static_cast<std::uint32_t>(dest));
+  while (!level_.empty()) {
+    next_level_.clear();
+    for (std::uint32_t x : level_) {
+      for (std::uint32_t p : computer_->providers_[x]) {
+        if (!routed(p)) {
+          set_route(p, RouteSource::kCustomer, hops_[x] + 1,
+                    static_cast<std::int32_t>(x));
+          next_level_.push_back(p);
+        } else if (source_[p] == RouteSource::kCustomer &&
+                   hops_[p] == hops_[x] + 1 &&
+                   asn[x] < asn[static_cast<std::size_t>(next_[p])]) {
+          next_[p] = static_cast<std::int32_t>(x);
+        }
+      }
+    }
+    std::swap(level_, next_level_);
+  }
+
+  // The sources' provider closure: every AS whose route a source's route
+  // can pass through on its way up.
+  closure_.clear();
+  for (net::Asn s : sources) {
+    const std::size_t i = graph.index_of(s);
+    if (settled(i)) continue;
+    settled_[i] = epoch_;
+    closure_.push_back(static_cast<std::uint32_t>(i));
+  }
+  for (std::size_t k = 0; k < closure_.size(); ++k) {
+    for (std::uint32_t p : computer_->providers_[closure_[k]]) {
+      if (settled(p)) continue;
+      settled_[p] = epoch_;
+      closure_.push_back(p);
+    }
+  }
+  settle_closure();
+}
+
+void ScopedRoutes::settle_closure() {
+  const auto& asn = computer_->asn_values_;
+  constexpr unsigned kUnset = std::numeric_limits<unsigned>::max();
+
+  // Phase 2: a peer route over a peer holding a customer or origin route.
+  for (std::uint32_t x : closure_) {
+    if (routed(x)) continue;
+    std::int32_t best_peer = -1;
+    unsigned best_hops = kUnset;
+    for (std::uint32_t y : computer_->peers_[x]) {
+      if (!routed(y) || (source_[y] != RouteSource::kOrigin &&
+                         source_[y] != RouteSource::kCustomer))
+        continue;
+      const unsigned candidate_hops = hops_[y] + 1;
+      if (candidate_hops < best_hops ||
+          (candidate_hops == best_hops && best_peer >= 0 &&
+           asn[y] < asn[static_cast<std::size_t>(best_peer)])) {
+        best_hops = candidate_hops;
+        best_peer = static_cast<std::int32_t>(y);
+      }
+    }
+    if (best_peer >= 0)
+      set_route(x, RouteSource::kPeer, best_hops, best_peer);
+  }
+
+  // Phase 3: provider routes down the closure's customer edges. A closure
+  // member's providers are all in the closure, so this Dijkstra over the
+  // closure pops every member with the same (hops, parent ASN) as the
+  // all-nodes one.
+  heap_.clear();
+  const auto push_customers = [this, &asn](std::uint32_t x) {
+    for (std::uint32_t c : computer_->customers_[x]) {
+      if (!settled(c) || routed(c)) continue;
+      heap_.emplace_back(hops_[x] + 1, asn[x], x, c);
+      std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    }
+  };
+  for (std::uint32_t x : closure_)
+    if (routed(x)) push_customers(x);
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    const auto [hops, parent_value, parent, x] = heap_.back();
+    heap_.pop_back();
+    if (routed(x)) continue;  // Stale entry.
+    set_route(x, RouteSource::kProvider, hops,
+              static_cast<std::int32_t>(parent));
+    push_customers(x);
+  }
+}
+
+Route ScopedRoutes::route_at(std::size_t i) const {
+  const auto& nodes = computer_->graph_->nodes();
+  Route route;
+  route.destination = destination_;
+  route.source = source_[i];
+  while (next_[i] >= 0) {
+    i = static_cast<std::size_t>(next_[i]);
+    route.as_path.push_back(nodes[i].asn);
+  }
+  return route;
+}
+
+std::optional<Route> ScopedRoutes::customer_route_from(net::Asn asn) const {
+  const std::size_t i = computer_->graph_->index_of(asn);
+  if (!routed(i) || (source_[i] != RouteSource::kOrigin &&
+                     source_[i] != RouteSource::kCustomer))
+    return std::nullopt;
+  return route_at(i);
+}
+
+std::optional<Route> ScopedRoutes::route_from(net::Asn asn) const {
+  const std::size_t i = computer_->graph_->index_of(asn);
+  if (routed(i)) return route_at(i);
+  if (settled(i)) return std::nullopt;  // Settled, and unreachable.
+  throw std::logic_error("ScopedRoutes: route from " + asn.to_string() +
+                         " was not settled");
 }
 
 }  // namespace rp::bgp

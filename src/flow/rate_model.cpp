@@ -1,6 +1,10 @@
 #include "flow/rate_model.hpp"
 
+#include <algorithm>
 #include <cmath>
+
+#include "obs/trace.hpp"
+#include "util/thread_pool.hpp"
 
 namespace rp::flow {
 namespace {
@@ -81,18 +85,40 @@ double RateModel::rate_bps(net::Asn asn, Direction dir,
 
 std::vector<double> RateModel::aggregate_series(
     const std::vector<net::Asn>& networks, Direction dir) const {
-  const std::size_t bins = bin_count();
-  std::vector<double> series(bins, 0.0);
+  obs::Span span("flow.rate_model.aggregate_series");
+  struct Term {
+    net::Asn asn;
+    double base;
+    double phase;
+  };
+  std::vector<Term> terms;
+  terms.reserve(networks.size());
   for (net::Asn asn : networks) {
     const NetworkContribution* c = matrix_->find(asn);
     if (c == nullptr) continue;
     const double base =
         dir == Direction::kInbound ? c->inbound_bps : c->outbound_bps;
     if (base <= 0.0) continue;
-    const double phase = phase_offset_hours(asn);
-    for (std::size_t bin = 0; bin < bins; ++bin)
-      series[bin] += base * modulation(bin, dir, phase) * noise(asn, dir, bin);
+    terms.push_back(Term{asn, base, phase_offset_hours(asn)});
   }
+
+  // Bins are independent: contiguous blocks go across the pool, and each
+  // block folds the networks in the given order. Every bin's sum is then the
+  // serial fold's expression in the serial order, so the series is
+  // byte-identical at any RP_THREADS.
+  constexpr std::size_t kBlockBins = 256;
+  const std::size_t bins = bin_count();
+  std::vector<double> series(bins, 0.0);
+  util::ThreadPool::global().parallel_for(
+      (bins + kBlockBins - 1) / kBlockBins,
+      [this, &terms, &series, bins, dir](std::size_t block) {
+        const std::size_t begin = block * kBlockBins;
+        const std::size_t end = std::min(bins, begin + kBlockBins);
+        for (const Term& t : terms)
+          for (std::size_t bin = begin; bin < end; ++bin)
+            series[bin] += t.base * modulation(bin, dir, t.phase) *
+                           noise(t.asn, dir, bin);
+      });
   return series;
 }
 

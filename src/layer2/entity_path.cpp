@@ -1,10 +1,9 @@
 #include "layer2/entity_path.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <unordered_set>
 
-#include "bgp/route_computer.hpp"
+#include "obs/trace.hpp"
 
 namespace rp::layer2 {
 
@@ -107,7 +106,8 @@ FlatteningStudy::FlatteningStudy(const topology::AsGraph& graph,
       vantage_(vantage),
       rib_(&vantage_rib),
       analyzer_(&analyzer),
-      paths_(graph, ecosystem) {}
+      paths_(graph, ecosystem),
+      computer_(graph) {}
 
 namespace {
 
@@ -128,6 +128,32 @@ std::optional<std::size_t> cheapest_provider(
   return best;
 }
 
+std::unordered_set<net::Asn> group_peers(
+    const offload::OffloadAnalyzer& analyzer, offload::PeerGroup group) {
+  std::unordered_set<net::Asn> peers;
+  for (net::Asn peer : analyzer.peers_in_group(group)) peers.insert(peer);
+  return peers;
+}
+
+/// The carrying peer among (peer, IXP) candidates toward the destination of
+/// `routes`: the shortest tail, ties toward the lower peer ASN, then the
+/// earlier candidate. Peering traffic is confined to the peer's customer
+/// cone (§2.2), so only customer (or origin) tails qualify.
+std::optional<FlatteningStudy::Assignment> shortest_tail(
+    const bgp::ScopedRoutes& routes,
+    std::span<const std::pair<net::Asn, ixp::IxpId>> candidates) {
+  std::optional<FlatteningStudy::Assignment> best;
+  for (const auto& [peer, ixp_id] : candidates) {
+    auto tail = routes.customer_route_from(peer);
+    if (!tail) continue;
+    if (!best || tail->path_length() < best->tail.path_length() ||
+        (tail->path_length() == best->tail.path_length() &&
+         peer < best->peer))
+      best = FlatteningStudy::Assignment{peer, ixp_id, std::move(*tail)};
+  }
+  return best;
+}
+
 /// The peer's attachment at the IXP (first interface).
 const ixp::MemberInterface* attachment_of(const ixp::Ixp& ixp, net::Asn peer) {
   for (const auto& iface : ixp.interfaces())
@@ -140,57 +166,37 @@ const ixp::MemberInterface* attachment_of(const ixp::Ixp& ixp, net::Asn peer) {
 std::optional<FlatteningStudy::Assignment> FlatteningStudy::assignment_for(
     net::Asn endpoint, std::span<const ixp::IxpId> ixps,
     offload::PeerGroup group) const {
-  const bgp::RouteComputer computer(*graph_);
-  const auto routes = computer.routes_to(endpoint);
-
-  std::optional<Assignment> best;
-  unsigned best_hops = std::numeric_limits<unsigned>::max();
-  std::unordered_set<net::Asn> group_peers;
-  for (net::Asn peer : analyzer_->peers_in_group(group))
-    group_peers.insert(peer);
-
-  for (ixp::IxpId id : ixps) {
-    for (net::Asn member : ecosystem_->ixp(id).member_asns()) {
-      if (!group_peers.contains(member)) continue;
-      const auto route = routes.route_from(member);
-      if (!route) continue;
-      // Peering traffic is confined to the peer's customer cone (§2.2).
-      if (route->source != bgp::RouteSource::kOrigin &&
-          route->source != bgp::RouteSource::kCustomer)
-        continue;
-      const unsigned hops = route->path_length();
-      if (hops < best_hops ||
-          (hops == best_hops && best && member < best->peer)) {
-        best_hops = hops;
-        best = Assignment{member, id, *route};
-      }
-    }
-  }
-  return best;
+  const auto peers = group_peers(*analyzer_, group);
+  std::vector<std::pair<net::Asn, ixp::IxpId>> candidates;
+  for (ixp::IxpId id : ixps)
+    for (net::Asn member : ecosystem_->ixp(id).member_asns())
+      if (peers.contains(member)) candidates.emplace_back(member, id);
+  bgp::ScopedRoutes routes(computer_);
+  routes.compute(endpoint);
+  return shortest_tail(routes, candidates);
 }
 
 FlatteningReport FlatteningStudy::compare(std::span<const ixp::IxpId> ixps,
                                           offload::PeerGroup group) const {
+  obs::Span span("layer2.flattening.compare");
   FlatteningReport report;
 
   // Candidate (peer, first IXP in span order) pairs per offloadable
   // endpoint: expand the cones of every group peer present at a reached IXP.
-  std::unordered_set<net::Asn> group_peers;
-  for (net::Asn peer : analyzer_->peers_in_group(group))
-    group_peers.insert(peer);
+  const auto peers = group_peers(*analyzer_, group);
   std::unordered_map<net::Asn, std::vector<std::pair<net::Asn, ixp::IxpId>>>
       candidates;
   std::unordered_set<net::Asn> peer_seen;
   for (ixp::IxpId id : ixps) {
     for (net::Asn member : ecosystem_->ixp(id).member_asns()) {
-      if (!group_peers.contains(member)) continue;
+      if (!peers.contains(member)) continue;
       if (!peer_seen.insert(member).second) continue;  // First IXP wins.
       for (net::Asn in_cone : graph_->customer_cone(member))
         candidates[in_cone].emplace_back(member, id);
     }
   }
 
-  const bgp::RouteComputer computer(*graph_);
+  bgp::ScopedRoutes routes(computer_);
   const geo::City& home = graph_->node(vantage_).home_city;
 
   for (const auto& endpoint : analyzer_->transit_endpoints()) {
@@ -199,44 +205,28 @@ FlatteningReport FlatteningStudy::compare(std::span<const ixp::IxpId> ixps,
     const bgp::Route* before_route = rib_->route_to(endpoint.asn);
     if (before_route == nullptr) continue;
 
-    // Choose the carrying peer: shortest tail, ties toward the lower ASN.
-    const auto routes = computer.routes_to(endpoint.asn);
-    const std::pair<net::Asn, ixp::IxpId>* chosen = nullptr;
-    bgp::Route chosen_tail;
-    unsigned best_hops = std::numeric_limits<unsigned>::max();
-    for (const auto& candidate : candidate_it->second) {
-      const auto tail = routes.route_from(candidate.first);
-      if (!tail) continue;
-      if (tail->source != bgp::RouteSource::kOrigin &&
-          tail->source != bgp::RouteSource::kCustomer)
-        continue;
-      if (tail->path_length() < best_hops ||
-          (tail->path_length() == best_hops && chosen != nullptr &&
-           candidate.first < chosen->first)) {
-        best_hops = tail->path_length();
-        chosen = &candidate;
-        chosen_tail = *tail;
-      }
-    }
-    if (chosen == nullptr) continue;
+    // Only customer tails qualify, so phase 1 alone decides.
+    routes.compute(endpoint.asn);
+    const auto chosen = shortest_tail(routes, candidate_it->second);
+    if (!chosen) continue;
 
     // Before: the transit path.
     const EntityPath before = paths_.from_bgp_route(*before_route);
 
     // After: the vantage reaches the IXP remotely; the peer attaches as its
     // membership record says.
-    const ixp::Ixp& ixp = ecosystem_->ixp(chosen->second);
+    const ixp::Ixp& ixp = ecosystem_->ixp(chosen->ixp_id);
     PeeringMediation mediation;
-    mediation.ixp_id = chosen->second;
+    mediation.ixp_id = chosen->ixp_id;
     mediation.left_kind = ixp::AttachmentKind::kRemoteViaProvider;
     mediation.left_provider =
         cheapest_provider(*ecosystem_, home, ixp.city());
-    if (const auto* iface = attachment_of(ixp, chosen->first)) {
+    if (const auto* iface = attachment_of(ixp, chosen->peer)) {
       mediation.right_kind = iface->kind;
       mediation.right_provider = iface->provider_index;
     }
     const EntityPath after =
-        paths_.via_peering(mediation, chosen->first, chosen_tail);
+        paths_.via_peering(mediation, chosen->peer, chosen->tail);
 
     ++report.flows;
     report.mean_l3_before += static_cast<double>(before.l3_intermediaries());

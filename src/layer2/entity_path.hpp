@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "bgp/rib.hpp"
+#include "bgp/route_computer.hpp"
 #include "ixp/ixp.hpp"
 #include "offload/analyzer.hpp"
 
@@ -156,6 +157,7 @@ class FlatteningStudy {
   const bgp::Rib* rib_;
   const offload::OffloadAnalyzer* analyzer_;
   EntityPathAnalyzer paths_;
+  bgp::RouteComputer computer_;  ///< Indexed once; queried per endpoint.
 };
 
 }  // namespace rp::layer2

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "obs/trace.hpp"
+
 namespace rp::layer2 {
 
 std::string to_string(Procurement p) {
@@ -21,6 +23,7 @@ RiskReport MultihomingRiskStudy::evaluate(Procurement procurement,
                                           std::span<const ixp::IxpId> ixps,
                                           offload::PeerGroup group,
                                           std::size_t provider_index) const {
+  obs::Span span("layer2.risk.evaluate");
   RiskReport report;
   report.procurement = procurement;
 

@@ -42,6 +42,7 @@ namespace {
 // synchronization with registration.
 constexpr std::size_t kMaxCounters = 192;
 constexpr std::size_t kMaxHistograms = 48;
+constexpr std::size_t kMaxGauges = 64;
 
 struct HistogramShard {
   std::array<std::atomic<std::uint64_t>, kHistogramBuckets> buckets{};
@@ -87,6 +88,11 @@ struct MetricInfo {
 struct MetricsRegistry::Impl {
   mutable std::mutex mutex;
   std::vector<MetricInfo> metrics;                       // by id
+  // Shard slot by id, for the lock-free update path: a fixed array, so a
+  // registration on another thread never moves it under a reader (as a
+  // growing `metrics` would). Written once, before the id is handed out.
+  std::array<std::size_t, kMaxCounters + kMaxHistograms + kMaxGauges>
+      slot_of{};
   std::unordered_map<std::string, std::size_t> by_name;  // name -> id
   std::size_t counter_slots = 0;
   std::size_t histogram_slots = 0;
@@ -146,17 +152,21 @@ std::size_t MetricsRegistry::register_metric(const std::string& name,
       break;
     case MetricKind::kGauge:
       slot = impl_->gauges.size();
+      if (slot >= kMaxGauges) {
+        throw std::logic_error("obs: gauge capacity exceeded; bump kMaxGauges");
+      }
       impl_->gauges.push_back(0.0);
       break;
   }
   std::size_t id = impl_->metrics.size();
   impl_->metrics.push_back(MetricInfo{name, kind, stability, slot});
+  impl_->slot_of[id] = slot;
   impl_->by_name.emplace(name, id);
   return id;
 }
 
 void MetricsRegistry::counter_add(std::size_t id, std::uint64_t delta) {
-  const std::size_t slot = impl_->metrics[id].slot;
+  const std::size_t slot = impl_->slot_of[id];
   impl_->this_thread_shard()->counters[slot].fetch_add(
       delta, std::memory_order_relaxed);
 }
@@ -167,7 +177,7 @@ void MetricsRegistry::gauge_set(std::size_t id, double value) {
 }
 
 void MetricsRegistry::histogram_record(std::size_t id, std::uint64_t value) {
-  const std::size_t slot = impl_->metrics[id].slot;
+  const std::size_t slot = impl_->slot_of[id];
   HistogramShard& h =
       impl_->this_thread_shard()->histogram_block()[slot];
   h.buckets[std::bit_width(value)].fetch_add(1, std::memory_order_relaxed);

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
@@ -472,7 +473,9 @@ void Daemon::dispatcher_loop() {
     // Resolve each item's world spec and group the batch by config digest so
     // every distinct world is acquired (and its artifacts warmed) once.
     std::vector<Response> responses(count);
-    std::vector<bool> done(count, false);
+    // One byte per slot: pool workers set neighbouring flags concurrently,
+    // which std::vector<bool> would pack into one shared word.
+    std::vector<std::uint8_t> done(count, 0);
     std::vector<std::shared_ptr<const World>> worlds(count);
     std::vector<core::ScenarioConfig> configs(count);
     std::unordered_map<std::uint64_t, std::vector<std::size_t>> by_digest;
@@ -484,7 +487,7 @@ void Daemon::dispatcher_loop() {
         responses[i].status = Status::kError;
         responses[i].id = batch[i].request.id;
         responses[i].message = e.what();
-        done[i] = true;
+        done[i] = 1;
       }
     }
     for (const auto& [digest, indices] : by_digest) {
@@ -500,7 +503,7 @@ void Daemon::dispatcher_loop() {
           responses[i].status = Status::kError;
           responses[i].id = batch[i].request.id;
           responses[i].message = std::string("world load failed: ") + e.what();
-          done[i] = true;
+          done[i] = 1;
         }
       }
       if (tracked) {
@@ -521,7 +524,7 @@ void Daemon::dispatcher_loop() {
       const std::uint64_t compute_start = tracked ? obs::monotonic_ns() : 0;
       responses[i] = execute_request(batch[i].request, worlds[i].get());
       if (tracked) compute_times[i] = obs::monotonic_ns() - compute_start;
-      done[i] = true;
+      done[i] = 1;
     };
 
     {

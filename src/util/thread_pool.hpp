@@ -1,6 +1,6 @@
 // A small fixed-size thread pool for the embarrassingly parallel stages of
-// the pipeline: per-IXP measurement campaigns (§3), per-destination route
-// computation, and the per-IXP argmax scans of the offload analysis (§4).
+// the pipeline: per-IXP measurement campaigns (§3), the per-IXP argmax scans
+// of the offload analysis (§4), and the per-bin Fig. 5b series folds.
 //
 // Work is always expressed as an indexed loop (`parallel_for(n, fn)` runs
 // fn(0..n-1)), so results land in caller-owned slots and the output is

@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "topology/generator.hpp"
+#include "util/thread_pool.hpp"
 
 namespace rp::flow {
 namespace {
@@ -108,6 +110,45 @@ TEST(RateModel, AggregateSeriesSumsMembers) {
         model.rate_bps(two[1], Direction::kOutbound, bin);
     EXPECT_NEAR(series[bin], expected, expected * 1e-12);
   }
+}
+
+/// The serial fold aggregate_series must reproduce: every network in the
+/// given order, every bin, one rate_bps term each.
+std::vector<double> serial_fold(const RateModel& model,
+                                const std::vector<net::Asn>& networks,
+                                Direction dir) {
+  std::vector<double> series(model.bin_count(), 0.0);
+  for (net::Asn asn : networks)
+    for (std::size_t bin = 0; bin < series.size(); ++bin)
+      series[bin] += model.rate_bps(asn, dir, bin);
+  return series;
+}
+
+TEST(RateModel, AggregateSeriesIsTheSerialFoldAtAnyThreadCount) {
+  Fixture f;
+  std::vector<net::Asn> networks;
+  for (const auto& c : f.matrix.ranked()) networks.push_back(c.asn);
+  std::reverse(networks.begin(), networks.end());  // Not the ranked order.
+  networks.push_back(net::Asn{987654});            // Unknown: no term.
+  networks.push_back(networks.front());            // Listed twice.
+  RateModelConfig odd;
+  odd.span = util::SimDuration::days(3) + util::SimDuration::minutes(35);
+  for (const RateModelConfig& config : {RateModelConfig{}, odd}) {
+    const RateModel model(f.matrix, config);
+    for (Direction dir : {Direction::kInbound, Direction::kOutbound}) {
+      const auto expected = serial_fold(model, networks, dir);
+      for (unsigned threads : {1u, 8u}) {
+        util::ThreadPool::set_global_threads(threads);
+        const auto got = model.aggregate_series(networks, dir);
+        ASSERT_EQ(got.size(), expected.size());
+        EXPECT_EQ(std::memcmp(got.data(), expected.data(),
+                              got.size() * sizeof(double)),
+                  0)
+            << "threads=" << threads;
+      }
+    }
+  }
+  util::ThreadPool::set_global_threads(0);
 }
 
 TEST(RateModel, SeriesAverageTracksBaseRate) {

@@ -136,8 +136,10 @@ TEST(Metrics, QuantileDegenerateCases) {
   MetricsOn on;
   MetricsRegistry::global().reset();
   Histogram histogram("test.metrics.quantile_edge");
-  const auto* empty =
-      find(MetricsRegistry::global().snapshot(), "test.metrics.quantile_edge");
+  // Each snapshot is bound to a named local: find() returns a pointer into
+  // the vector, which must outlive the checks that read it.
+  const auto empty_snap = MetricsRegistry::global().snapshot();
+  const auto* empty = find(empty_snap, "test.metrics.quantile_edge");
   ASSERT_NE(empty, nullptr);
   // No samples yet: "no data" is NaN, never a fabricated 0 (a 0 would be
   // indistinguishable from a real all-zero latency distribution).
@@ -147,23 +149,26 @@ TEST(Metrics, QuantileDegenerateCases) {
 
   // All samples identical: min/max clamping reports the exact value.
   for (int i = 0; i < 100; ++i) histogram.record(42);
-  const auto* m =
-      find(MetricsRegistry::global().snapshot(), "test.metrics.quantile_edge");
+  const auto same_snap = MetricsRegistry::global().snapshot();
+  const auto* m = find(same_snap, "test.metrics.quantile_edge");
+  ASSERT_NE(m, nullptr);
   EXPECT_DOUBLE_EQ(m->quantile(0.5), 42.0);
   EXPECT_DOUBLE_EQ(m->quantile(0.99), 42.0);
 
   // Zero-only histograms report 0 (bucket 0 is exact).
   MetricsRegistry::global().reset();
   histogram.record(0);
-  const auto* zero =
-      find(MetricsRegistry::global().snapshot(), "test.metrics.quantile_edge");
+  const auto zero_snap = MetricsRegistry::global().snapshot();
+  const auto* zero = find(zero_snap, "test.metrics.quantile_edge");
+  ASSERT_NE(zero, nullptr);
   EXPECT_DOUBLE_EQ(zero->quantile(0.99), 0.0);
 
   // Counters have no quantiles — NaN, even with a nonzero count.
   Counter counter("test.metrics.quantile_counter");
   counter.add(5);
-  const auto* c = find(MetricsRegistry::global().snapshot(),
-                       "test.metrics.quantile_counter");
+  const auto counter_snap = MetricsRegistry::global().snapshot();
+  const auto* c = find(counter_snap, "test.metrics.quantile_counter");
+  ASSERT_NE(c, nullptr);
   EXPECT_TRUE(std::isnan(c->quantile(0.5)));
 }
 
@@ -176,8 +181,8 @@ TEST(Metrics, QuantileSingleBucketClampsToObservedRange) {
   // quantile ever escapes the recorded [min, max].
   histogram.record(130);
   histogram.record(140);
-  const auto* m = find(MetricsRegistry::global().snapshot(),
-                       "test.metrics.quantile_one_bucket");
+  const auto snap = MetricsRegistry::global().snapshot();
+  const auto* m = find(snap, "test.metrics.quantile_one_bucket");
   ASSERT_NE(m, nullptr);
   EXPECT_EQ(m->min, 130u);
   EXPECT_EQ(m->max, 140u);
