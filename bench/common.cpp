@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 
 #include "core/config_fields.hpp"
 #include "io/snapshot.hpp"
@@ -73,6 +74,23 @@ void print_header(const std::string& artefact,
   std::printf("%s\n", artefact.c_str());
   std::printf("paper: %s\n", paper_note.c_str());
   std::printf("==============================================================\n");
+}
+
+bool write_bench_json(const std::string& name,
+                      const std::vector<obs::json::Entry>& entries) {
+  std::string dir = ".";
+  if (const char* env = std::getenv("RP_BENCH_JSON_DIR");
+      env != nullptr && env[0] != '\0')
+    dir = env;
+  const std::string path = dir + "/BENCH_" + name + ".json";
+  std::ofstream os(path, std::ios::binary | std::ios::trunc);
+  if (os) obs::json::write_flat_object(os, entries);
+  if (!os) {
+    std::fprintf(stderr, "[bench] cannot write %s\n", path.c_str());
+    return false;
+  }
+  std::fprintf(stderr, "[bench] wrote %s\n", path.c_str());
+  return true;
 }
 
 }  // namespace rp::bench

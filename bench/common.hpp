@@ -9,11 +9,13 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "core/offload_study.hpp"
 #include "core/scenario.hpp"
 #include "core/spread_study.hpp"
 #include "core/viability_study.hpp"
+#include "obs/json.hpp"
 
 namespace rp::bench {
 
@@ -34,5 +36,10 @@ const core::OffloadStudy& offload_study();
 
 /// Prints a standard header naming the paper artefact being regenerated.
 void print_header(const std::string& artefact, const std::string& paper_note);
+
+/// Writes BENCH_<name>.json (one flat object) into $RP_BENCH_JSON_DIR (or
+/// the cwd) and reports the path on stderr. Returns false on I/O failure.
+bool write_bench_json(const std::string& name,
+                      const std::vector<obs::json::Entry>& entries);
 
 }  // namespace rp::bench

@@ -21,23 +21,17 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common.hpp"
 #include "core/scenario.hpp"
 #include "evolve/engine.hpp"
 #include "evolve/timeline.hpp"
 #include "obs/json.hpp"
 
 namespace {
-
-bool fast_mode() {
-  const char* v = std::getenv("RP_BENCH_FAST");
-  return v != nullptr && v[0] != '\0' && std::string(v) != "0";
-}
 
 double ms_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(
@@ -69,7 +63,7 @@ std::string timeline_text(bool fast, std::size_t epochs) {
 
 int main() {
   const std::size_t epochs = 24;
-  const std::string text = timeline_text(fast_mode(), epochs);
+  const std::string text = timeline_text(rp::bench::fast_mode(), epochs);
   const rp::evolve::Timeline timeline = rp::evolve::parse_timeline(text);
 
   auto t0 = std::chrono::steady_clock::now();
@@ -107,7 +101,7 @@ int main() {
   const double overlay_speedup = overlay_ms > 0.0 ? rebuild_ms / overlay_ms : 0.0;
 
   std::printf("perf_evolve: %zu epochs, %zu events%s (tally %zu)\n", epochs,
-              timeline.event_count(), fast_mode() ? " [fast]" : "",
+              timeline.event_count(), rp::bench::fast_mode() ? " [fast]" : "",
               interfaces);
   std::printf("  base build      %.1f ms\n", base_build_ms);
   std::printf("  overlay walk    %.1f ms (%.1f ms with base build)\n", walk_ms,
@@ -131,18 +125,7 @@ int main() {
   entries.emplace_back("overlay_speedup",
                        rp::obs::json::number(overlay_speedup));
 
-  std::string dir = ".";
-  if (const char* env = std::getenv("RP_BENCH_JSON_DIR");
-      env != nullptr && env[0] != '\0')
-    dir = env;
-  const std::string path = dir + "/BENCH_perf_evolve.json";
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  if (!os) {
-    std::fprintf(stderr, "[bench] cannot write %s\n", path.c_str());
-    return 1;
-  }
-  rp::obs::json::write_flat_object(os, entries);
-  std::fprintf(stderr, "[bench] wrote %s\n", path.c_str());
+  if (!rp::bench::write_bench_json("perf_evolve", entries)) return 1;
 
   if (overlay_speedup < 5.0) {
     std::fprintf(stderr,

@@ -14,12 +14,10 @@
 
 #include <benchmark/benchmark.h>
 
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
+#include "common.hpp"
 #include "obs/export.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -55,21 +53,6 @@ class JsonTrajectoryReporter : public benchmark::ConsoleReporter {
   std::vector<obs::json::Entry> entries_;
 };
 
-/// Writes BENCH_<name>.json into $RP_BENCH_JSON_DIR (or the cwd). Returns
-/// the path written, or an empty string on I/O failure.
-inline std::string write_bench_json(
-    const std::string& name, const std::vector<obs::json::Entry>& entries) {
-  std::string dir = ".";
-  if (const char* env = std::getenv("RP_BENCH_JSON_DIR");
-      env != nullptr && env[0] != '\0')
-    dir = env;
-  const std::string path = dir + "/BENCH_" + name + ".json";
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  if (!os) return {};
-  obs::json::write_flat_object(os, entries);
-  return os ? path : std::string{};
-}
-
 /// Drop-in replacement for BENCHMARK_MAIN(): run the suite, then write the
 /// trajectory file. RP_METRICS=1 additionally enables the rp.* registry and
 /// appends its counters to the JSON.
@@ -88,13 +71,7 @@ inline int run_benchmarks_with_json(int argc, char** argv,
         obs::metrics_json_entries(obs::MetricsRegistry::global().snapshot());
     entries.insert(entries.end(), metrics.begin(), metrics.end());
   }
-  const std::string path = write_bench_json(name, entries);
-  if (path.empty()) {
-    std::fprintf(stderr, "[bench] cannot write BENCH_%s.json\n", name.c_str());
-    return 1;
-  }
-  std::fprintf(stderr, "[bench] wrote %s\n", path.c_str());
-  return 0;
+  return write_bench_json(name, entries) ? 0 : 1;
 }
 
 }  // namespace rp::bench

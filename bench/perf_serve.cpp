@@ -20,23 +20,17 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "serve/client.hpp"
 #include "serve/daemon.hpp"
 
 namespace {
-
-bool fast_mode() {
-  const char* v = std::getenv("RP_BENCH_FAST");
-  return v != nullptr && v[0] != '\0' && std::string(v) != "0";
-}
 
 double exact_quantile(std::vector<double>& sorted_us, double q) {
   if (sorted_us.empty()) return 0.0;
@@ -74,8 +68,8 @@ rp::serve::Request make_request(std::size_t i) {
 int main() {
   rp::obs::set_metrics_enabled(true);
 
-  const std::size_t clients = fast_mode() ? 4 : 8;
-  const std::size_t per_client = fast_mode() ? 50 : 200;
+  const std::size_t clients = rp::bench::fast_mode() ? 4 : 8;
+  const std::size_t per_client = rp::bench::fast_mode() ? 50 : 200;
 
   rp::serve::DaemonConfig config;
   config.port = 0;
@@ -203,17 +197,6 @@ int main() {
   entries.emplace_back("phase_issue_s", rp::obs::json::number(elapsed_s));
   entries.emplace_back("phase_drain_s", rp::obs::json::number(phase_drain_s));
 
-  std::string dir = ".";
-  if (const char* env = std::getenv("RP_BENCH_JSON_DIR");
-      env != nullptr && env[0] != '\0')
-    dir = env;
-  const std::string path = dir + "/BENCH_perf_serve.json";
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  if (!os) {
-    std::fprintf(stderr, "[bench] cannot write %s\n", path.c_str());
-    return 1;
-  }
-  rp::obs::json::write_flat_object(os, entries);
-  std::fprintf(stderr, "[bench] wrote %s\n", path.c_str());
+  if (!rp::bench::write_bench_json("perf_serve", entries)) return 1;
   return failed == 0 ? 0 : 1;
 }

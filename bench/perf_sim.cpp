@@ -2,22 +2,18 @@
 //
 // The event-engine benches split the two phases that matter separately —
 // scheduling (arena allocate + heap push) and running (heap pop + dispatch +
-// release) — and run each against BaselineSimulator, a verbatim copy of the
-// engine this repository shipped before the slab/4-ary rewrite
-// (std::function events in a binary std::priority_queue). Both engines
-// execute identical closures over identical schedules, so the ratio between
-// the events_per_sec counters is the engine speedup recorded in
-// BENCH_perf_sim.json. The campaign benches cover the layered hot path: a
-// switched-LAN ping round trip, a small single-IXP campaign, and the
-// sharded all-IXP campaign at Euro-IX scale (and at a 12x stress scale,
-// O(100k) member interfaces, when RP_BENCH_FAST is off).
+// release) — plus a steady-state dispatch+reschedule cycle; their
+// events_per_sec counters are gated in BENCH_perf_sim.json. The campaign
+// benches cover the layered hot path: a switched-LAN ping round trip, a
+// small single-IXP campaign, and the all-IXP campaign batch at Euro-IX scale
+// (and at a 12x stress scale, O(100k) member interfaces, when RP_BENCH_FAST
+// is off).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <queue>
 #include <vector>
 
 #include "common.hpp"
@@ -33,54 +29,13 @@ namespace {
 
 using namespace rp;
 
-// The pre-rewrite engine, kept verbatim as the head-to-head baseline: one
-// type-erased heap allocation per capturing event, binary-heap sifts moving
-// 48-byte Event records at every level.
-class BaselineSimulator {
- public:
-  using Action = std::function<void()>;
-
-  void schedule(util::SimTime at, Action action) {
-    queue_.push(Event{at, next_seq_++, std::move(action)});
-  }
-  void schedule_in(util::SimDuration delay, Action action) {
-    schedule(now_ + delay, std::move(action));
-  }
-
-  std::size_t run() {
-    std::size_t executed = 0;
-    while (!queue_.empty()) {
-      Event event = std::move(const_cast<Event&>(queue_.top()));
-      queue_.pop();
-      now_ = event.at;
-      event.action();
-      ++executed;
-    }
-    return executed;
-  }
-
- private:
-  struct Event {
-    util::SimTime at;
-    std::uint64_t seq;
-    Action action;
-    bool operator>(const Event& other) const {
-      if (at != other.at) return at > other.at;
-      return seq > other.seq;
-    }
-  };
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
-  util::SimTime now_;
-  std::uint64_t next_seq_ = 0;
-};
-
 // Jittered delays from a fixed xorshift sequence: the queue sees the same
 // interleaved (not monotonic) schedule a real campaign produces, identically
-// for both engines and both phases. The census mirrors a live campaign's
-// event mix: nearly every executed event is fabric-scale (a frame hop,
-// switch forward, or ICMP turnaround lands microseconds out; each probe
-// spawns a dozen-plus of them), while a thin control tail (probe slots,
-// timeouts) lands up to a second out.
+// for both phases. The census mirrors a live campaign's event mix: nearly
+// every executed event is fabric-scale (a frame hop, switch forward, or ICMP
+// turnaround lands microseconds out; each probe spawns a dozen-plus of
+// them), while a thin control tail (probe slots, timeouts) lands up to a
+// second out.
 std::uint64_t next_delay_us(std::uint64_t& x) {
   x ^= x << 13;
   x ^= x >> 7;
@@ -90,16 +45,13 @@ std::uint64_t next_delay_us(std::uint64_t& x) {
 }
 
 // The scheduled payload is shaped like the hot frame-delivery event: a
-// target pointer plus tens of bytes of frame. Everything here exceeds
-// std::function's 16-byte SSO buffer, so the baseline heap-allocates per
-// event — exactly what the old engine did for every frame in flight — while
-// the slab engine stores it inline (the static_asserts pin that).
+// target pointer plus tens of bytes of frame, stored inline in the event
+// record (the static_asserts pin that).
 struct FakeFrame {
   std::uint32_t words[11];  // 44 bytes, the size of an EthernetFrame.
 };
 
-template <typename Engine>
-void schedule_events(Engine& sim, std::int64_t n, std::uint64_t* sink) {
+void schedule_events(sim::Simulator& sim, std::int64_t n, std::uint64_t* sink) {
   std::uint64_t x = 0x9E3779B97F4A7C15ull;
   FakeFrame frame{};
   for (std::int64_t i = 0; i < n; ++i) {
@@ -115,9 +67,8 @@ void schedule_events(Engine& sim, std::int64_t n, std::uint64_t* sink) {
 // successor — the dispatch + reschedule cycle every campaign event performs
 // (a delivered frame begets the next hop's delivery). 56 bytes, the slab
 // slot capacity and the exact size of the real frame-delivery closure.
-template <typename Engine>
 struct PumpEvent {
-  Engine* sim;
+  sim::Simulator* sim;
   std::uint64_t* budget;  ///< Reschedules left across all pump chains.
   std::uint64_t* sink;
   std::uint64_t x;                ///< Per-chain jitter state.
@@ -136,39 +87,42 @@ struct PumpEvent {
   }
 };
 
-template <typename Engine>
-void event_schedule_phase(benchmark::State& state) {
-  const std::int64_t n = state.range(0);
-  std::uint64_t sink = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    {
-      Engine sim;
-      state.ResumeTiming();
-      schedule_events(sim, n, &sink);
-      state.PauseTiming();
-      benchmark::DoNotOptimize(sim.run());  // Drain outside the timed region.
-    }
-    state.ResumeTiming();
-  }
-  benchmark::DoNotOptimize(sink);
-  state.SetItemsProcessed(state.iterations() * n);
+/// Events dispatched per wall second across every iteration.
+void set_event_rate(benchmark::State& state, std::int64_t n) {
   state.counters["events_per_sec"] = benchmark::Counter(
       static_cast<double>(state.iterations() * n), benchmark::Counter::kIsRate);
 }
 
-// Run phase: drain throughput. n frame-delivery events are scheduled
-// outside the timed region (the schedule phase above measures that half),
-// then run() dispatches all of them under the clock — the seed
-// BM_EventThroughput's workload with the two halves timed separately.
-template <typename Engine>
-void event_run_phase(benchmark::State& state) {
+// Schedule phase: n frame-delivery events go into a fresh engine under the
+// clock; the drain runs outside the timed region.
+void BM_EventScheduleSlab(benchmark::State& state) {
   const std::int64_t n = state.range(0);
   std::uint64_t sink = 0;
   for (auto _ : state) {
     state.PauseTiming();
     {
-      Engine sim;
+      sim::Simulator sim;
+      state.ResumeTiming();
+      schedule_events(sim, n, &sink);
+      state.PauseTiming();
+      benchmark::DoNotOptimize(sim.run());
+    }
+    state.ResumeTiming();
+  }
+  benchmark::DoNotOptimize(sink);
+  set_event_rate(state, n);
+}
+
+// Run phase: drain throughput. n frame-delivery events are scheduled
+// outside the timed region (the schedule phase above measures that half),
+// then run() dispatches all of them under the clock.
+void BM_EventRunSlab(benchmark::State& state) {
+  const std::int64_t n = state.range(0);
+  std::uint64_t sink = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    {
+      sim::Simulator sim;
       schedule_events(sim, n, &sink);
       state.ResumeTiming();
       benchmark::DoNotOptimize(sim.run());
@@ -177,21 +131,18 @@ void event_run_phase(benchmark::State& state) {
     state.ResumeTiming();
   }
   benchmark::DoNotOptimize(sink);
-  state.SetItemsProcessed(state.iterations() * n);
-  state.counters["events_per_sec"] = benchmark::Counter(
-      static_cast<double>(state.iterations() * n), benchmark::Counter::kIsRate);
+  set_event_rate(state, n);
 }
 
 // Steady-state phase: a fixed population of self-rescheduling pump chains.
 // Each executed event reschedules one successor until the budget drains, so
 // exactly n events dispatch through a queue held at a campaign-realistic
 // depth (a per-IXP campaign simulator's measured high-water is ~1.6k
-// pending events — see rp.sim.queue.high_water). Per-event workload cost
-// (the 56-byte closure copy and jitter arithmetic) is identical for both
-// engines, so this phase bounds the end-to-end dispatch+reschedule cycle
-// rather than isolating the queue.
-template <typename Engine>
-void event_steady_state_phase(benchmark::State& state) {
+// pending events — see rp.sim.queue.high_water). The per-event workload
+// (the 56-byte closure copy and jitter arithmetic) is timed too, so this
+// phase bounds the end-to-end dispatch+reschedule cycle rather than
+// isolating the queue.
+void BM_EventSteadyStateSlab(benchmark::State& state) {
   const std::int64_t n = state.range(0);
   const std::uint64_t depth =
       std::min<std::uint64_t>(2048, static_cast<std::uint64_t>(n));
@@ -199,14 +150,14 @@ void event_steady_state_phase(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     {
-      Engine sim;
+      sim::Simulator sim;
       std::uint64_t budget = static_cast<std::uint64_t>(n) - depth;
       std::uint64_t x = 0x9E3779B97F4A7C15ull;
       for (std::uint64_t c = 0; c < depth; ++c) {
         x ^= x << 13;
         x ^= x >> 7;
         x ^= x << 17;
-        PumpEvent<Engine> pump{&sim, &budget, &sink, x, {}};
+        PumpEvent pump{&sim, &budget, &sink, x, {}};
         static_assert(sizeof(pump) == sim::Simulator::kInlinePayloadBytes);
         static_assert(sim::Simulator::stored_inline<decltype(pump)>());
         sim.schedule_in(util::SimDuration::micros(x % 1000), std::move(pump));
@@ -218,40 +169,14 @@ void event_steady_state_phase(benchmark::State& state) {
     state.ResumeTiming();
   }
   benchmark::DoNotOptimize(sink);
-  state.SetItemsProcessed(state.iterations() * n);
-  state.counters["events_per_sec"] = benchmark::Counter(
-      static_cast<double>(state.iterations() * n), benchmark::Counter::kIsRate);
+  set_event_rate(state, n);
 }
 
-void BM_EventScheduleSlab(benchmark::State& state) {
-  event_schedule_phase<sim::Simulator>(state);
-}
-void BM_EventScheduleBaseline(benchmark::State& state) {
-  event_schedule_phase<BaselineSimulator>(state);
-}
-void BM_EventRunSlab(benchmark::State& state) {
-  event_run_phase<sim::Simulator>(state);
-}
-void BM_EventRunBaseline(benchmark::State& state) {
-  event_run_phase<BaselineSimulator>(state);
-}
-void BM_EventSteadyStateSlab(benchmark::State& state) {
-  event_steady_state_phase<sim::Simulator>(state);
-}
-void BM_EventSteadyStateBaseline(benchmark::State& state) {
-  event_steady_state_phase<BaselineSimulator>(state);
-}
 BENCHMARK(BM_EventScheduleSlab)
-    ->Arg(100000)->Arg(1000000)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_EventScheduleBaseline)
     ->Arg(100000)->Arg(1000000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EventRunSlab)
     ->Arg(100000)->Arg(1000000)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_EventRunBaseline)
-    ->Arg(100000)->Arg(1000000)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_EventSteadyStateSlab)
-    ->Arg(100000)->Arg(1000000)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_EventSteadyStateBaseline)
     ->Arg(100000)->Arg(1000000)->Unit(benchmark::kMillisecond);
 
 void BM_PingRoundTrip(benchmark::State& state) {
@@ -334,7 +259,7 @@ const core::Scenario& all_ixp_world(int scale) {
 
 void BM_AllIxpCampaign(benchmark::State& state) {
   // In fast mode the 12x arg degrades to the 1x smoke world: the smoke lane
-  // only checks that the sharded path runs and lands its JSON keys.
+  // only checks that the batched path runs and lands its JSON keys.
   const int scale = bench::fast_mode() ? 1 : static_cast<int>(state.range(0));
   const core::Scenario& world = all_ixp_world(scale);
 

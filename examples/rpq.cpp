@@ -42,6 +42,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -55,6 +56,7 @@
 #include "obs/export.hpp"
 #include "obs/json.hpp"
 #include "serve/client.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -140,9 +142,10 @@ std::vector<std::string> split_commas(const std::string& text) {
 
 int main(int argc, char** argv) {
   std::string host = "127.0.0.1";
-  std::uint16_t port = 0;
-  if (const char* env = std::getenv("RP_SERVE_PORT"))
-    port = static_cast<std::uint16_t>(std::atoi(env));
+  // --port wins over RP_SERVE_PORT; whichever supplied the text is named
+  // if it is not a port.
+  const char* port_text = std::getenv("RP_SERVE_PORT");
+  const char* port_source = "RP_SERVE_PORT";
 
   rp::serve::Request request;
   std::string command;
@@ -160,7 +163,8 @@ int main(int argc, char** argv) {
     if (arg == "--host") {
       host = value();
     } else if (arg == "--port") {
-      port = static_cast<std::uint16_t>(std::atoi(value()));
+      port_text = value();
+      port_source = "--port";
     } else if (arg == "--fast") {
       request.world.fast = true;
     } else if (arg == "--set") {
@@ -185,6 +189,16 @@ int main(int argc, char** argv) {
     }
   }
   if (command.empty()) return usage(argv[0]);
+  std::uint16_t port = 0;
+  if (port_text != nullptr) {
+    const auto parsed = rp::util::parse_exact<std::uint16_t>(port_text);
+    if (!parsed) {
+      std::fprintf(stderr, "%s: %s wants a port in [1, 65535], got '%s'\n",
+                   argv[0], port_source, port_text);
+      return 2;
+    }
+    port = *parsed;
+  }
   if (port == 0) {
     std::fprintf(stderr,
                  "%s: no port (use --port or set RP_SERVE_PORT)\n", argv[0]);

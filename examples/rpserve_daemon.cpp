@@ -16,16 +16,20 @@
 // --port-file writes the bound port (one line) once the listener is up, so
 // scripts using --port 0 (ephemeral) can find the daemon without racing it.
 //
-// Exit codes: 0 clean shutdown, 2 usage, 3 cannot bind/listen.
+// Exit codes: 0 clean shutdown, 2 usage (including a numeric flag that does
+// not fit its field), 3 cannot bind/listen.
 
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
 #include "obs_cli.hpp"
 #include "serve/daemon.hpp"
+#include "util/strings.hpp"
 
 namespace {
 
@@ -63,14 +67,27 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // A numeric flag must fit its field exactly: no sign, no wrap-around.
+    auto number = [&]<typename T>(T& field) {
+      const char* text = value();
+      if (const auto parsed = rp::util::parse_exact<T>(text)) {
+        field = *parsed;
+        return;
+      }
+      std::fprintf(stderr, "%s: %s wants an integer in [0, %ju], got '%s'\n",
+                   argv[0], arg.c_str(),
+                   static_cast<std::uintmax_t>(std::numeric_limits<T>::max()),
+                   text);
+      std::exit(2);
+    };
     if (arg == "--port") {
-      config.port = static_cast<std::uint16_t>(std::atoi(value()));
+      number(config.port);
     } else if (arg == "--worlds") {
-      config.worlds = static_cast<std::size_t>(std::atoll(value()));
+      number(config.worlds);
     } else if (arg == "--queue") {
-      config.queue_capacity = static_cast<std::size_t>(std::atoll(value()));
+      number(config.queue_capacity);
     } else if (arg == "--batch") {
-      config.max_batch = static_cast<std::size_t>(std::atoll(value()));
+      number(config.max_batch);
     } else if (arg == "--cache-dir") {
       config.cache_dir = value();
     } else if (arg == "--port-file") {

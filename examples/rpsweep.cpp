@@ -12,12 +12,11 @@
 // --dir defaults to $RP_SWEEP_DIR/<spec name> when RP_SWEEP_DIR is set,
 // otherwise ./rpsweep-<spec name>. The scenario snapshot cache defaults to
 // $RP_SNAPSHOT_CACHE / .rpsnap-cache as everywhere else; --cache-dir
-// overrides it. RP_SWEEP_JOBS caps the sweep's own worker pool, RP_THREADS
-// still governs the per-world studies. --metrics / --trace work as on every
-// example. A sweep killed mid-flight (Ctrl-C, or an armed
-// RP_FAULT=sweep.run:... site) is resumable: completed runs are on disk and
-// `rpsweep resume` produces a results table byte-identical to an
-// uninterrupted run.
+// overrides it. RP_THREADS bounds the world groups run at once and the
+// per-world studies. --metrics / --trace work as on every example. A sweep
+// killed mid-flight (Ctrl-C, or an armed RP_FAULT=sweep.run:... site) is
+// resumable: completed runs are on disk and `rpsweep resume` produces a
+// results table byte-identical to an uninterrupted run.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>

@@ -17,15 +17,7 @@ cd "$(dirname "$0")/.."
 # silently replaces the first (an earlier revision leaked its snapshot dir
 # exactly that way), so temp dirs are collected here and removed once.
 TEMP_DIRS=()
-DAEMON_PIDS=()
-cleanup() {
-  local pid
-  for pid in ${DAEMON_PIDS[@]+"${DAEMON_PIDS[@]}"}; do
-    kill "$pid" 2> /dev/null || true
-  done
-  rm -rf ${TEMP_DIRS[@]+"${TEMP_DIRS[@]}"}
-}
-trap cleanup EXIT
+trap 'rm -rf ${TEMP_DIRS[@]+"${TEMP_DIRS[@]}"}' EXIT
 tmpdir() {
   local d
   d="$(mktemp -d)"
@@ -47,22 +39,11 @@ export_artifacts() {
   done
 }
 
-# Asserts that `rpworld ...` exits with $1 (under set -e).
-expect_rc() {
-  local want="$1" rc=0
-  shift
-  "$@" > /dev/null 2>&1 || rc=$?
-  if [[ "$rc" != "$want" ]]; then
-    echo "FAIL: expected exit $want, got $rc: $*" >&2
-    return 1
-  fi
-}
-
 # Every RP_* environment variable the binaries read. The sed strips the
-# getenv("...") / env_size("...", ...) wrapper around each match (env_size is
-# the serve daemon's numeric-env helper — it forwards to getenv).
+# getenv("...") / env_value("...", ...) wrapper around each match (env_value
+# is the serve daemon's numeric-env helper — it forwards to getenv).
 env_vars_read() {
-  grep -rhoE '(getenv|env_size)\("RP_[A-Z_]+"' src examples bench |
+  grep -rhoE '(getenv|env_value)\("RP_[A-Z_]+"' src examples bench |
     sed -e 's/.*("//' -e 's/"$//' | sort -u
 }
 
@@ -177,16 +158,14 @@ perf_smoke() {
   # The instrumented perf binaries must emit valid trajectory JSON.
   python3 -m json.tool "$dir/BENCH_perf_io.json" > /dev/null
   python3 -m json.tool "$dir/BENCH_perf_offload.json" > /dev/null
-  # The event-engine trajectory must carry the head-to-head throughput keys:
-  # an events_per_sec rate for both engines in every phase, and the sharded
-  # all-IXP campaign's wall-time + scale counters.
+  # The event-engine trajectory must carry an events_per_sec rate for every
+  # phase, and the all-IXP campaign's wall-time + scale counters.
   python3 - "$dir/BENCH_perf_sim.json" <<'EOF'
 import json, sys
 bench = json.load(open(sys.argv[1]))
 for phase in ("EventSchedule", "EventRun", "EventSteadyState"):
-    for engine in ("Slab", "Baseline"):
-        key = f"BM_{phase}{engine}/100000.events_per_sec"
-        assert bench.get(key, 0) > 0, (key, sorted(bench))
+    key = f"BM_{phase}Slab/100000.events_per_sec"
+    assert bench.get(key, 0) > 0, (key, sorted(bench))
 for key in ("BM_SmallIxpCampaign.events_per_sec",
             "BM_AllIxpCampaign/1/iterations:1.events_per_sec",
             "BM_AllIxpCampaign/1/iterations:1.campaign_wall_s",
@@ -229,99 +208,15 @@ EOF
   export_artifacts "$dir" 'BENCH_*.json'
 }
 
-# The query daemon end to end: ephemeral port, rpq queries against a warm
-# fast world, a poisoned frame the daemon must survive, protocol-driven
-# shutdown, and the perf_serve load-generator gate (DESIGN.md §14).
+# The query daemon end to end (rpserve-daemon + rpq; the script is also the
+# ctest test `smoke.serve`, label `smoke`), then the perf_serve
+# load-generator gate (DESIGN.md §14).
 serve_smoke() {
   local build="$1"
-  echo "=== [$build] serve smoke (rpserve-daemon + rpq + perf_serve) ==="
-  local dir rpq="build/$build/examples/rpq"
+  echo "=== [$build] serve smoke (scripts/smoke_serve.sh + perf_serve) ==="
+  scripts/smoke_serve.sh "build/$build/examples"
+  local dir
   dir="$(tmpdir)"
-  RP_SNAPSHOT_CACHE="$dir/cache" "build/$build/examples/rpserve-daemon" \
-    --port 0 --port-file "$dir/port" > "$dir/daemon.log" &
-  local daemon_pid=$!
-  DAEMON_PIDS+=("$daemon_pid")
-  local tries=0
-  until [[ -s "$dir/port" ]]; do
-    if ((++tries > 100)); then
-      echo "FAIL: daemon never wrote its port file" >&2
-      cat "$dir/daemon.log" >&2
-      return 1
-    fi
-    sleep 0.1
-  done
-  local port
-  port="$(cat "$dir/port")"
-
-  "$rpq" --port "$port" ping ci-token | grep -q "token = ci-token"
-  "$rpq" --port "$port" --fast world-info | tee "$dir/info.log" |
-    grep -q "world.digest"
-  grep -q "world.ases" "$dir/info.log"
-  "$rpq" --port "$port" --fast viability | grep -q "viability.decay"
-  "$rpq" --port "$port" --fast offload-curve --steps 3 |
-    grep -q "offload.steps = 3"
-
-  # The stats surface: --json must be machine-parseable and carry the
-  # load-bearing keys (occupancy, per-world memory, per-type latencies)...
-  "$rpq" --port "$port" stats --json > "$dir/stats.json"
-  python3 - "$dir/stats.json" <<'EOF'
-import json, sys
-stats = json.load(open(sys.argv[1]))
-for key in ("stats.uptime_s", "stats.completed", "stats.ring_capacity",
-            "queue.depth", "queue.capacity", "queue.high_water",
-            "pool.capacity", "pool.resident", "pool.worlds",
-            "pool.world.0.digest", "pool.world.0.resident_bytes",
-            "req.ping.count", "req.ping.p50_us", "req.ping.p99_us",
-            "ts.samples", "ts.interval_ms"):
-    assert key in stats, (key, sorted(stats))
-assert stats["req.ping.count"] >= 1, stats
-assert stats["pool.world.0.resident_bytes"] > 0, stats
-EOF
-  # ...--prom must be well-formed text exposition: TYPE line + matching
-  # numeric sample, nothing else, and only numeric rows exported.
-  "$rpq" --port "$port" stats --prom > "$dir/stats.prom"
-  python3 - "$dir/stats.prom" <<'EOF'
-import re, sys
-lines = [l for l in open(sys.argv[1]).read().splitlines() if l]
-assert lines and len(lines) % 2 == 0, "exposition must pair TYPE+sample"
-for i in range(0, len(lines), 2):
-    m = re.fullmatch(r"# TYPE (rp_[a-zA-Z0-9_:]+) gauge", lines[i])
-    assert m, lines[i]
-    sample = re.fullmatch(r"([a-zA-Z0-9_:]+) (\S+)", lines[i + 1])
-    assert sample and sample.group(1) == m.group(1), lines[i + 1]
-    float(sample.group(2))  # every exported value parses as a number
-text = open(sys.argv[1]).read()
-for needle in ("rp_queue_capacity", "rp_stats_completed"):
-    assert needle in text, needle
-assert "digest" not in text, "non-numeric rows must not be exported"
-EOF
-  # ...and `rpq top` renders live request rates (the polls themselves
-  # complete requests, so the second refresh must show a non-zero rate).
-  "$rpq" --port "$port" top --interval 200 --count 2 > "$dir/top.log"
-  grep -q "queue" "$dir/top.log"
-  python3 - "$dir/top.log" <<'EOF'
-import re, sys
-rates = [float(m.group(1)) for m in
-         re.finditer(r"([0-9.]+) req/s", open(sys.argv[1]).read())]
-assert len(rates) == 2, rates
-assert rates[-1] > 0, rates
-EOF
-
-  # An unknown config field is a soft error (exit 1), not a dead daemon.
-  expect_rc 1 "$rpq" --port "$port" --fast --set no.such.field=1 world-info
-  # A poisoned length prefix kills that one connection (rpq badframe exits 0
-  # when the daemon hangs up on it) — and the daemon keeps serving.
-  "$rpq" --port "$port" badframe
-  "$rpq" --port "$port" ping still-alive | grep -q "token = still-alive"
-  "$rpq" --port "$port" shutdown
-  local rc=0
-  wait "$daemon_pid" || rc=$?
-  if [[ "$rc" != 0 ]]; then
-    echo "FAIL: daemon exited $rc after rpq shutdown" >&2
-    cat "$dir/daemon.log" >&2
-    return 1
-  fi
-
   echo "--- perf_serve (RP_BENCH_FAST=1) ---"
   RP_BENCH_FAST=1 RP_BENCH_JSON_DIR="$dir" RP_SNAPSHOT_CACHE="$dir/cache" \
     "build/$build/bench/perf_serve"
@@ -338,7 +233,7 @@ EOF
   # The daemon's throughput also feeds the perf-trajectory gate.
   python3 scripts/check_bench.py --check "$dir" \
     --tolerance "${CHECK_BENCH_TOL:-0.6}"
-  export_artifacts "$dir" 'BENCH_*.json' daemon.log
+  export_artifacts "$dir" 'BENCH_*.json'
 }
 
 figure_smoke() {
@@ -372,11 +267,10 @@ tsan_thread_stress() {
     echo "--- $suite ---"
     RP_THREADS=8 "build/$build/tests/$suite" --gtest_brief=1
   done
-  # The sharded campaign fan-out again with real contention: 8 workers over
-  # 8 shards must still produce byte-identical measurements.
-  echo "--- test_measure (sharded campaigns) ---"
-  RP_THREADS=8 RP_SIM_SHARDS=8 "build/$build/tests/test_measure" \
-    --gtest_brief=1
+  # The campaign fan-out again with real contention: 8 workers over the
+  # per-IXP campaigns must still produce byte-identical measurements.
+  echo "--- test_measure (campaign batches) ---"
+  RP_THREADS=8 "build/$build/tests/test_measure" --gtest_brief=1
 }
 
 run_lane() {

@@ -12,7 +12,7 @@ SpreadStudy SpreadStudy::run(const WorldView& world,
   study.config_ = config;
   // Each per-IXP campaign owns its own simulator and a deterministically
   // forked RNG (keyed on the IXP id alone), so the fan-out is pure per
-  // index: the report is byte-identical at any RP_THREADS / RP_SIM_SHARDS.
+  // index: the report is byte-identical at any RP_THREADS.
   std::vector<const ixp::Ixp*> ixps;
   ixps.reserve(world.measured_ixps.size());
   for (const ixp::IxpId id : world.measured_ixps)

@@ -1,8 +1,6 @@
 #include "measure/campaign.hpp"
 
 #include <algorithm>
-#include <charconv>
-#include <cstdlib>
 #include <unordered_map>
 
 #include "fault/fault.hpp"
@@ -202,7 +200,7 @@ IxpMeasurement run_ixp_campaign(const ixp::Ixp& ixp,
     static obs::Counter probed("rp.measure.interfaces.probed");
     // Per-campaign event volume. Each campaign records exactly one value
     // that is a pure function of its inputs, so the bucket totals stay
-    // deterministic at any RP_THREADS / RP_SIM_SHARDS.
+    // deterministic at any RP_THREADS.
     static obs::Histogram campaign_events("rp.sim.campaign.events",
                                           obs::Stability::kDeterministic);
     campaign_events.record(measurement.events_executed);
@@ -218,40 +216,14 @@ IxpMeasurement run_ixp_campaign(const ixp::Ixp& ixp,
   return measurement;
 }
 
-std::size_t CampaignRunner::configured_shards() {
-  const char* raw = std::getenv("RP_SIM_SHARDS");
-  if (raw == nullptr || *raw == '\0') return 0;
-  std::size_t value = 0;
-  const char* end = raw;
-  while (*end != '\0') ++end;
-  const auto [ptr, ec] = std::from_chars(raw, end, value);
-  if (ec != std::errc{} || ptr != end) return 0;
-  return std::max<std::size_t>(value, 1);
-}
-
 std::vector<IxpMeasurement> CampaignRunner::run(
     const std::vector<const ixp::Ixp*>& ixps, const CampaignConfig& config,
-    const RngFactory& rng_for, std::size_t shards) {
-  const std::size_t n = ixps.size();
-  std::vector<IxpMeasurement> out(n);
-  if (n == 0) return out;
-
-  if (shards == 0) shards = configured_shards();
-  if (shards == 0) shards = n;  // One shard per IXP: maximum parallelism.
-  shards = std::min(shards, n);
-
-  // Contiguous block split: shard s owns [s*n/shards, (s+1)*n/shards). The
-  // split affects only which worker runs which campaign — every campaign's
-  // RNG comes from rng_for(ixp) alone, so the results are identical for any
-  // shard count and merge back in submission order.
-  util::ThreadPool::global().parallel_for(shards, [&](std::size_t s) {
-    obs::Span span("campaign.shard");
-    const std::size_t begin = s * n / shards;
-    const std::size_t end = (s + 1) * n / shards;
-    for (std::size_t i = begin; i < end; ++i) {
-      util::Rng rng = rng_for(*ixps[i]);
-      out[i] = run_ixp_campaign(*ixps[i], config, rng);
-    }
+    const RngFactory& rng_for) {
+  std::vector<IxpMeasurement> out(ixps.size());
+  util::ThreadPool::global().parallel_for(ixps.size(), [&](std::size_t i) {
+    obs::Span span("measure.campaign");
+    util::Rng rng = rng_for(*ixps[i]);
+    out[i] = run_ixp_campaign(*ixps[i], config, rng);
   });
   return out;
 }

@@ -54,29 +54,22 @@ IxpMeasurement run_ixp_campaign(const ixp::Ixp& ixp,
 
 /// Fans a batch of per-IXP campaigns across the global ThreadPool.
 ///
-/// The IXP list is split into `shards` contiguous blocks; each shard runs
-/// its campaigns sequentially (one Simulator per IXP, alive only while that
-/// campaign runs) and the blocks execute concurrently on the pool. Every
-/// campaign draws its RNG from `rng_for(ixp)` — a pure function of the IXP,
-/// never of the position in the batch — so results are byte-identical at any
-/// RP_THREADS, any shard width, and any submission order, and land in the
-/// output vector in submission order.
+/// Each IXP is one pool index, so a worker that finishes a campaign takes the
+/// next one (one Simulator per IXP, alive only while that campaign runs).
+/// Every campaign draws its RNG from `rng_for(ixp)` — a pure function of the
+/// IXP, never of the position in the batch — so results are byte-identical
+/// at any RP_THREADS and any submission order, and land in the output vector
+/// in submission order.
 class CampaignRunner {
  public:
   /// Derives a campaign RNG from the IXP alone (typically a fork of the
   /// world seed keyed on ixp.id()). Must be thread-safe and pure.
   using RngFactory = std::function<util::Rng(const ixp::Ixp&)>;
 
-  /// Shard count from RP_SIM_SHARDS (clamped to >= 1), or 0 when unset /
-  /// unparsable — the "one shard per IXP" maximum-parallelism default.
-  static std::size_t configured_shards();
-
-  /// Runs one campaign per IXP. `shards` == 0 consults RP_SIM_SHARDS; a
-  /// shard count beyond the IXP count is clamped down to it.
+  /// Runs one campaign per IXP.
   static std::vector<IxpMeasurement> run(const std::vector<const ixp::Ixp*>& ixps,
                                          const CampaignConfig& config,
-                                         const RngFactory& rng_for,
-                                         std::size_t shards = 0);
+                                         const RngFactory& rng_for);
 };
 
 }  // namespace rp::measure

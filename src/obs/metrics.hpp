@@ -67,6 +67,10 @@ bool metrics_env_requested();
 /// holds exactly 0, bucket k holds [2^(k-1), 2^k).
 inline constexpr std::size_t kHistogramBuckets = 65;
 
+/// Slots in every bounded telemetry ring: one request-trace ring per
+/// recording thread, one time-series ring per series.
+inline constexpr std::size_t kRingCapacity = 256;
+
 /// One aggregated metric in a registry snapshot.
 struct MetricValue {
   std::string name;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 
@@ -49,17 +48,6 @@ struct TypeAggregate {
   std::array<std::atomic<std::uint64_t>, kHistogramBuckets> buckets{};
 };
 
-std::size_t ring_capacity_from_env() {
-  constexpr std::size_t kDefault = 256;
-  constexpr std::size_t kFloor = 16;
-  const char* raw = std::getenv("RP_OBS_RING");
-  if (raw == nullptr || *raw == '\0') return kDefault;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(raw, &end, 10);
-  if (end == raw || *end != '\0' || v == 0) return kDefault;
-  return std::max<std::size_t>(kFloor, static_cast<std::size_t>(v));
-}
-
 }  // namespace
 
 struct RequestTracer::Impl {
@@ -68,7 +56,7 @@ struct RequestTracer::Impl {
   std::array<TypeAggregate, RequestTracer::kMaxTypes> types{};
   std::uint64_t generation = 0;  // bumped by reset(); invalidates TL rings
 
-  Ring* this_thread_ring(std::size_t capacity) {
+  Ring* this_thread_ring() {
     thread_local std::shared_ptr<Ring> local;
     thread_local std::uint64_t local_generation = ~std::uint64_t{0};
     std::uint64_t current = 0;
@@ -77,7 +65,7 @@ struct RequestTracer::Impl {
       current = generation;
     }
     if (!local || local_generation != current) {
-      local = std::make_shared<Ring>(capacity);
+      local = std::make_shared<Ring>(kRingCapacity);
       local_generation = current;
       std::lock_guard<std::mutex> lock(mutex);
       rings.push_back(local);
@@ -86,8 +74,7 @@ struct RequestTracer::Impl {
   }
 };
 
-RequestTracer::RequestTracer()
-    : impl_(new Impl), ring_capacity_(ring_capacity_from_env()) {}
+RequestTracer::RequestTracer() : impl_(new Impl) {}
 
 RequestTracer& RequestTracer::global() {
   // Leaked like the MetricsRegistry: worker threads may record during their
@@ -104,7 +91,7 @@ void RequestTracer::record(RequestRecord record) {
   if (!enabled()) return;
   record.seq = 1 + seq_counter_.fetch_add(1, std::memory_order_relaxed);
 
-  Ring* ring = impl_->this_thread_ring(ring_capacity_);
+  Ring* ring = impl_->this_thread_ring();
   Slot& slot = ring->slots[ring->next % ring->slots.size()];
   ++ring->next;
   // Unpublish, fill, publish: a reader that loads fields between the two

@@ -12,8 +12,7 @@
 //     surface) is TSan-clean. A reader can observe a record mid-overwrite
 //     once the ring wraps — acceptable for telemetry, and the completion
 //     sequence number lets it discard records that tore;
-//   - bounded memory: RP_OBS_RING slots per thread (default 256), fixed at
-//     tracer construction.
+//   - bounded memory: kRingCapacity (256) slots per thread.
 //
 // The tracer also keeps cumulative per-request-type log2 latency histograms
 // (the stats surface's p50/p99 source) and a deterministic slow-query view:
@@ -32,6 +31,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <vector>
+
+#include "obs/metrics.hpp"
 
 namespace rp::obs {
 
@@ -74,9 +75,8 @@ class RequestTracer {
     return enabled_.load(std::memory_order_relaxed);
   }
 
-  /// Ring capacity per recording thread (fixed at first use; reads
-  /// RP_OBS_RING, default 256, floor 16).
-  std::size_t ring_capacity() const { return ring_capacity_; }
+  /// Ring capacity per recording thread.
+  std::size_t ring_capacity() const { return kRingCapacity; }
 
   /// Issues the next server-side request id (1-based, monotone).
   std::uint64_t next_request_id() {
@@ -123,7 +123,6 @@ class RequestTracer {
   std::atomic<bool> enabled_{false};
   std::atomic<std::uint64_t> id_counter_{0};
   std::atomic<std::uint64_t> seq_counter_{0};
-  std::size_t ring_capacity_ = 0;
 };
 
 }  // namespace rp::obs

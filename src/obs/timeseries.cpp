@@ -15,17 +15,6 @@ namespace rp::obs {
 
 namespace {
 
-std::size_t capacity_from_env() {
-  constexpr std::size_t kDefault = 256;
-  constexpr std::size_t kFloor = 16;
-  const char* raw = std::getenv("RP_OBS_RING");
-  if (raw == nullptr || *raw == '\0') return kDefault;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(raw, &end, 10);
-  if (end == raw || *end != '\0' || v == 0) return kDefault;
-  return std::max<std::size_t>(kFloor, static_cast<std::size_t>(v));
-}
-
 // Fixed ring of points; `next` wraps, `filled` saturates at capacity.
 struct Series {
   std::vector<SeriesPoint> points;
@@ -53,18 +42,17 @@ struct TimeSeriesRecorder::Impl {
   bool stopping = false;
   std::thread sampler;
 
-  Series& series_for(const std::string& key, std::size_t capacity) {
+  Series& series_for(const std::string& key) {
     auto it = series.find(key);
     if (it == series.end()) {
       it = series.emplace(key, Series{}).first;
-      it->second.points.resize(capacity);
+      it->second.points.resize(kRingCapacity);
     }
     return it->second;
   }
 };
 
-TimeSeriesRecorder::TimeSeriesRecorder()
-    : impl_(new Impl), capacity_(capacity_from_env()) {}
+TimeSeriesRecorder::TimeSeriesRecorder() : impl_(new Impl) {}
 
 TimeSeriesRecorder& TimeSeriesRecorder::global() {
   // Leaked like the MetricsRegistry so a still-running sampler at process
@@ -101,23 +89,20 @@ void TimeSeriesRecorder::sample_once() {
               m.count >= prev
                   ? static_cast<double>(m.count - prev) / dt_s
                   : 0.0;  // registry reset between samples
-          impl_->series_for(m.name + ".rate", capacity_)
-              .push(SeriesPoint{now, rate});
+          impl_->series_for(m.name + ".rate").push(SeriesPoint{now, rate});
         }
         impl_->last_counters[m.name] = m.count;
         break;
       }
       case MetricKind::kGauge:
-        impl_->series_for(m.name, capacity_).push(SeriesPoint{now, m.value});
+        impl_->series_for(m.name).push(SeriesPoint{now, m.value});
         break;
       case MetricKind::kHistogram: {
         const double p50 = m.quantile(0.50);
         const double p99 = m.quantile(0.99);
         if (std::isnan(p50)) break;  // empty histogram: suppress the series
-        impl_->series_for(m.name + ".p50", capacity_)
-            .push(SeriesPoint{now, p50});
-        impl_->series_for(m.name + ".p99", capacity_)
-            .push(SeriesPoint{now, p99});
+        impl_->series_for(m.name + ".p50").push(SeriesPoint{now, p50});
+        impl_->series_for(m.name + ".p99").push(SeriesPoint{now, p99});
         break;
       }
     }

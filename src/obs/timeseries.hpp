@@ -10,7 +10,7 @@
 //   histograms → `<name>.p50`, `<name>.p99` (cumulative-distribution
 //                quantiles; suppressed while the histogram is empty)
 //
-// Each series is a ring of `capacity` points (RP_OBS_RING, default 256), so
+// Each series is a ring of kRingCapacity (256) points, so
 // memory is bounded by series-count × capacity regardless of uptime. When the
 // recorder is not started there is no thread and no cost — the same
 // disarmed-by-default discipline as the rest of rp::obs. All values here are
@@ -23,6 +23,8 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "obs/metrics.hpp"
 
 namespace rp::obs {
 
@@ -64,8 +66,8 @@ class TimeSeriesRecorder {
   /// Total sample ticks taken since construction/reset.
   std::uint64_t samples() const;
 
-  /// Ring capacity per series (RP_OBS_RING, default 256, floor 16).
-  std::size_t capacity() const { return capacity_; }
+  /// Ring capacity per series.
+  std::size_t capacity() const { return kRingCapacity; }
 
   /// Sorted names of every series with at least one point.
   std::vector<std::string> keys() const;
@@ -86,7 +88,6 @@ class TimeSeriesRecorder {
   TimeSeriesRecorder();
   struct Impl;
   Impl* impl_;
-  std::size_t capacity_ = 0;
 };
 
 }  // namespace rp::obs

@@ -20,6 +20,7 @@
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 #include "serve/executor.hpp"
+#include "util/strings.hpp"
 #include "util/thread_pool.hpp"
 
 namespace rp::serve {
@@ -108,13 +109,13 @@ bool request_tracking_enabled() {
   return obs::RequestTracer::global().enabled() || obs::trace_enabled();
 }
 
-std::size_t env_size(const char* name, std::size_t fallback) {
+/// The environment value of `name` if it parses exactly as a T, else
+/// `fallback`: a signed or out-of-range value is as unusable as text.
+template <typename T>
+T env_value(const char* name, T fallback) {
   const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(raw, &end, 10);
-  if (end == raw || *end != '\0') return fallback;
-  return static_cast<std::size_t>(v);
+  if (raw == nullptr) return fallback;
+  return util::parse_exact<T>(raw).value_or(fallback);
 }
 
 }  // namespace
@@ -203,10 +204,9 @@ std::size_t RequestQueue::high_water() const {
 
 DaemonConfig DaemonConfig::from_env() {
   DaemonConfig config;
-  config.port = static_cast<std::uint16_t>(
-      env_size("RP_SERVE_PORT", config.port));
-  config.worlds = env_size("RP_SERVE_WORLDS", config.worlds);
-  config.queue_capacity = env_size("RP_SERVE_QUEUE", config.queue_capacity);
+  config.port = env_value("RP_SERVE_PORT", config.port);
+  config.worlds = env_value("RP_SERVE_WORLDS", config.worlds);
+  config.queue_capacity = env_value("RP_SERVE_QUEUE", config.queue_capacity);
   return config;
 }
 

@@ -138,7 +138,7 @@ struct DaemonConfig {
   std::filesystem::path cache_dir;  ///< Empty = io::default_cache_dir().
 
   /// Overlays RP_SERVE_PORT / RP_SERVE_WORLDS / RP_SERVE_QUEUE onto the
-  /// defaults (unparsable values are ignored).
+  /// defaults (unparsable or out-of-range values are ignored).
   static DaemonConfig from_env();
 };
 

@@ -37,9 +37,9 @@ class StreamIngest {
  public:
   /// `covered` flags the schema positions whose networks are offloadable
   /// (endpoint-space coverage at the reached IXPs); its size must equal the
-  /// schema's. `exact_capacity` = 0 uses configured_exact_capacity().
+  /// schema's. `exact_capacity` sizes every sketch's exact ring.
   StreamIngest(BinSchema schema, util::DynamicBitset covered,
-               std::size_t exact_capacity = 0);
+               std::size_t exact_capacity = kPaperScaleBins);
 
   /// Folds one bin. Frames must arrive in order: frame.bin must equal
   /// next_bin() (the contract a resumed checkpoint relies on). Throws

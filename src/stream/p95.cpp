@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
 
 namespace rp::stream {
@@ -14,31 +13,15 @@ namespace {
 /// kilobytes.
 constexpr std::size_t kLevelCapacity = 512;
 
-std::size_t clamp_capacity(long long v) {
-  if (v < 16) return 16;
-  if (v > (1ll << 22)) return std::size_t{1} << 22;
-  return static_cast<std::size_t>(v);
-}
+/// Bounds on the exact-ring capacity.
+constexpr std::size_t kMinExactCapacity = 16;
+constexpr std::size_t kMaxExactCapacity = std::size_t{1} << 22;
 
 }  // namespace
 
-std::size_t configured_exact_capacity() {
-  static const std::size_t cached = [] {
-    const char* env = std::getenv("RP_STREAM_EXACT_CAP");
-    if (env == nullptr || env[0] == '\0') return kPaperScaleBins;
-    char* end = nullptr;
-    const long long v = std::strtoll(env, &end, 10);
-    if (end == env || *end != '\0' || v <= 0) return kPaperScaleBins;
-    return clamp_capacity(v);
-  }();
-  return cached;
-}
-
 P95Sketch::P95Sketch(std::size_t exact_capacity)
-    : exact_capacity_(exact_capacity == 0 ? configured_exact_capacity()
-                                          : clamp_capacity(static_cast<long long>(
-                                                exact_capacity))),
-      level_capacity_(kLevelCapacity) {}
+    : exact_capacity_(
+          std::clamp(exact_capacity, kMinExactCapacity, kMaxExactCapacity)) {}
 
 void P95Sketch::add(double value) {
   ++count_;
@@ -51,15 +34,15 @@ void P95Sketch::add(double value) {
     spill_ring_into_levels();
   }
   levels_[0].items.push_back(value);
-  if (levels_[0].items.size() >= level_capacity_) compact_level(0);
+  if (levels_[0].items.size() >= kLevelCapacity) compact_level(0);
 }
 
 void P95Sketch::spill_ring_into_levels() {
   levels_.emplace_back();
-  levels_[0].items.reserve(level_capacity_);
+  levels_[0].items.reserve(kLevelCapacity);
   for (double v : ring_) {
     levels_[0].items.push_back(v);
-    if (levels_[0].items.size() >= level_capacity_) compact_level(0);
+    if (levels_[0].items.size() >= kLevelCapacity) compact_level(0);
   }
   ring_.clear();
   ring_.shrink_to_fit();
@@ -80,7 +63,7 @@ void P95Sketch::compact_level(std::size_t level) {
     dst.items.push_back(src.items[i]);
   src.keep_odd = !src.keep_odd;
   src.items.clear();
-  if (dst.items.size() >= level_capacity_) compact_level(level + 1);
+  if (dst.items.size() >= kLevelCapacity) compact_level(level + 1);
 }
 
 double P95Sketch::quantile(double q) const {
@@ -136,7 +119,7 @@ std::size_t P95Sketch::retained_bytes() const {
 
 void P95Sketch::serialize(io::ByteWriter& writer) const {
   writer.varint(exact_capacity_);
-  writer.varint(level_capacity_);
+  writer.varint(kLevelCapacity);
   writer.varint(count_);
   writer.varint(ring_.size());
   for (double v : ring_) writer.f64(v);
@@ -149,9 +132,14 @@ void P95Sketch::serialize(io::ByteWriter& writer) const {
 }
 
 P95Sketch P95Sketch::deserialize(io::ByteReader& reader) {
-  P95Sketch sketch(1);  // Placeholder capacity; overwritten below.
-  sketch.exact_capacity_ = static_cast<std::size_t>(reader.varint());
-  sketch.level_capacity_ = static_cast<std::size_t>(reader.varint());
+  // Both capacities bound the buffers and the compaction recursion, so an
+  // out-of-range value is corrupt state, not a setting to adopt.
+  const std::uint64_t exact_capacity = reader.varint();
+  if (exact_capacity < kMinExactCapacity || exact_capacity > kMaxExactCapacity)
+    throw io::SnapshotError("P95Sketch: exact capacity out of range");
+  if (reader.varint() != kLevelCapacity)
+    throw io::SnapshotError("P95Sketch: unexpected level capacity");
+  P95Sketch sketch(static_cast<std::size_t>(exact_capacity));
   sketch.count_ = reader.varint();
   const std::size_t ring_size = static_cast<std::size_t>(reader.varint());
   if (ring_size > sketch.exact_capacity_)
@@ -166,7 +154,7 @@ P95Sketch P95Sketch::deserialize(io::ByteReader& reader) {
   for (Level& level : sketch.levels_) {
     level.keep_odd = reader.u8() != 0;
     const std::size_t items = static_cast<std::size_t>(reader.varint());
-    if (items > sketch.level_capacity_)
+    if (items > kLevelCapacity)
       throw io::SnapshotError("P95Sketch: level larger than its capacity");
     level.items.reserve(items);
     for (std::size_t i = 0; i < items; ++i)

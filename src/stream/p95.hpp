@@ -36,15 +36,10 @@ namespace rp::stream {
 /// exact-ring capacity.
 inline constexpr std::size_t kPaperScaleBins = 8064;
 
-/// Reads RP_STREAM_EXACT_CAP (exact-ring capacity for every sketch built
-/// with the default constructor); unset/unparsable falls back to
-/// kPaperScaleBins. Clamped to [16, 1<<22].
-std::size_t configured_exact_capacity();
-
 class P95Sketch {
  public:
-  /// `exact_capacity` = 0 uses configured_exact_capacity().
-  explicit P95Sketch(std::size_t exact_capacity = 0);
+  /// `exact_capacity` is clamped to [16, 1<<22].
+  explicit P95Sketch(std::size_t exact_capacity = kPaperScaleBins);
 
   /// Folds one sample (a 5-minute rate in bps).
   void add(double value);
@@ -85,7 +80,6 @@ class P95Sketch {
   void spill_ring_into_levels();
 
   std::size_t exact_capacity_;
-  std::size_t level_capacity_;
   std::uint64_t count_ = 0;
   /// Exact regime: every sample, insertion order. Compactor regime: empty.
   std::vector<double> ring_;

@@ -1,7 +1,6 @@
 #include "sweep/engine.hpp"
 
 #include <atomic>
-#include <cstdlib>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -32,17 +31,6 @@ constexpr io::LedgerFormat kLedger{
     .start_hint = "`rpsweep plan` or `rpsweep run`",
     .finish_hint = "`rpsweep resume`",
 };
-
-/// RP_SWEEP_JOBS: width of the sweep's own pool (clamped to [1, 512]);
-/// 0 / unset / unparsable falls through to ThreadPool::global().
-unsigned sweep_jobs_from_env() {
-  const char* raw = std::getenv("RP_SWEEP_JOBS");
-  if (raw == nullptr || *raw == '\0') return 0;
-  char* end = nullptr;
-  const unsigned long value = std::strtoul(raw, &end, 10);
-  if (end == raw || *end != '\0' || value == 0) return 0;
-  return static_cast<unsigned>(value > 512 ? 512 : value);
-}
 
 }  // namespace
 
@@ -231,16 +219,9 @@ ExecuteOutcome execute_sweep(const SweepSpec& spec,
   for (const char d : done) outcome.skipped += d != 0 ? 1 : 0;
   runs_skipped.add(outcome.skipped);
 
-  util::ThreadPool* pool = &util::ThreadPool::global();
-  std::optional<util::ThreadPool> own_pool;
-  if (const unsigned jobs = sweep_jobs_from_env(); jobs > 0) {
-    own_pool.emplace(jobs);
-    pool = &*own_pool;
-  }
-
   std::atomic<std::size_t> executed{0};
   std::atomic<std::size_t> worlds_built{0};
-  pool->parallel_for(groups.size(), [&](std::size_t gi) {
+  util::ThreadPool::global().parallel_for(groups.size(), [&](std::size_t gi) {
     const Group& group = groups[gi];
     bool pending = false;
     for (const std::size_t id : group.run_ids) pending |= done[id] == 0;

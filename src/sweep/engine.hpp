@@ -12,8 +12,8 @@
 // core::Scenario::build_cached, so repeated sweeps hit the .rpsnap cache —
 // runs its OffloadStudy and greedy curve once, and then evaluates each
 // priced run from those shared artifacts. Groups run in parallel on
-// rp::util::ThreadPool (RP_SWEEP_JOBS caps the sweep's own pool width
-// independently of RP_THREADS).
+// rp::util::ThreadPool::global(), so RP_THREADS bounds both the sweep's
+// width and the number of worlds resident at once.
 //
 // Resume and determinism: a completion record is written atomically the
 // moment its run finishes, and execute() skips any run whose record already

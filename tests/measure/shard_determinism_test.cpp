@@ -1,12 +1,11 @@
 // CampaignRunner's determinism contract: an all-IXP campaign batch is
-// byte-identical at any RP_THREADS x RP_SIM_SHARDS combination and
-// invariant under IXP submission order, because every campaign's RNG is a
-// pure function of the IXP alone and shards only decide *where* work runs.
+// byte-identical at any RP_THREADS and invariant under IXP submission order,
+// because every campaign's RNG is a pure function of the IXP alone and the
+// pool only decides *where* each campaign runs.
 #include "measure/campaign.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <map>
 #include <sstream>
 #include <string>
@@ -80,10 +79,8 @@ std::string fingerprint(const IxpMeasurement& measurement) {
   return os.str();
 }
 
-std::string run_fingerprint(const std::vector<const ixp::Ixp*>& ixps,
-                            std::size_t shards) {
-  const auto results =
-      CampaignRunner::run(ixps, short_campaign(), rng_for_ixp, shards);
+std::string run_fingerprint(const std::vector<const ixp::Ixp*>& ixps) {
+  const auto results = CampaignRunner::run(ixps, short_campaign(), rng_for_ixp);
   std::string all;
   for (const auto& measurement : results) all += fingerprint(measurement);
   return all;
@@ -91,36 +88,20 @@ std::string run_fingerprint(const std::vector<const ixp::Ixp*>& ixps,
 
 class ShardDeterminismTest : public testing::Test {
  protected:
-  void TearDown() override {
-    util::ThreadPool::set_global_threads(0);
-    ::unsetenv("RP_SIM_SHARDS");
-  }
+  void TearDown() override { util::ThreadPool::set_global_threads(0); }
 };
 
-TEST_F(ShardDeterminismTest, AllIxpBatchIsByteIdenticalAcrossThreadsAndShards) {
+TEST_F(ShardDeterminismTest, AllIxpBatchIsByteIdenticalAcrossThreads) {
   const std::vector<ixp::Ixp> world = build_world();
   std::vector<const ixp::Ixp*> ixps;
   for (const auto& ixp : world) ixps.push_back(&ixp);
   ASSERT_GE(ixps.size(), 50u);
 
-  std::string reference;
-  for (unsigned threads : {1u, 8u}) {
-    util::ThreadPool::set_global_threads(threads);
-    for (std::size_t shards : {std::size_t{1}, std::size_t{8}}) {
-      const std::string fp = run_fingerprint(ixps, shards);
-      if (reference.empty()) {
-        reference = fp;
-        ASSERT_FALSE(reference.empty());
-      } else {
-        EXPECT_EQ(fp, reference)
-            << "diverged at RP_THREADS=" << threads << " shards=" << shards;
-      }
-    }
-  }
-  // The one-shard-per-IXP default (shards beyond the IXP count clamp down)
-  // lands on the same bytes.
+  util::ThreadPool::set_global_threads(1);
+  const std::string reference = run_fingerprint(ixps);
+  ASSERT_FALSE(reference.empty());
   util::ThreadPool::set_global_threads(8);
-  EXPECT_EQ(run_fingerprint(ixps, ixps.size() * 2), reference);
+  EXPECT_EQ(run_fingerprint(ixps), reference) << "diverged at RP_THREADS=8";
 }
 
 TEST_F(ShardDeterminismTest, SubmissionOrderOnlyPermutesTheOutput) {
@@ -130,8 +111,8 @@ TEST_F(ShardDeterminismTest, SubmissionOrderOnlyPermutesTheOutput) {
   std::vector<const ixp::Ixp*> reversed(forward.rbegin(), forward.rend());
 
   util::ThreadPool::set_global_threads(8);
-  const auto a = CampaignRunner::run(forward, short_campaign(), rng_for_ixp, 8);
-  const auto b = CampaignRunner::run(reversed, short_campaign(), rng_for_ixp, 8);
+  const auto a = CampaignRunner::run(forward, short_campaign(), rng_for_ixp);
+  const auto b = CampaignRunner::run(reversed, short_campaign(), rng_for_ixp);
   ASSERT_EQ(a.size(), b.size());
 
   // Results land in submission order; each IXP's bytes are identical no
@@ -143,28 +124,6 @@ TEST_F(ShardDeterminismTest, SubmissionOrderOnlyPermutesTheOutput) {
     EXPECT_EQ(b[i].ixp_acronym, forward[forward.size() - 1 - i]->acronym());
     EXPECT_EQ(fingerprint(b[i]), by_acronym.at(b[i].ixp_acronym));
   }
-}
-
-TEST_F(ShardDeterminismTest, ConfiguredShardsParsesTheEnvironment) {
-  ::unsetenv("RP_SIM_SHARDS");
-  EXPECT_EQ(CampaignRunner::configured_shards(), 0u);
-  ::setenv("RP_SIM_SHARDS", "8", 1);
-  EXPECT_EQ(CampaignRunner::configured_shards(), 8u);
-  ::setenv("RP_SIM_SHARDS", "0", 1);
-  EXPECT_EQ(CampaignRunner::configured_shards(), 1u);  // Clamped up.
-  ::setenv("RP_SIM_SHARDS", "garbage", 1);
-  EXPECT_EQ(CampaignRunner::configured_shards(), 0u);  // Default fan-out.
-
-  // The env setting feeds the shards=0 path and preserves the bytes.
-  const std::vector<ixp::Ixp> world = build_world();
-  std::vector<const ixp::Ixp*> ixps;
-  for (const auto& ixp : world) ixps.push_back(&ixp);
-  util::ThreadPool::set_global_threads(4);
-  ::setenv("RP_SIM_SHARDS", "3", 1);
-  const std::string via_env = run_fingerprint(ixps, 0);
-  ::unsetenv("RP_SIM_SHARDS");
-  EXPECT_EQ(via_env, run_fingerprint(ixps, 3));
-  EXPECT_EQ(via_env, run_fingerprint(ixps, 1));
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -337,6 +338,23 @@ TEST(RequestQueue, PopBatchHonoursMaxBatch) {
   EXPECT_EQ(queue.pop_batch(2).size(), 2u);
   EXPECT_EQ(queue.pop_batch(2).size(), 2u);
   EXPECT_EQ(queue.pop_batch(2).size(), 1u);
+}
+
+TEST(DaemonConfig, FromEnvKeepsDefaultsForOutOfRangeValues) {
+  const DaemonConfig defaults;
+  ::setenv("RP_SERVE_PORT", "70000", 1);  // Would wrap to 4464 as a uint16.
+  ::setenv("RP_SERVE_WORLDS", "-1", 1);   // Would wrap to SIZE_MAX.
+  ::setenv("RP_SERVE_QUEUE", "64", 1);
+  const DaemonConfig config = DaemonConfig::from_env();
+  EXPECT_EQ(config.port, defaults.port);
+  EXPECT_EQ(config.worlds, defaults.worlds);
+  EXPECT_EQ(config.queue_capacity, 64u);
+
+  ::setenv("RP_SERVE_PORT", "65535", 1);
+  EXPECT_EQ(DaemonConfig::from_env().port, 65535);
+  ::unsetenv("RP_SERVE_PORT");
+  ::unsetenv("RP_SERVE_WORLDS");
+  ::unsetenv("RP_SERVE_QUEUE");
 }
 
 }  // namespace

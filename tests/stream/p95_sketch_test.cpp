@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -112,19 +111,55 @@ TEST(P95Sketch, DeserializeRejectsCorruptState) {
   EXPECT_THROW(P95Sketch::deserialize(reader), io::SnapshotError);
 }
 
-TEST(P95Sketch, CapacityClampsAndConfigIsStable) {
+/// Sketch state written field by field: the two capacities, then an empty
+/// ring and no levels.
+std::vector<std::uint8_t> empty_state(std::uint64_t exact_capacity,
+                                      std::uint64_t level_capacity) {
+  io::ByteWriter writer;
+  writer.varint(exact_capacity);
+  writer.varint(level_capacity);
+  writer.varint(0);  // count
+  writer.varint(0);  // ring size
+  writer.varint(0);  // level count
+  return writer.take();
+}
+
+TEST(P95Sketch, DeserializeRejectsLevelCapacityOtherThanTheCompactors) {
+  {
+    // The hand-written layout itself is valid state.
+    const auto bytes = empty_state(kPaperScaleBins, 512);
+    io::ByteReader reader(bytes, "p95 sketch");
+    EXPECT_EQ(P95Sketch::deserialize(reader).exact_capacity(), kPaperScaleBins);
+  }
+  // A level capacity of 0 or 1 would make the first compaction recurse
+  // without end.
+  for (const std::uint64_t level_capacity : {0u, 1u, 511u, 513u}) {
+    const auto bytes = empty_state(kPaperScaleBins, level_capacity);
+    io::ByteReader reader(bytes, "p95 sketch");
+    EXPECT_THROW(P95Sketch::deserialize(reader), io::SnapshotError)
+        << "level capacity " << level_capacity;
+  }
+}
+
+TEST(P95Sketch, DeserializeRejectsExactCapacityOutOfRange) {
+  // 2^40 would let the exact ring grow without bound.
+  for (const std::uint64_t exact_capacity :
+       {std::uint64_t{0}, std::uint64_t{15}, (std::uint64_t{1} << 22) + 1,
+        std::uint64_t{1} << 40}) {
+    const auto bytes = empty_state(exact_capacity, 512);
+    io::ByteReader reader(bytes, "p95 sketch");
+    EXPECT_THROW(P95Sketch::deserialize(reader), io::SnapshotError)
+        << "exact capacity " << exact_capacity;
+  }
+}
+
+TEST(P95Sketch, CapacityClampsAndDefaultsToOnePaperMonth) {
   // Explicit capacities clamp to [16, 1<<22].
   P95Sketch tiny(1);
   EXPECT_EQ(tiny.exact_capacity(), 16u);
   P95Sketch huge(std::size_t{1} << 23);
   EXPECT_EQ(huge.exact_capacity(), std::size_t{1} << 22);
-  // RP_STREAM_EXACT_CAP is read once per process and cached, so every
-  // default-constructed sketch in a run shares one capacity.
-  const std::size_t cached = configured_exact_capacity();
-  EXPECT_GE(cached, 16u);
-  EXPECT_LE(cached, std::size_t{1} << 22);
-  EXPECT_EQ(configured_exact_capacity(), cached);
-  EXPECT_EQ(P95Sketch().exact_capacity(), cached);
+  EXPECT_EQ(P95Sketch().exact_capacity(), kPaperScaleBins);
 }
 
 }  // namespace
