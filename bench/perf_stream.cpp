@@ -7,7 +7,7 @@
 //                         reached set's coverage masks (target: >= 10x at
 //                         paper scale)
 // The world is the shared bench scenario (RP_BENCH_FAST shrinks it), the
-// same one perf_offload measures, so the two files stay comparable.
+// same one the fig5-fig10 harnesses study.
 #include <benchmark/benchmark.h>
 
 #include <chrono>

@@ -18,6 +18,7 @@
 #include <sstream>
 
 #include "econ/cost_model.hpp"
+#include "obs_cli.hpp"
 #include "util/table.hpp"
 
 using namespace rp;
@@ -25,11 +26,12 @@ using namespace rp;
 int main(int argc, char** argv) {
   econ::CostParameters prices;
   if (argc == 6) {
-    prices.transit_price = std::atof(argv[1]);
-    prices.direct_fixed = std::atof(argv[2]);
-    prices.direct_unit = std::atof(argv[3]);
-    prices.remote_fixed = std::atof(argv[4]);
-    prices.remote_unit = std::atof(argv[5]);
+    using examples::parse_flag;
+    prices.transit_price = parse_flag<double>(argv[0], "p", argv[1]);
+    prices.direct_fixed = parse_flag<double>(argv[0], "g", argv[2]);
+    prices.direct_unit = parse_flag<double>(argv[0], "u", argv[3]);
+    prices.remote_fixed = parse_flag<double>(argv[0], "h", argv[4]);
+    prices.remote_unit = parse_flag<double>(argv[0], "v", argv[5]);
   } else if (argc != 1) {
     std::fprintf(stderr, "usage: %s [p g u h v]\n", argv[0]);
     return 2;

@@ -1,4 +1,5 @@
-// Shared --metrics / --trace handling for the example binaries.
+// Shared command-line handling for the example binaries: --metrics /
+// --trace, and the one parser for numeric flag values.
 //
 // Examples call strip_obs_flags(argc, argv) first thing in main: it removes
 // the two observability flags from argv (so subcommand parsers never see
@@ -7,14 +8,22 @@
 // RP_TRACE=<file> behave like the flags without touching the command line.
 #pragma once
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
+#include "core/config_fields.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/strings.hpp"
 
 namespace rp::examples {
 
@@ -68,6 +77,42 @@ inline void finish_obs(const ObsOptions& opts) {
     std::fprintf(stderr, "trace: wrote %zu events to %s\n", events,
                  opts.trace_path.c_str());
   }
+}
+
+/// The value of numeric flag `flag`: the whole text must be a T, with no
+/// wrap-around, overflow, trailing junk or non-finite double. Anything else
+/// is a usage error, so this prints what the flag wants and exits 2.
+template <typename T>
+T parse_flag(const char* program, std::string_view flag, const char* text) {
+  const auto parsed = util::parse_exact<T>(text);
+  if constexpr (std::is_floating_point_v<T>) {
+    if (parsed && std::isfinite(*parsed)) return *parsed;
+    std::fprintf(stderr, "%s: %.*s wants a finite number, got '%s'\n",
+                 program, static_cast<int>(flag.size()), flag.data(), text);
+  } else {
+    if (parsed) return *parsed;
+    std::fprintf(stderr, "%s: %.*s wants an integer in [%jd, %ju], got '%s'\n",
+                 program, static_cast<int>(flag.size()), flag.data(),
+                 static_cast<std::intmax_t>(std::numeric_limits<T>::min()),
+                 static_cast<std::uintmax_t>(std::numeric_limits<T>::max()),
+                 text);
+  }
+  std::exit(2);
+}
+
+/// A --scale value: parsed and checked like the membership_scale config
+/// field, so the flag accepts exactly what a sweep or the daemon would.
+inline double parse_scale_flag(const char* program, std::string_view flag,
+                               const char* text) {
+  core::ScenarioConfig config;
+  try {
+    core::set_config_field(config, "membership_scale", text);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s: %.*s: %s\n", program,
+                 static_cast<int>(flag.size()), flag.data(), e.what());
+    std::exit(2);
+  }
+  return config.membership_scale;
 }
 
 }  // namespace rp::examples

@@ -123,9 +123,11 @@ int main(int argc, char** argv) {
     };
     if (arg == "--dir") dir = value();
     else if (arg == "--cache-dir") options.cache_dir = value();
-    else if (arg == "--group") options.group = std::atoi(value());
+    else if (arg == "--group")
+      options.group = examples::parse_flag<int>("rpevolve", arg, value());
     else if (arg == "--steps")
-      options.steps = static_cast<std::size_t>(std::atoll(value()));
+      options.steps =
+          examples::parse_flag<std::size_t>("rpevolve", arg, value());
     else if (arg == "--no-snapshots") options.snapshots = false;
     else if (arg.rfind("--", 0) == 0) return usage();
     else positional.push_back(arg);
@@ -156,9 +158,12 @@ int main(int argc, char** argv) {
                   evolve::EvolvePaths(dir).results_csv().string().c_str());
     } else if (command == "diff") {
       if (dir.empty() || positional.size() != 2) return usage();
-      rc = diff_epochs(dir,
-                       static_cast<std::size_t>(std::atoll(positional[0].c_str())),
-                       static_cast<std::size_t>(std::atoll(positional[1].c_str())));
+      rc = diff_epochs(
+          dir,
+          examples::parse_flag<std::size_t>("rpevolve", "epoch A",
+                                            positional[0].c_str()),
+          examples::parse_flag<std::size_t>("rpevolve", "epoch B",
+                                            positional[1].c_str()));
     } else {
       return usage();
     }

@@ -53,10 +53,10 @@
 #include <vector>
 
 #include "evolve/timeline.hpp"
+#include "obs_cli.hpp"
 #include "obs/export.hpp"
 #include "obs/json.hpp"
 #include "serve/client.hpp"
-#include "util/strings.hpp"
 
 namespace {
 
@@ -141,6 +141,7 @@ std::vector<std::string> split_commas(const std::string& text) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  using rp::examples::parse_flag;
   std::string host = "127.0.0.1";
   // --port wins over RP_SERVE_PORT; whichever supplied the text is named
   // if it is not a port.
@@ -189,16 +190,10 @@ int main(int argc, char** argv) {
     }
   }
   if (command.empty()) return usage(argv[0]);
-  std::uint16_t port = 0;
-  if (port_text != nullptr) {
-    const auto parsed = rp::util::parse_exact<std::uint16_t>(port_text);
-    if (!parsed) {
-      std::fprintf(stderr, "%s: %s wants a port in [1, 65535], got '%s'\n",
-                   argv[0], port_source, port_text);
-      return 2;
-    }
-    port = *parsed;
-  }
+  const std::uint16_t port =
+      port_text == nullptr
+          ? 0
+          : parse_flag<std::uint16_t>(argv[0], port_source, port_text);
   if (port == 0) {
     std::fprintf(stderr,
                  "%s: no port (use --port or set RP_SERVE_PORT)\n", argv[0]);
@@ -263,12 +258,12 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--group") {
-      request.group = static_cast<std::uint8_t>(std::atoi(value()));
+      request.group = parse_flag<std::uint8_t>(argv[0], arg, value());
     } else if (arg == "--steps") {
-      request.max_steps = static_cast<std::uint64_t>(std::atoll(value()));
+      request.max_steps = parse_flag<std::uint64_t>(argv[0], arg, value());
     } else if (arg == "--decay") {
       request.fitted_decay = false;
-      request.decay = std::atof(value());
+      request.decay = parse_flag<double>(argv[0], arg, value());
     } else if (arg == "--prices") {
       if (!parse_prices(value(), request.prices)) {
         std::fprintf(stderr, "%s: --prices wants p,g,u,h,v\n", argv[0]);
@@ -289,17 +284,16 @@ int main(int argc, char** argv) {
     } else if (arg == "--prom") {
       prom_out = true;
     } else if (arg == "--window") {
-      request.stats_window = static_cast<std::uint64_t>(std::atoll(value()));
+      request.stats_window = parse_flag<std::uint64_t>(argv[0], arg, value());
     } else if (arg == "--interval") {
-      top_interval_ms =
-          std::max<std::uint64_t>(1, static_cast<std::uint64_t>(
-                                         std::atoll(value())));
+      top_interval_ms = std::max<std::uint64_t>(
+          1, parse_flag<std::uint64_t>(argv[0], arg, value()));
     } else if (arg == "--count") {
-      top_count = static_cast<std::uint64_t>(std::atoll(value()));
+      top_count = parse_flag<std::uint64_t>(argv[0], arg, value());
     } else if (arg == "--timeline") {
       timeline_path = value();
     } else if (arg == "--epoch") {
-      request.epoch = static_cast<std::uint64_t>(std::atoll(value()));
+      request.epoch = parse_flag<std::uint64_t>(argv[0], arg, value());
     } else {
       return usage(argv[0]);
     }

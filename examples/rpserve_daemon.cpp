@@ -24,12 +24,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <string>
 
 #include "obs_cli.hpp"
 #include "serve/daemon.hpp"
-#include "util/strings.hpp"
 
 namespace {
 
@@ -67,27 +65,15 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
-    // A numeric flag must fit its field exactly: no sign, no wrap-around.
-    auto number = [&]<typename T>(T& field) {
-      const char* text = value();
-      if (const auto parsed = rp::util::parse_exact<T>(text)) {
-        field = *parsed;
-        return;
-      }
-      std::fprintf(stderr, "%s: %s wants an integer in [0, %ju], got '%s'\n",
-                   argv[0], arg.c_str(),
-                   static_cast<std::uintmax_t>(std::numeric_limits<T>::max()),
-                   text);
-      std::exit(2);
-    };
+    using rp::examples::parse_flag;
     if (arg == "--port") {
-      number(config.port);
+      config.port = parse_flag<std::uint16_t>(argv[0], arg, value());
     } else if (arg == "--worlds") {
-      number(config.worlds);
+      config.worlds = parse_flag<std::size_t>(argv[0], arg, value());
     } else if (arg == "--queue") {
-      number(config.queue_capacity);
+      config.queue_capacity = parse_flag<std::size_t>(argv[0], arg, value());
     } else if (arg == "--batch") {
-      number(config.max_batch);
+      config.max_batch = parse_flag<std::size_t>(argv[0], arg, value());
     } else if (arg == "--cache-dir") {
       config.cache_dir = value();
     } else if (arg == "--port-file") {

@@ -23,6 +23,7 @@
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "obs_cli.hpp"
 
 namespace {
 
@@ -53,8 +54,10 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--fast") fast = true;
-    else if (arg == "--seed") seed = std::strtoull(value(), nullptr, 10);
-    else if (arg == "--scale") scale = std::strtod(value(), nullptr);
+    else if (arg == "--seed")
+      seed = examples::parse_flag<std::uint64_t>("rpstat", arg, value());
+    else if (arg == "--scale")
+      scale = examples::parse_scale_flag("rpstat", arg, value());
     else if (arg == "--json") json_path = value();
     else if (arg == "--trace") trace_path = value();
     else return usage();

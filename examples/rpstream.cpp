@@ -85,9 +85,14 @@ bool parse_world_flag(const std::string& arg, WorldOptions& options, int argc,
     return argv[++i];
   };
   if (arg == "--fast") options.fast = true;
-  else if (arg == "--seed") options.seed = std::strtoull(value(), nullptr, 10);
-  else if (arg == "--scale") options.scale = std::strtod(value(), nullptr);
-  else if (arg == "--span-days") options.span_days = std::strtoll(value(), nullptr, 10);
+  else if (arg == "--seed")
+    options.seed =
+        examples::parse_flag<std::uint64_t>("rpstream", arg, value());
+  else if (arg == "--scale")
+    options.scale = examples::parse_scale_flag("rpstream", arg, value());
+  else if (arg == "--span-days")
+    options.span_days =
+        examples::parse_flag<std::int64_t>("rpstream", arg, value());
   else if (arg == "--cache-dir") options.cache_dir = value();
   else return false;
   return true;
@@ -115,7 +120,8 @@ int cmd_log(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--out") out = value();
-    else if (arg == "--bins") bins = std::strtoull(value(), nullptr, 10);
+    else if (arg == "--bins")
+      bins = examples::parse_flag<std::uint64_t>("rpstream log", arg, value());
     else { std::fprintf(stderr, "rpstream log: unknown option %s\n", arg.c_str()); return 2; }
   }
   if (out.empty()) return usage();
@@ -155,11 +161,17 @@ int cmd_ingest(int argc, char** argv) {
     if (arg == "--log") log_path = value();
     else if (arg == "--checkpoint") session_config.checkpoint_path = value();
     else if (arg == "--every")
-      session_config.checkpoint_every = std::strtoull(value(), nullptr, 10);
+      session_config.checkpoint_every =
+          examples::parse_flag<std::uint64_t>("rpstream ingest", arg, value());
     else if (arg == "--resume") resume = true;
-    else if (arg == "--max-bins") max_bins = std::strtoull(value(), nullptr, 10);
-    else if (arg == "--steps") steps = std::strtoull(value(), nullptr, 10);
-    else if (arg == "--group") group = std::atoi(value());
+    else if (arg == "--max-bins")
+      max_bins =
+          examples::parse_flag<std::uint64_t>("rpstream ingest", arg, value());
+    else if (arg == "--steps")
+      steps =
+          examples::parse_flag<std::size_t>("rpstream ingest", arg, value());
+    else if (arg == "--group")
+      group = examples::parse_flag<int>("rpstream ingest", arg, value());
     else { std::fprintf(stderr, "rpstream ingest: unknown option %s\n", arg.c_str()); return 2; }
   }
   if (log_path.empty() || group < 1 || group > 4) return usage();

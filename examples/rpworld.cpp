@@ -68,8 +68,10 @@ int cmd_save(int argc, char** argv) {
     };
     if (arg == "--fast") fast = true;
     else if (arg == "--table1") table1 = true;
-    else if (arg == "--seed") seed = std::strtoull(value(), nullptr, 10);
-    else if (arg == "--scale") scale = std::strtod(value(), nullptr);
+    else if (arg == "--seed")
+      seed = examples::parse_flag<std::uint64_t>("rpworld save", arg, value());
+    else if (arg == "--scale")
+      scale = examples::parse_scale_flag("rpworld save", arg, value());
     else if (arg == "--cache-dir") cache_dir = value();
     else if (arg == "--out") out = value();
     else { std::fprintf(stderr, "rpworld save: unknown option %s\n", arg.c_str()); return 2; }

@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
 # CI matrix runner over the CMake presets (see CMakePresets.json).
 #
-#   scripts/ci.sh              # release lane: tier-1 + every smoke
-#   scripts/ci.sh asan-ubsan   # ASan+UBSan lane: ctest + fault smoke
+#   scripts/ci.sh              # release lane: ctest + the perf gates
+#   scripts/ci.sh asan-ubsan   # ASan+UBSan lane: ctest
 #   scripts/ci.sh tsan         # TSan lane: ctest + RP_THREADS=8 reruns
 #   scripts/ci.sh all          # all three lanes, in that order
 #
 # Every lane configures and builds its own tree under build/<preset>, so the
-# lanes never contaminate each other. Smokes run the example binaries under
-# RP_BENCH_FAST=1 / --fast so a full matrix stays in fast-mode runtime.
+# lanes never contaminate each other. The end-to-end smokes
+# (scripts/smoke_*.sh) are ctest tests (label `smoke`), so every lane runs
+# them; the perf gates run the bench binaries under RP_BENCH_FAST=1.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -25,9 +26,10 @@ tmpdir() {
   echo "$d"
 }
 
-# Smoke temp dirs are wiped on exit; when RP_CI_ARTIFACTS is set (the GitHub
+# Temp dirs are wiped on exit; when RP_CI_ARTIFACTS is set (the GitHub
 # workflow points it at an upload dir), copy the named files out first so the
-# perf trajectories and traces survive as build artifacts.
+# perf trajectories survive as build artifacts (scripts/smoke_obs.sh does the
+# same for the rpstat metrics and trace).
 export_artifacts() {
   local src="$1"
   shift
@@ -89,75 +91,18 @@ run_ctest() {
   ctest --preset "$preset" -j
 }
 
-# rpworld end to end (save/info/verify/diff and the per-class exit codes).
-# The smoke lives in its own script so ctest runs it too (label `smoke`).
-snapshot_smoke() {
-  local build="$1"
-  echo "=== [$build] snapshot smoke (scripts/smoke_snapshot.sh) ==="
-  scripts/smoke_snapshot.sh "build/$build/examples"
-}
-
-obs_smoke() {
-  local build="$1"
-  echo "=== [$build] obs smoke (rpstat metrics + trace) ==="
-  local dir
-  dir="$(tmpdir)"
-  RP_SNAPSHOT_CACHE="$dir/cache" "build/$build/examples/rpstat" --fast \
-    --json "$dir/metrics.json" --trace "$dir/trace.json" \
-    > "$dir/rpstat.log"
-  # Both exports must be well-formed JSON...
-  python3 -m json.tool "$dir/metrics.json" > /dev/null
-  python3 -m json.tool "$dir/trace.json" > /dev/null
-  # ...and the metrics must cover every instrumented layer.
-  local metric
-  for metric in rp.core.scenario.builds rp.pool.parallel_for.calls \
-                rp.bgp.routes.computed rp.measure.probes.sent \
-                rp.offload.greedy.steps rp.io.bytes_written; do
-    grep -q "\"$metric\"" "$dir/metrics.json"
-    grep -q "$metric" "$dir/rpstat.log"
-  done
-  export_artifacts "$dir" metrics.json trace.json
-}
-
-# Graceful degradation end to end: with the first snapshot read injected to
-# fail, the pipeline must still succeed — the cache falls back to a clean
-# rebuild, the absorbed failure shows up in rp.io.fallbacks / rp.fault.*,
-# and the rewritten cache entry verifies clean.
-fault_smoke() {
-  local build="$1"
-  echo "=== [$build] fault smoke (RP_FAULT=io.read:nth=1) ==="
-  local dir
-  dir="$(tmpdir)"
-  # Warm the cache so the armed run exercises the load-then-fallback path.
-  RP_SNAPSHOT_CACHE="$dir/cache" "build/$build/examples/rpstat" --fast \
-    > /dev/null
-  RP_FAULT=io.read:nth=1 RP_SNAPSHOT_CACHE="$dir/cache" \
-    "build/$build/examples/rpstat" --fast --json "$dir/metrics.json" \
-    > "$dir/rpstat.log"
-  python3 - "$dir/metrics.json" <<'EOF'
-import json, sys
-metrics = json.load(open(sys.argv[1]))
-for name in ("rp.io.fallbacks", "rp.fault.fires", "rp.fault.fires.io.read"):
-    assert metrics.get(name, 0) >= 1, (name, metrics)
-EOF
-  # The fallback rewrote the cache entry cleanly.
-  "build/$build/examples/rpworld" verify "$dir/cache/"world-*.rpsnap
-}
-
 perf_smoke() {
   local build="$1"
   echo "=== [$build] perf smoke (RP_BENCH_FAST=1) ==="
   local dir bin
   dir="$(tmpdir)"
-  for bin in perf_io perf_net perf_topology perf_bgp perf_sim perf_offload \
-             perf_stream; do
+  for bin in perf_io perf_sim perf_stream; do
     echo "--- $bin ---"
     RP_BENCH_FAST=1 RP_BENCH_JSON_DIR="$dir" \
       "build/$build/bench/$bin" --benchmark_min_time=0.01
   done
-  # The instrumented perf binaries must emit valid trajectory JSON.
+  # perf_io must emit valid trajectory JSON (the other two are parsed below).
   python3 -m json.tool "$dir/BENCH_perf_io.json" > /dev/null
-  python3 -m json.tool "$dir/BENCH_perf_offload.json" > /dev/null
   # The event-engine trajectory must carry an events_per_sec rate for every
   # phase, and the all-IXP campaign's wall-time + scale counters.
   python3 - "$dir/BENCH_perf_sim.json" <<'EOF'
@@ -208,16 +153,12 @@ EOF
   export_artifacts "$dir" 'BENCH_*.json'
 }
 
-# The query daemon end to end (rpserve-daemon + rpq; the script is also the
-# ctest test `smoke.serve`, label `smoke`), then the perf_serve
-# load-generator gate (DESIGN.md §14).
-serve_smoke() {
+# The perf_serve load-generator gate (DESIGN.md §14).
+serve_perf() {
   local build="$1"
-  echo "=== [$build] serve smoke (scripts/smoke_serve.sh + perf_serve) ==="
-  scripts/smoke_serve.sh "build/$build/examples"
+  echo "=== [$build] perf_serve (RP_BENCH_FAST=1) ==="
   local dir
   dir="$(tmpdir)"
-  echo "--- perf_serve (RP_BENCH_FAST=1) ---"
   RP_BENCH_FAST=1 RP_BENCH_JSON_DIR="$dir" RP_SNAPSHOT_CACHE="$dir/cache" \
     "build/$build/bench/perf_serve"
   python3 - "$dir/BENCH_perf_serve.json" <<'EOF'
@@ -234,25 +175,6 @@ EOF
   python3 scripts/check_bench.py --check "$dir" \
     --tolerance "${CHECK_BENCH_TOL:-0.6}"
   export_artifacts "$dir" 'BENCH_*.json'
-}
-
-figure_smoke() {
-  local build="$1"
-  echo "=== [$build] figure harness smoke (RP_BENCH_FAST=1) ==="
-  local bin
-  for bin in table1_ixp_properties fig2_rtt_cdf fig9_remaining_transit; do
-    echo "--- $bin ---"
-    RP_BENCH_FAST=1 "build/$build/bench/$bin" > /dev/null
-  done
-}
-
-# rpsweep, rpevolve and rpstream kill/resume byte-identity (DESIGN.md §12,
-# §16, §17). The smokes live in their own script so ctest runs them too
-# (label `smoke`).
-resume_smoke() {
-  local build="$1"
-  echo "=== [$build] resume smokes (scripts/smoke_resume.sh) ==="
-  scripts/smoke_resume.sh "build/$build/examples"
 }
 
 # The concurrency-sensitive suites again at a fixed high thread count, so the
@@ -279,19 +201,10 @@ run_lane() {
   run_ctest "$preset"
   case "$preset" in
     release)
-      snapshot_smoke "$preset"
-      obs_smoke "$preset"
-      fault_smoke "$preset"
-      resume_smoke "$preset"
-      serve_smoke "$preset"
+      serve_perf "$preset"
       perf_smoke "$preset"
-      figure_smoke "$preset"
-      ;;
-    asan-ubsan)
-      fault_smoke "$preset"
       ;;
     tsan)
-      fault_smoke "$preset"
       tsan_thread_stress "$preset"
       ;;
   esac

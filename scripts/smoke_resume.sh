@@ -8,7 +8,7 @@
 # fault, are resumed from their completion records (or stream checkpoint),
 # and the results (epoch snapshots, stream summaries) are compared byte for
 # byte: the resume + determinism contract of DESIGN.md §12, §16 and §17.
-# Registered with ctest under the label `smoke`; scripts/ci.sh runs it too.
+# Registered with ctest as `smoke.resume` (label `smoke`).
 set -euo pipefail
 
 if [[ $# -ne 1 ]]; then

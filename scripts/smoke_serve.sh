@@ -9,8 +9,7 @@
 # field (soft error) and a poisoned frame the daemon must survive; then a
 # protocol-driven shutdown that must exit 0. Numeric flags that do not fit
 # their field must be usage errors (exit 2), not wrapped values.
-# Registered with ctest as `smoke.serve` (label `smoke`); scripts/ci.sh runs
-# it too.
+# Registered with ctest as `smoke.serve` (label `smoke`).
 set -euo pipefail
 
 if [[ $# -ne 1 ]]; then
@@ -87,6 +86,10 @@ serve_smoke() {
   "$rpq" --port "$port" --fast viability | grep -q "viability.decay"
   "$rpq" --port "$port" --fast offload-curve --steps 3 |
     grep -q "offload.steps = 3"
+  # A query flag that does not fit its field stops rpq before it sends:
+  # group 257 must not travel as the u8 value 1.
+  expect_rc 2 "$rpq" --port "$port" --fast offload-curve --group 257
+  expect_rc 2 "$rpq" --port "$port" --fast offload-curve --steps 3x
 
   # The stats surface: --json must be machine-parseable and carry the
   # load-bearing keys (occupancy, per-world memory, per-type latencies)...

@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # rpworld end to end: save/info/verify/diff on a healthy snapshot, cache-hit
 # on rerun, and the documented per-class exit codes on damaged ones
-# (0 OK, 1 differ, 3 io, 4 corrupt, 5 truncated, 6 future version):
+# (0 OK, 1 differ, 3 io, 4 corrupt, 5 truncated, 6 future version); bad
+# --seed/--scale values are usage errors (2):
 #
 #   scripts/smoke_snapshot.sh <examples-bin-dir>
 #
-# Registered with ctest as `smoke.snapshot` (label `smoke`); scripts/ci.sh
-# runs it too.
+# Registered with ctest as `smoke.snapshot` (label `smoke`).
 set -euo pipefail
 
 if [[ $# -ne 1 ]]; then
@@ -84,6 +84,18 @@ EOF
   expect_rc 0 "$rpworld" diff "$dir/world.rpsnap" "$dir/world.rpsnap"
 }
 
+# A seed or scale that does not parse is a usage error (exit 2), never a
+# wrapped or zeroed value that builds some other world. Each run is bounded
+# and writes only to a private cache.
+flag_checks() {
+  echo "=== rpworld save: bad --seed / --scale (exit 2) ==="
+  local dir rpworld="$BIN/rpworld"
+  dir="$(tmpdir)"
+  expect_rc 2 timeout 10 "$rpworld" save --fast --cache-dir "$dir" --seed -1
+  expect_rc 2 timeout 10 "$rpworld" save --fast --cache-dir "$dir" --seed 12x
+  expect_rc 2 timeout 10 "$rpworld" save --fast --cache-dir "$dir" --scale abc
+}
 
+flag_checks
 snapshot_smoke
 echo "smoke_snapshot.sh: snapshot smoke passed"

@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "core/config_fields.hpp"
 #include "fault/fault.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -142,6 +143,13 @@ core::ScenarioConfig decode_config(std::span<const std::uint8_t> payload) {
   config.seed = in.varint();
   if (!in.at_end()) config.measure_all_ixps = in.u8() != 0;
   in.expect_end();
+  // Checksums only prove the bytes are the ones written; a hand-made image
+  // can still carry a config no world build accepts.
+  try {
+    core::validate_config(config);
+  } catch (const std::invalid_argument& e) {
+    throw SnapshotError(std::string("snapshot: ") + e.what());
+  }
   return config;
 }
 

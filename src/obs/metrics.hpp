@@ -15,8 +15,9 @@
 //      so tools can exclude them from determinism checks.
 //
 // Metrics are disabled by default: every update is gated on a single global
-// flag, so the disabled cost is one predictable branch (the perf_offload
-// greedy benchmark must not move when metrics are off). Enable with
+// flag, so the disabled cost is one predictable branch (the gated perf_io,
+// perf_sim and perf_stream rates and perfbench's untraced paper_pipeline
+// run with metrics compiled in but off). Enable with
 // obs::set_metrics_enabled(true) (the --metrics flag of the examples), or by
 // setting RP_METRICS=1 in the environment.
 //

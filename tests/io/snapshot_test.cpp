@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -191,6 +192,44 @@ TEST(Snapshot, ExtraSectionsAreIgnored) {
     const net::Asn asn = original.graph().nodes()[i].asn;
     EXPECT_EQ(loaded.graph().cone_address_count(asn),
               original.graph().cone_address_count(asn));
+  }
+}
+
+// Checksums prove only that the bytes are the ones written. A hand-edited
+// image whose config no world build accepts (a probability of 7) is refused
+// at decode, naming the field, instead of loading as a plausible world.
+TEST(Snapshot, OutOfDomainConfigIsRejected) {
+  const auto f64_bytes = [](double v) {
+    ByteWriter out;
+    out.f64(v);
+    return out.take();
+  };
+  const auto share = f64_bytes(small_config().partner_ixp_share);
+  const auto seven = f64_bytes(7.0);
+  const auto image = encode_scenario(small_world());
+  const ContainerReader reader = ContainerReader::from_bytes(image);
+  ContainerWriter writer;
+  for (const auto& entry : reader.sections()) {
+    const auto body = reader.section(entry.id);
+    std::vector<std::uint8_t> bytes(body.begin(), body.end());
+    if (entry.id == kConfigSection) {
+      const auto at =
+          std::search(bytes.begin(), bytes.end(), share.begin(), share.end());
+      ASSERT_NE(at, bytes.end());
+      ASSERT_EQ(std::search(at + 1, bytes.end(), share.begin(), share.end()),
+                bytes.end());
+      std::copy(seven.begin(), seven.end(), at);
+    }
+    writer.add_section(entry.id, std::move(bytes));
+  }
+  try {
+    decode_scenario(writer.serialize());
+    FAIL() << "decoded a world with partner_ixp_share = 7";
+  } catch (const SnapshotError& e) {
+    EXPECT_EQ(e.error_class(), SnapshotErrorClass::kCorrupt);
+    EXPECT_NE(std::string(e.what()).find("partner_ixp_share"),
+              std::string::npos)
+        << e.what();
   }
 }
 
