@@ -90,9 +90,15 @@ bool parse_world_flag(const std::string& arg, WorldOptions& options, int argc,
         examples::parse_flag<std::uint64_t>("rpstream", arg, value());
   else if (arg == "--scale")
     options.scale = examples::parse_scale_flag("rpstream", arg, value());
-  else if (arg == "--span-days")
+  else if (arg == "--span-days") {
     options.span_days =
         examples::parse_flag<std::int64_t>("rpstream", arg, value());
+    if (options.span_days < 1) {
+      std::fprintf(stderr, "rpstream: --span-days wants at least 1, got %lld\n",
+                   static_cast<long long>(options.span_days));
+      std::exit(2);
+    }
+  }
   else if (arg == "--cache-dir") options.cache_dir = value();
   else return false;
   return true;

@@ -125,6 +125,12 @@ stream_smoke() {
   echo "=== stream smoke (rpstream ingest/kill/resume byte-identity) ==="
   local dir rpstream="$BIN/rpstream"
   dir="$(tmpdir)"
+  # A span under one day is rejected up front, not turned into an empty or
+  # endless log.
+  expect_rc 2 "$rpstream" log --fast --span-days 0 --cache-dir "$dir/cache" \
+    --out "$dir/empty.rpsnap"
+  expect_rc 2 timeout 20 "$rpstream" log --fast --span-days -3 \
+    --cache-dir "$dir/cache" --out "$dir/negative.rpsnap"
   "$rpstream" log --fast --span-days 2 --cache-dir "$dir/cache" \
     --out "$dir/bins.rpsnap" --bins 400 2> /dev/null
   # Reference: single-threaded, uninterrupted.

@@ -32,7 +32,10 @@ obs::Counter& frames_read() {
 
 RateModelBinSource::RateModelBinSource(const flow::RateModel& model,
                                        std::vector<net::Asn> networks)
-    : model_(&model), schema_{std::move(networks)} {}
+    : model_(&model), schema_{std::move(networks)} {
+  terms_.reserve(schema_.size());
+  for (net::Asn asn : schema_.networks) terms_.push_back(model_->term(asn));
+}
 
 std::uint64_t RateModelBinSource::bin_count() const {
   return model_->bin_count();
@@ -44,16 +47,16 @@ bool RateModelBinSource::next(BinFrame& frame) {
   frame.bin = bin;
   frame.in_bps.resize(schema_.size());
   frame.out_bps.resize(schema_.size());
-  // Each network's rate is an independent pure function of (asn, dir, bin);
+  // Each network's rate is an independent pure function of (term, dir, bin);
   // fan out into fixed slots so the columns are byte-identical at any
   // RP_THREADS.
   util::ThreadPool::global().parallel_for(
       schema_.size(), [this, bin, &frame](std::size_t i) {
-        const net::Asn asn = schema_.networks[i];
-        frame.in_bps[i] = model_->rate_bps(
-            asn, flow::Direction::kInbound, static_cast<std::size_t>(bin));
-        frame.out_bps[i] = model_->rate_bps(
-            asn, flow::Direction::kOutbound, static_cast<std::size_t>(bin));
+        const auto b = static_cast<std::size_t>(bin);
+        frame.in_bps[i] =
+            model_->rate_bps(terms_[i], flow::Direction::kInbound, b);
+        frame.out_bps[i] =
+            model_->rate_bps(terms_[i], flow::Direction::kOutbound, b);
       });
   return true;
 }

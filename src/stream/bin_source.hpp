@@ -64,7 +64,8 @@ class BinSource {
   virtual void seek(std::uint64_t bin) = 0;
 };
 
-/// Streams bins straight out of the deterministic rate model. Frames for
+/// Streams bins straight out of the deterministic rate model. Each schema
+/// network's rate-model term is resolved once, at construction. Frames for
 /// distinct networks are independent, so each frame fans the per-network
 /// rate evaluations across the global ThreadPool into fixed slots —
 /// byte-identical columns at any RP_THREADS.
@@ -81,6 +82,8 @@ class RateModelBinSource : public BinSource {
  private:
   const flow::RateModel* model_;
   BinSchema schema_;
+  /// terms_[i] is model_->term(schema_.networks[i]).
+  std::vector<flow::RateModel::Term> terms_;
   std::uint64_t next_bin_ = 0;
 };
 

@@ -6,6 +6,7 @@
 #include "core/scenario.hpp"
 #include "core/spread_study.hpp"
 #include "core/viability_study.hpp"
+#include "util/stats.hpp"
 
 namespace rp::core {
 namespace {
@@ -198,6 +199,29 @@ TEST(OffloadStudy, TimeSeriesPeaksCoincide) {
     const auto op = std::max_element(ob, ob + bins_per_day) -
                     series.offload_bps.begin();
     EXPECT_LE(std::abs(tp - op), 3 * 12) << "day " << day;
+  }
+}
+
+TEST(OffloadStudy, BillFallsByTheOffloadFraction) {
+  // Fig. 5b's point: offload peaks together with transit, so removing it
+  // cuts the 95th-percentile transit bill by the all-IXP offload fraction.
+  const auto& study = shared_offload();
+  const auto& analyzer = study.analyzer();
+  const auto p =
+      analyzer.potential_at(analyzer.all_ixps(), offload::PeerGroup::kAll);
+  for (const auto dir : {flow::Direction::kInbound,
+                         flow::Direction::kOutbound}) {
+    const bool in = dir == flow::Direction::kInbound;
+    const double fraction =
+        in ? p.inbound_bps / analyzer.transit_inbound_bps()
+           : p.outbound_bps / analyzer.transit_outbound_bps();
+    const auto series = study.time_series(dir);
+    std::vector<double> residual(series.transit_bps.size());
+    for (std::size_t bin = 0; bin < residual.size(); ++bin)
+      residual[bin] = series.transit_bps[bin] - series.offload_bps[bin];
+    const double reduction = 1.0 - util::p95_billing_rate(residual) /
+                                       util::p95_billing_rate(series.transit_bps);
+    EXPECT_NEAR(reduction, fraction, 0.01) << (in ? "inbound" : "outbound");
   }
 }
 

@@ -5,6 +5,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
+#include <limits>
+#include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "topology/generator.hpp"
 #include "util/thread_pool.hpp"
@@ -187,6 +192,141 @@ TEST(RateModel, DailyPeaksCoincideAcrossNetworks) {
                               (part_peak - part.begin()));
     EXPECT_LE(gap, 3 * 12) << "day " << day;  // Within 3 hours.
   }
+}
+
+TEST(RateModel, QuantileTableIsIncreasingAntisymmetricAndExact) {
+  const auto& q = normal_quantiles();
+  const double n = static_cast<double>(q.size());
+  for (std::size_t i = 0; i < q.size(); ++i) {
+    if (i > 0) {
+      EXPECT_LT(q[i - 1], q[i]) << "i=" << i;
+    }
+    EXPECT_EQ(q[q.size() - 1 - i], -q[i]) << "i=" << i;
+    // Phi(q[i]) is the slot's midpoint probability.
+    const double p = (static_cast<double>(i) + 0.5) / n;
+    EXPECT_NEAR(0.5 * std::erfc(-q[i] / std::sqrt(2.0)), p, 1e-12)
+        << "i=" << i;
+  }
+}
+
+TEST(RateModel, NoiseTableIsLognormal) {
+  Fixture f;
+  const RateModel model(f.matrix, RateModelConfig{});
+  const auto& noise = model.noise_table();
+  ASSERT_EQ(noise.size(), kQuantileEntries);
+  const double sigma = RateModelConfig{}.noise_sigma;
+  const double mean = std::accumulate(noise.begin(), noise.end(), 0.0) /
+                      static_cast<double>(noise.size());
+  EXPECT_NEAR(mean, std::exp(sigma * sigma / 2.0),
+              0.01 * std::exp(sigma * sigma / 2.0));
+  // The table is sorted; its median sits between the two middle entries.
+  const std::size_t mid = noise.size() / 2;
+  const double step = noise[mid] - noise[mid - 1];
+  EXPECT_NEAR(noise[mid - 1], 1.0, step);
+  EXPECT_NEAR(noise[mid], 1.0, step);
+}
+
+TEST(RateModel, WholeBinPhaseShiftsTheDayTable) {
+  Fixture f;
+  const RateModel model(f.matrix, RateModelConfig{});
+  const double hours_per_bin = 5.0 / 60.0;
+  // Weekday bins whose shifted bin stays on the same day type.
+  for (Direction dir : {Direction::kInbound, Direction::kOutbound})
+    for (std::size_t bin : {0u, 37u, 200u, 2 * 288u + 5u})
+      for (std::size_t k : {1u, 7u, 40u}) {
+        EXPECT_EQ(model.modulation(bin, dir,
+                                   static_cast<double>(k) * hours_per_bin),
+                  model.modulation(bin + k, dir, 0.0))
+            << "bin=" << bin << " k=" << k;
+      }
+}
+
+/// Expects the model to reject `config` with an error naming `field`.
+void expect_rejected(const std::function<void(RateModelConfig&)>& edit,
+                     const std::string& field) {
+  Fixture f;
+  RateModelConfig config;
+  edit(config);
+  try {
+    RateModel model(f.matrix, config);
+    ADD_FAILURE() << field << ": accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+
+TEST(RateModelConfig, RejectsBadBinLength) {
+  for (auto minutes : {0, -5, 7}) {
+    expect_rejected(
+        [&](RateModelConfig& c) {
+          c.bin_length = util::SimDuration::minutes(minutes);
+        },
+        "bin_length");
+  }
+}
+
+TEST(RateModelConfig, RejectsSpanShorterThanABin) {
+  for (auto span : {util::SimDuration::days(-3), util::SimDuration::days(0),
+                    util::SimDuration::minutes(4)}) {
+    expect_rejected([&](RateModelConfig& c) { c.span = span; }, "span");
+  }
+}
+
+TEST(RateModelConfig, RejectsInboundAmplitudeOutsideUnitInterval) {
+  for (double a : {1.0, 1.5, -0.1, kNan}) {
+    expect_rejected([&](RateModelConfig& c) { c.diurnal_amplitude_in = a; },
+                    "diurnal_amplitude_in");
+  }
+}
+
+TEST(RateModelConfig, RejectsOutboundAmplitudeOutsideUnitInterval) {
+  for (double a : {1.0, 1.5, -0.1, kNan}) {
+    expect_rejected([&](RateModelConfig& c) { c.diurnal_amplitude_out = a; },
+                    "diurnal_amplitude_out");
+  }
+}
+
+TEST(RateModelConfig, RejectsNonFinitePeakHour) {
+  expect_rejected([](RateModelConfig& c) { c.peak_hour = kNan; },
+                  "peak_hour");
+}
+
+TEST(RateModelConfig, RejectsNonPositiveWeekendFactor) {
+  for (double w : {0.0, -0.7, kNan}) {
+    expect_rejected([&](RateModelConfig& c) { c.weekend_factor = w; },
+                    "weekend_factor");
+  }
+}
+
+TEST(RateModelConfig, RejectsNegativeNoiseSigma) {
+  for (double s : {-0.18, kNan}) {
+    expect_rejected([&](RateModelConfig& c) { c.noise_sigma = s; },
+                    "noise_sigma");
+  }
+}
+
+TEST(RateModelConfig, RejectsNegativePhaseJitter) {
+  for (double j : {-1.2, kNan}) {
+    expect_rejected([&](RateModelConfig& c) { c.phase_jitter_hours = j; },
+                    "phase_jitter_hours");
+  }
+}
+
+TEST(RateModelConfig, AcceptsBoundaryValues) {
+  Fixture f;
+  RateModelConfig config;
+  config.bin_length = util::SimDuration::days(1);
+  config.span = config.bin_length;
+  config.diurnal_amplitude_in = 0.0;
+  config.diurnal_amplitude_out = 0.0;
+  config.noise_sigma = 0.0;
+  config.phase_jitter_hours = 0.0;
+  const RateModel model(f.matrix, config);
+  EXPECT_EQ(model.bin_count(), 1u);
+  EXPECT_EQ(model.modulation(0, Direction::kInbound, 0.0), 1.0);
 }
 
 }  // namespace
