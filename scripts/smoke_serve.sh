@@ -8,7 +8,9 @@
 # the stats surface as JSON, Prometheus text and `rpq top`; an unknown config
 # field (soft error) and a poisoned frame the daemon must survive; then a
 # protocol-driven shutdown that must exit 0. Numeric flags that do not fit
-# their field must be usage errors (exit 2), not wrapped values.
+# their field must be usage errors (exit 2), not wrapped values, and a
+# signed RP_OBS_SAMPLE_MS must fall back to the 500 ms sampler instead of
+# wrapping into a spinning one.
 # Registered with ctest as `smoke.serve` (label `smoke`).
 set -euo pipefail
 
@@ -64,7 +66,8 @@ serve_smoke() {
   echo "=== serve smoke (rpserve-daemon + rpq) ==="
   local dir rpq="$BIN/rpq"
   dir="$(tmpdir)"
-  RP_SNAPSHOT_CACHE="$dir/cache" "$BIN/rpserve-daemon" \
+  # RP_OBS_SAMPLE_MS=-5 must not wrap: the sampler falls back to 500 ms.
+  RP_SNAPSHOT_CACHE="$dir/cache" RP_OBS_SAMPLE_MS=-5 "$BIN/rpserve-daemon" \
     --port 0 --port-file "$dir/port" > "$dir/daemon.log" &
   DAEMON_PID=$!
   local tries=0
@@ -93,7 +96,7 @@ serve_smoke() {
 
   # The stats surface: --json must be machine-parseable and carry the
   # load-bearing keys (occupancy, per-world memory, per-type latencies)...
-  "$rpq" --port "$port" stats --json > "$dir/stats.json"
+  timeout 10 "$rpq" --port "$port" stats --json > "$dir/stats.json"
   python3 - "$dir/stats.json" <<'EOF'
 import json, sys
 stats = json.load(open(sys.argv[1]))
@@ -106,6 +109,7 @@ for key in ("stats.uptime_s", "stats.completed", "stats.ring_capacity",
     assert key in stats, (key, sorted(stats))
 assert stats["req.ping.count"] >= 1, stats
 assert stats["pool.world.0.resident_bytes"] > 0, stats
+assert stats["ts.interval_ms"] == 500, stats["ts.interval_ms"]
 EOF
   # ...--prom must be well-formed text exposition: TYPE line + matching
   # numeric sample, nothing else, and only numeric rows exported.

@@ -69,7 +69,8 @@ bool metrics_env_requested();
 inline constexpr std::size_t kHistogramBuckets = 65;
 
 /// Slots in every bounded telemetry ring: one request-trace ring per
-/// recording thread, one time-series ring per series.
+/// RequestTracer (the serve daemon owns one), one time-series ring per
+/// series.
 inline constexpr std::size_t kRingCapacity = 256;
 
 /// One aggregated metric in a registry snapshot.

@@ -5,31 +5,28 @@
 // through accept → parse → enqueue → batch-group → pool lookup → execute →
 // respond and, when the request completes, records one RequestRecord with
 // the per-phase breakdown (queue wait, pool/world wait, compute, response
-// write). Records land in a lock-free per-thread ring:
+// write). A tracer is a plain object its owner holds (the daemon keeps one),
+// so two owners in one process never see each other's requests:
 //
-//   - one writer per ring (the recording thread), so stores need no CAS;
-//   - every field is a relaxed atomic, so a concurrent reader (the stats
-//     surface) is TSan-clean. A reader can observe a record mid-overwrite
-//     once the ring wraps — acceptable for telemetry, and the completion
-//     sequence number lets it discard records that tore;
-//   - bounded memory: kRingCapacity (256) slots per thread.
+//   - one ring of kRingCapacity (256) records, slot (seq − 1) % capacity,
+//     and cumulative per-type log2 latency histograms, all under one mutex;
+//   - a record is ten integers and one lock hold, so writers (reader threads
+//     and the dispatcher) and the stats reader never see a torn record;
+//   - bounded memory: one ring per tracer, however many threads record.
 //
-// The tracer also keeps cumulative per-request-type log2 latency histograms
-// (the stats surface's p50/p99 source) and a deterministic slow-query view:
-// slowest(k) orders by compute time descending with (compute_ns, seq) as the
-// total order, so two reads of a quiescent tracer agree exactly.
+// The slow-query view is deterministic: slowest(k) orders by total latency
+// descending with (total, seq) as the total order, so two reads of a
+// quiescent tracer agree exactly.
 //
 // Everything here measures wall-clock phases, i.e. scheduling: none of it
 // is registered in the MetricsRegistry's deterministic namespace, so
 // deterministic_snapshot() stays clean by construction.
-//
-// Disarmed cost is one branch (same discipline as metrics/trace/fault).
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <mutex>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -49,9 +46,14 @@ struct RequestRecord {
   std::uint64_t pool_ns = 0;     ///< World acquire + artifact prewarm.
   std::uint64_t compute_ns = 0;  ///< execute_request proper.
   std::uint64_t write_ns = 0;    ///< Response encode + socket write.
+
+  /// Total request latency: queue + pool + compute + write.
+  std::uint64_t total_ns() const {
+    return queue_ns + pool_ns + compute_ns + write_ns;
+  }
 };
 
-/// Per-request-type latency summary aggregated since the tracer was reset.
+/// Per-request-type latency summary aggregated over the tracer's lifetime.
 struct TypeLatency {
   std::uint8_t type = 0;
   std::uint64_t count = 0;
@@ -60,69 +62,52 @@ struct TypeLatency {
   std::uint64_t max_ns = 0;
 };
 
-/// The process-wide request tracer. Like the MetricsRegistry it is a leaked
-/// singleton armed by one flag; the serve daemon arms it in start().
+/// One owner's request tracer. Every member is safe to call concurrently.
 class RequestTracer {
  public:
-  static RequestTracer& global();
-
-  /// Highest request type tracked by the per-type aggregates (serve types
-  /// are 1..8; anything above maps to slot 0 = "other").
+  /// Per-type aggregate slots (serve types are 1..10; a type of
+  /// kMaxTypes or more lands in slot 0 = "other").
   static constexpr std::size_t kMaxTypes = 16;
 
-  void set_enabled(bool on);
-  bool enabled() const {
-    return enabled_.load(std::memory_order_relaxed);
-  }
+  RequestTracer();
 
-  /// Ring capacity per recording thread.
+  /// Issues the next server-side request id (1-based, monotone). One counter
+  /// serves the whole process, so Chrome-trace flow ids from two tracers'
+  /// owners never collide.
+  static std::uint64_t next_request_id();
+
+  /// Ring capacity (records resident at once).
   std::size_t ring_capacity() const { return kRingCapacity; }
 
-  /// Issues the next server-side request id (1-based, monotone).
-  std::uint64_t next_request_id() {
-    return 1 + id_counter_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// Records one completed request (no-op while disabled). `record.seq` is
-  /// assigned here.
+  /// Records one completed request; `record.seq` is assigned here.
   void record(RequestRecord record);
 
   /// Completed requests recorded so far (monotone; survives ring wrap).
-  std::uint64_t completed() const {
-    return seq_counter_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t completed() const;
 
-  /// The most recent completed requests across every thread ring, ordered
-  /// oldest → newest by completion sequence, at most `max` of them (0 = all
-  /// still resident in the rings). Records that tore mid-overwrite are
-  /// dropped.
+  /// The most recent completed requests, ordered oldest → newest by
+  /// completion sequence, at most `max` of them (0 = all still resident).
   std::vector<RequestRecord> recent(std::size_t max = 0) const;
 
-  /// The slow-query log: the top-`k` resident records by compute time,
-  /// ordered (compute_ns desc, seq asc) — a deterministic total order, so
+  /// The slow-query log: the top-`k` resident records by total latency,
+  /// ordered (total_ns desc, seq asc) — a deterministic total order, so
   /// repeated reads of a quiescent tracer agree exactly.
   std::vector<RequestRecord> slowest(std::size_t k) const;
 
-  /// Per-type cumulative latency summaries (total request latency: queue +
-  /// pool + compute + write), for every type with at least one completion,
-  /// ordered by type.
+  /// Per-type cumulative latency summaries (total request latency), for
+  /// every type with at least one completion, ordered by type.
   std::vector<TypeLatency> type_latencies() const;
-
-  /// Zeroes rings, aggregates, and both counters. Call only while no
-  /// requests are in flight (tests, daemon restart).
-  void reset();
 
   RequestTracer(const RequestTracer&) = delete;
   RequestTracer& operator=(const RequestTracer&) = delete;
 
  private:
-  RequestTracer();
-  struct Impl;
-  Impl* impl_;
-
-  std::atomic<bool> enabled_{false};
-  std::atomic<std::uint64_t> id_counter_{0};
-  std::atomic<std::uint64_t> seq_counter_{0};
+  mutable std::mutex mutex_;
+  std::uint64_t seq_ = 0;
+  std::array<RequestRecord, kRingCapacity> ring_{};
+  // Log2 histograms of total latency per type, read through
+  // MetricValue::quantile like the registry's own histograms.
+  std::array<MetricValue, kMaxTypes> types_{};
 };
 
 }  // namespace rp::obs

@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "obs/metrics.hpp"
+#include "util/strings.hpp"
 
 namespace rp::obs {
 
@@ -52,22 +53,17 @@ struct TimeSeriesRecorder::Impl {
   }
 };
 
-TimeSeriesRecorder::TimeSeriesRecorder() : impl_(new Impl) {}
+TimeSeriesRecorder::TimeSeriesRecorder() : impl_(std::make_unique<Impl>()) {}
 
-TimeSeriesRecorder& TimeSeriesRecorder::global() {
-  // Leaked like the MetricsRegistry so a still-running sampler at process
-  // exit never races static destruction.
-  static TimeSeriesRecorder* instance = new TimeSeriesRecorder();
-  return *instance;
-}
+TimeSeriesRecorder::~TimeSeriesRecorder() { stop(); }
 
 std::uint64_t TimeSeriesRecorder::interval_ms_from_env() {
   const char* raw = std::getenv("RP_OBS_SAMPLE_MS");
-  if (raw == nullptr || *raw == '\0') return kDefaultSampleMs;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(raw, &end, 10);
-  if (end == raw || *end != '\0') return kDefaultSampleMs;
-  return static_cast<std::uint64_t>(v);  // 0 = sampler disabled
+  if (raw == nullptr) return kDefaultSampleMs;
+  // A u32 keeps std::chrono::milliseconds positive: a wrapped "-5" would
+  // make every wait_for return at once and spin the sampler.
+  return util::parse_exact<std::uint32_t>(raw).value_or(
+      static_cast<std::uint32_t>(kDefaultSampleMs));  // 0 = sampler disabled
 }
 
 void TimeSeriesRecorder::sample_once() {
@@ -184,14 +180,6 @@ std::vector<SeriesPoint> TimeSeriesRecorder::window(const std::string& key,
   for (std::size_t i = 0; i < n; ++i)
     out.push_back(s.points[(start + i) % s.points.size()]);
   return out;
-}
-
-void TimeSeriesRecorder::reset() {
-  std::lock_guard<std::mutex> lock(impl_->mutex);
-  impl_->series.clear();
-  impl_->last_counters.clear();
-  impl_->last_sample_ns = 0;
-  impl_->ticks = 0;
 }
 
 }  // namespace rp::obs

@@ -2,8 +2,10 @@
 // to fixed-size rings, so a live process (the serve daemon) can answer "what
 // happened over the last N seconds" without unbounded memory.
 //
-// A single sampler thread wakes every `interval_ms`, snapshots the global
-// registry, and appends one point per derived series:
+// A recorder is a plain object its owner holds: the serve daemon keeps one
+// and runs its sampler thread from start() to stop(). The sampler wakes
+// every `interval_ms`, snapshots the global registry, and appends one point
+// per derived series:
 //
 //   counters   → `<name>.rate`  (delta since previous sample / elapsed s)
 //   gauges     → `<name>`       (last value)
@@ -11,16 +13,16 @@
 //                quantiles; suppressed while the histogram is empty)
 //
 // Each series is a ring of kRingCapacity (256) points, so
-// memory is bounded by series-count × capacity regardless of uptime. When the
-// recorder is not started there is no thread and no cost — the same
-// disarmed-by-default discipline as the rest of rp::obs. All values here are
-// wall-clock rates and latencies, i.e. scheduling-dependent telemetry; the
-// recorder never feeds back into the registry, so deterministic_snapshot()
-// is unaffected.
+// memory is bounded by series-count × capacity regardless of uptime. A
+// recorder that is not started has no thread and no cost. All values here
+// are wall-clock rates and latencies, i.e. scheduling-dependent telemetry;
+// the recorder never feeds back into the registry, so
+// deterministic_snapshot() is unaffected.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -37,13 +39,16 @@ struct SeriesPoint {
 /// Default sampling interval when RP_OBS_SAMPLE_MS is unset.
 inline constexpr std::uint64_t kDefaultSampleMs = 500;
 
-/// The process-wide recorder (leaked singleton, like the MetricsRegistry).
+/// One owner's recorder. Every member is safe to call concurrently.
 class TimeSeriesRecorder {
  public:
-  static TimeSeriesRecorder& global();
+  TimeSeriesRecorder();
+  /// Stops the sampler thread if it is running.
+  ~TimeSeriesRecorder();
 
-  /// Sampling interval from RP_OBS_SAMPLE_MS (default kDefaultSampleMs;
-  /// 0 disables the sampler entirely).
+  /// Sampling interval from RP_OBS_SAMPLE_MS: a whole number of ms up to
+  /// 2^32 − 1, where 0 disables the sampler. Unset, empty, signed, fractional
+  /// or larger values fall back to kDefaultSampleMs.
   static std::uint64_t interval_ms_from_env();
 
   /// Starts the sampler thread. `interval_ms == 0` is a no-op (recorder
@@ -63,7 +68,7 @@ class TimeSeriesRecorder {
   /// Interval the running sampler was started with (0 when stopped).
   std::uint64_t interval_ms() const;
 
-  /// Total sample ticks taken since construction/reset.
+  /// Total sample ticks taken since construction.
   std::uint64_t samples() const;
 
   /// Ring capacity per series.
@@ -77,17 +82,12 @@ class TimeSeriesRecorder {
   std::vector<SeriesPoint> window(const std::string& key,
                                   std::size_t max = 0) const;
 
-  /// Drops every series and zeroes the tick counter (sampler may be running;
-  /// tests call this between cases).
-  void reset();
-
   TimeSeriesRecorder(const TimeSeriesRecorder&) = delete;
   TimeSeriesRecorder& operator=(const TimeSeriesRecorder&) = delete;
 
  private:
-  TimeSeriesRecorder();
   struct Impl;
-  Impl* impl_;
+  std::unique_ptr<Impl> impl_;
 };
 
 }  // namespace rp::obs

@@ -16,8 +16,6 @@
 #include "fault/fault.hpp"
 #include "io/snapshot.hpp"
 #include "obs/metrics.hpp"
-#include "obs/request_trace.hpp"
-#include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 #include "serve/executor.hpp"
 #include "util/strings.hpp"
@@ -64,7 +62,7 @@ obs::Histogram& exec_ns() {
   return h;
 }
 // Per-request phase breakdown (all wall-clock, hence kScheduling — the
-// Histogram default). The same numbers feed the RequestTracer rings; the
+// Histogram default). The same numbers feed the daemon's RequestTracer; the
 // histograms exist so the time-series sampler and metric exports see them.
 obs::Histogram& phase_queue_ns() {
   static obs::Histogram h("rp.serve.phase.queue_ns");
@@ -102,12 +100,6 @@ fault::Site& stats_site() {
 
 // The "serve.request" flow name: one arrow per request id across threads.
 constexpr const char* kRequestFlow = "serve.request";
-
-/// True when per-request telemetry should be collected: the tracer wants
-/// records, or a trace session wants flow events.
-bool request_tracking_enabled() {
-  return obs::RequestTracer::global().enabled() || obs::trace_enabled();
-}
 
 /// The environment value of `name` if it parses exactly as a T, else
 /// `fallback`: a signed or out-of-range value is as unusable as text.
@@ -250,14 +242,12 @@ void Daemon::start() {
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &bound_len);
   port_ = ntohs(bound.sin_port);
 
-  // Arm the serving telemetry: a resident daemon always wants its metrics
-  // (the stats surface reads them), the request tracer, and — unless
-  // RP_OBS_SAMPLE_MS=0 — the time-series sampler. All scheduling-tagged, so
-  // deterministic snapshots are unaffected.
+  // A resident daemon always wants its metrics (the stats surface and the
+  // sampler read them) and — unless RP_OBS_SAMPLE_MS=0 — its time-series
+  // sampler. All scheduling-tagged, so deterministic snapshots are
+  // unaffected.
   obs::set_metrics_enabled(true);
-  obs::RequestTracer::global().set_enabled(true);
-  obs::TimeSeriesRecorder::global().start(
-      obs::TimeSeriesRecorder::interval_ms_from_env());
+  recorder_.start(obs::TimeSeriesRecorder::interval_ms_from_env());
   start_ns_ = obs::monotonic_ns();
 
   running_.store(true, std::memory_order_release);
@@ -306,10 +296,9 @@ void Daemon::stop() {
   for (auto& reader : readers)
     if (reader.joinable()) reader.join();
 
-  // Disarm what start() armed (metrics stay on: other components may share
-  // the flag, and a stopped daemon recording nothing costs nothing).
-  obs::TimeSeriesRecorder::global().stop();
-  obs::RequestTracer::global().set_enabled(false);
+  // Metrics stay on: other components may share the process-wide flag, and
+  // a stopped daemon recording nothing costs nothing.
+  recorder_.stop();
 
   request_shutdown();  // Unblock a wait()er that did not see a client ask.
 }
@@ -388,11 +377,9 @@ void Daemon::handle_frame(const std::shared_ptr<Connection>& connection,
 
   // Assign the server-side request id and open its flow arrow ('s' binds to
   // the enclosing serve.parse slice on this reader thread).
-  obs::RequestTracer& tracer = obs::RequestTracer::global();
-  const bool tracked = request_tracking_enabled();
-  const std::uint64_t server_id = tracked ? tracer.next_request_id() : 0;
-  const std::uint64_t accept_ns = tracked ? obs::monotonic_ns() : 0;
-  if (server_id != 0) obs::flow_begin(kRequestFlow, server_id);
+  const std::uint64_t server_id = obs::RequestTracer::next_request_id();
+  const std::uint64_t accept_ns = obs::monotonic_ns();
+  obs::flow_begin(kRequestFlow, server_id);
 
   if (request.type == RequestType::kPing ||
       request.type == RequestType::kShutdown ||
@@ -400,7 +387,7 @@ void Daemon::handle_frame(const std::shared_ptr<Connection>& connection,
     // No world needed: answer inline on the reader thread. The serve.stats
     // site throws into the reader's catch, so a firing stats fault kills
     // exactly this connection — the daemon and its other clients carry on.
-    const std::uint64_t compute_start = tracked ? obs::monotonic_ns() : 0;
+    const std::uint64_t compute_start = obs::monotonic_ns();
     Response response;
     if (request.type == RequestType::kStats) {
       stats_site().maybe_throw();
@@ -409,23 +396,17 @@ void Daemon::handle_frame(const std::shared_ptr<Connection>& connection,
     } else {
       response = execute_request(request, nullptr);
     }
-    const std::uint64_t write_start = tracked ? obs::monotonic_ns() : 0;
+    const std::uint64_t write_start = obs::monotonic_ns();
     connection->send_payload(encode_response(response));
     responses_counter().add();
-    if (tracked) {
-      const std::uint64_t end_ns = obs::monotonic_ns();
-      phase_compute_ns().record(write_start - compute_start);
-      phase_write_ns().record(end_ns - write_start);
-      obs::RequestRecord record;
-      record.request_id = server_id;
-      record.type = static_cast<std::uint8_t>(request.type);
-      record.ok = response.status == Status::kOk;
-      record.accept_ns = accept_ns;
-      record.compute_ns = write_start - compute_start;
-      record.write_ns = end_ns - write_start;
-      tracer.record(record);
-      obs::flow_end(kRequestFlow, server_id);
-    }
+    obs::RequestRecord record;
+    record.request_id = server_id;
+    record.type = static_cast<std::uint8_t>(request.type);
+    record.ok = response.status == Status::kOk;
+    record.accept_ns = accept_ns;
+    record.compute_ns = write_start - compute_start;
+    record.write_ns = obs::monotonic_ns() - write_start;
+    complete(record);
     if (request.type == RequestType::kShutdown) request_shutdown();
     return;
   }
@@ -435,7 +416,7 @@ void Daemon::handle_frame(const std::shared_ptr<Connection>& connection,
   item.request = std::move(request);
   item.server_id = server_id;
   item.accept_ns = accept_ns;
-  if (obs::metrics_enabled() || tracked) item.enqueue_ns = obs::monotonic_ns();
+  item.enqueue_ns = obs::monotonic_ns();
   const std::uint64_t id = item.request.id;
   if (!queue_.try_push(std::move(item))) {
     busy_counter().add();
@@ -446,7 +427,7 @@ void Daemon::handle_frame(const std::shared_ptr<Connection>& connection,
                    " requests); retry";
     connection->send_payload(encode_response(busy));
     // The request dies at admission: close its flow so s/f stay balanced.
-    if (server_id != 0) obs::flow_end(kRequestFlow, server_id);
+    obs::flow_end(kRequestFlow, server_id);
   }
 }
 
@@ -457,17 +438,14 @@ void Daemon::dispatcher_loop() {
     batch_occupancy().record(batch.size());
 
     const std::size_t count = batch.size();
-    // Per-request phase attribution (all zero when nothing is tracking):
-    // queue wait ends here, at dequeue.
-    const bool tracked = request_tracking_enabled();
-    const std::uint64_t dequeue_ns = tracked ? obs::monotonic_ns() : 0;
-    std::vector<std::uint64_t> queue_waits(count, 0);
-    std::vector<std::uint64_t> pool_waits(count, 0);
-    std::vector<std::uint64_t> compute_times(count, 0);
-    if (tracked) {
-      for (std::size_t i = 0; i < count; ++i)
-        if (batch[i].enqueue_ns != 0 && dequeue_ns > batch[i].enqueue_ns)
-          queue_waits[i] = dequeue_ns - batch[i].enqueue_ns;
+    // Per-request phase attribution: queue wait ends here, at dequeue.
+    const std::uint64_t dequeue_ns = obs::monotonic_ns();
+    std::vector<obs::RequestRecord> records(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      records[i].request_id = batch[i].server_id;
+      records[i].type = static_cast<std::uint8_t>(batch[i].request.type);
+      records[i].accept_ns = batch[i].accept_ns;
+      records[i].queue_ns = dequeue_ns - batch[i].enqueue_ns;
     }
 
     // Resolve each item's world spec and group the batch by config digest so
@@ -491,7 +469,7 @@ void Daemon::dispatcher_loop() {
       }
     }
     for (const auto& [digest, indices] : by_digest) {
-      const std::uint64_t pool_start = tracked ? obs::monotonic_ns() : 0;
+      const std::uint64_t pool_start = obs::monotonic_ns();
       try {
         const auto world = pool_.acquire(configs[indices.front()]);
         for (std::size_t i : indices) worlds[i] = world;
@@ -506,12 +484,10 @@ void Daemon::dispatcher_loop() {
           done[i] = 1;
         }
       }
-      if (tracked) {
-        // The group's acquire+prewarm wall time is attributed to each member
-        // — every one of them waited on it.
-        const std::uint64_t pool_wall = obs::monotonic_ns() - pool_start;
-        for (std::size_t i : indices) pool_waits[i] = pool_wall;
-      }
+      // The group's acquire+prewarm wall time is attributed to each member
+      // — every one of them waited on it.
+      const std::uint64_t pool_wall = obs::monotonic_ns() - pool_start;
+      for (std::size_t i : indices) records[i].pool_ns = pool_wall;
     }
 
     // One request's compute, on whichever worker runs it. The 't' flow step
@@ -519,11 +495,10 @@ void Daemon::dispatcher_loop() {
     // this request's span in the Perfetto view.
     auto run_one = [&](std::size_t i) {
       obs::Span span("serve.exec_one");
-      if (batch[i].server_id != 0)
-        obs::flow_step(kRequestFlow, batch[i].server_id);
-      const std::uint64_t compute_start = tracked ? obs::monotonic_ns() : 0;
+      obs::flow_step(kRequestFlow, batch[i].server_id);
+      const std::uint64_t compute_start = obs::monotonic_ns();
       responses[i] = execute_request(batch[i].request, worlds[i].get());
-      if (tracked) compute_times[i] = obs::monotonic_ns() - compute_start;
+      records[i].compute_ns = obs::monotonic_ns() - compute_start;
       done[i] = 1;
     };
 
@@ -546,44 +521,35 @@ void Daemon::dispatcher_loop() {
     // Responses go out sequentially in enqueue order: per-connection FIFO is
     // part of the protocol contract.
     obs::Span span("serve.respond");
-    obs::RequestTracer& tracer = obs::RequestTracer::global();
     for (std::size_t i = 0; i < count; ++i) {
       if (respond_site().fire()) {
         batch[i].connection->kill();
         killed_counter().add();
         // The response never goes out, but the request is over: close the
         // flow so every 's' still meets an 'f'.
-        if (batch[i].server_id != 0)
-          obs::flow_end(kRequestFlow, batch[i].server_id);
+        obs::flow_end(kRequestFlow, batch[i].server_id);
         continue;
       }
-      const std::uint64_t write_start = tracked ? obs::monotonic_ns() : 0;
+      const std::uint64_t write_start = obs::monotonic_ns();
       if (batch[i].connection->send_payload(encode_response(responses[i])))
         responses_counter().add();
-      if (batch[i].enqueue_ns != 0 && obs::metrics_enabled())
-        request_ns().record(obs::monotonic_ns() - batch[i].enqueue_ns);
-      if (tracked) {
-        const std::uint64_t write_wall = obs::monotonic_ns() - write_start;
-        phase_queue_ns().record(queue_waits[i]);
-        phase_pool_ns().record(pool_waits[i]);
-        phase_compute_ns().record(compute_times[i]);
-        phase_write_ns().record(write_wall);
-        obs::RequestRecord record;
-        record.request_id = batch[i].server_id;
-        record.type = static_cast<std::uint8_t>(batch[i].request.type);
-        record.ok = responses[i].status == Status::kOk;
-        record.world_digest = worlds[i] ? worlds[i]->digest() : 0;
-        record.accept_ns = batch[i].accept_ns;
-        record.queue_ns = queue_waits[i];
-        record.pool_ns = pool_waits[i];
-        record.compute_ns = compute_times[i];
-        record.write_ns = write_wall;
-        tracer.record(record);
-        if (batch[i].server_id != 0)
-          obs::flow_end(kRequestFlow, batch[i].server_id);
-      }
+      const std::uint64_t end_ns = obs::monotonic_ns();
+      request_ns().record(end_ns - batch[i].enqueue_ns);
+      phase_queue_ns().record(records[i].queue_ns);
+      phase_pool_ns().record(records[i].pool_ns);
+      records[i].ok = responses[i].status == Status::kOk;
+      records[i].world_digest = worlds[i] ? worlds[i]->digest() : 0;
+      records[i].write_ns = end_ns - write_start;
+      complete(records[i]);
     }
   }
+}
+
+void Daemon::complete(const obs::RequestRecord& record) {
+  phase_compute_ns().record(record.compute_ns);
+  phase_write_ns().record(record.write_ns);
+  tracer_.record(record);
+  obs::flow_end(kRequestFlow, record.request_id);
 }
 
 }  // namespace rp::serve

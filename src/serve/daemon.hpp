@@ -29,17 +29,21 @@
 // compute,write}_ns histograms, and serve.accept / serve.parse / serve.exec
 // / serve.respond spans.
 //
-// Request tracing: every accepted frame gets a server-side request id from
-// the obs::RequestTracer, threaded accept → parse → enqueue → batch-group →
-// pool lookup → execute → respond. Completion records the per-phase latency
-// breakdown into the tracer's per-thread rings, and — when an RP_TRACE
-// session is live — emits "serve.request" flow events ('s' at admission on
-// the reader thread, 't' at execute on the worker, 'f' at respond on the
-// dispatcher) that tie one request's spans together across threads in the
-// Perfetto view. start() arms metrics, the tracer, and the RP_OBS_SAMPLE_MS
-// time-series sampler; stop() disarms what it armed. All of this telemetry
-// is wall-clock and therefore scheduling-tagged — deterministic_snapshot()
-// never sees it.
+// Request telemetry: every accepted frame gets a server-side request id
+// (obs::RequestTracer::next_request_id, one counter per process), threaded
+// accept → parse → enqueue → batch-group → pool lookup → execute → respond.
+// Every finished request goes through Daemon::complete(), which records the
+// per-phase latency breakdown into the daemon's own obs::RequestTracer (one
+// locked ring) and — when an RP_TRACE session is live — closes the
+// "serve.request" flow ('s' at admission on the reader thread, 't' at
+// execute on the worker, 'f' at respond) that ties one request's spans
+// together across threads in the Perfetto view. The daemon also owns an
+// obs::TimeSeriesRecorder whose RP_OBS_SAMPLE_MS sampler runs from start()
+// to stop(). Tracer and recorder are members, so two daemons in one process
+// never report each other's traffic, and one daemon's stop() leaves the
+// other's telemetry running. start() turns metrics on (the flag is
+// process-wide and stays on). All of this telemetry is wall-clock and
+// therefore scheduling-tagged — deterministic_snapshot() never sees it.
 #pragma once
 
 #include <atomic>
@@ -54,6 +58,8 @@
 #include <thread>
 #include <vector>
 
+#include "obs/request_trace.hpp"
+#include "obs/timeseries.hpp"
 #include "serve/protocol.hpp"
 #include "serve/world_pool.hpp"
 
@@ -92,9 +98,9 @@ class Connection {
 struct QueueItem {
   std::shared_ptr<Connection> connection;
   Request request;
-  std::uint64_t enqueue_ns = 0;  ///< Set when metrics/tracing are enabled.
-  std::uint64_t server_id = 0;   ///< Daemon-assigned request id (0 untracked).
-  std::uint64_t accept_ns = 0;   ///< monotonic_ns at admission (0 untracked).
+  std::uint64_t enqueue_ns = 0;  ///< monotonic_ns when queued.
+  std::uint64_t server_id = 0;   ///< Daemon-assigned request id.
+  std::uint64_t accept_ns = 0;   ///< monotonic_ns at admission.
 };
 
 /// The bounded admission queue between readers and the dispatcher.
@@ -166,6 +172,8 @@ class Daemon {
 
   const WorldPool& pool() const { return pool_; }
   const RequestQueue& queue() const { return queue_; }
+  /// The daemon's time-series recorder (tests drive it with sample_once()).
+  obs::TimeSeriesRecorder& recorder() { return recorder_; }
 
   /// Builds the kOk stats report (see src/serve/stats.cpp for the row set):
   /// uptime, queue depth/capacity/high-water, pool occupancy with per-world
@@ -182,10 +190,15 @@ class Daemon {
   void handle_frame(const std::shared_ptr<Connection>& connection,
                     std::span<const std::uint8_t> payload);
   void request_shutdown();
+  /// Records a finished request: the compute and write phase histograms,
+  /// the tracer record, and the end of its flow.
+  void complete(const obs::RequestRecord& record);
 
   DaemonConfig config_;
   WorldPool pool_;
   RequestQueue queue_;
+  obs::RequestTracer tracer_;
+  obs::TimeSeriesRecorder recorder_;
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   std::uint64_t start_ns_ = 0;  ///< monotonic_ns at start(), for uptime.

@@ -10,7 +10,8 @@
 //   pool.world.<i>.{digest,hits,ready,resident_bytes,last_used}
 //       (most recently used first — the order WorldPool::entry_stats yields)
 //   req.<type>.{count,p50_us,p99_us,max_us}   per request type seen
-//   slow.<i>.{request_id,type,compute_us,world}  top-K by compute time
+//   slow.<i>.{request_id,type,total_us,pool_us,compute_us,world}
+//       top-K by total latency (queue + pool + compute + write)
 //   ts.samples / ts.interval_ms
 //   ts.<series> = comma-joined last `window` values   (window > 0 only)
 #include <string>
@@ -18,8 +19,6 @@
 
 #include "io/container.hpp"
 #include "obs/metrics.hpp"
-#include "obs/request_trace.hpp"
-#include "obs/timeseries.hpp"
 #include "serve/daemon.hpp"
 
 namespace rp::serve {
@@ -71,14 +70,11 @@ void emit_f(Response& response, std::string key, double value) {
 }  // namespace
 
 Response Daemon::stats_response(std::uint64_t window) const {
-  const obs::RequestTracer& tracer = obs::RequestTracer::global();
-  const obs::TimeSeriesRecorder& recorder = obs::TimeSeriesRecorder::global();
-
   Response response;
   emit_f(response, "stats.uptime_s",
          static_cast<double>(obs::monotonic_ns() - start_ns_) / 1e9);
-  emit_u64(response, "stats.completed", tracer.completed());
-  emit_u64(response, "stats.ring_capacity", tracer.ring_capacity());
+  emit_u64(response, "stats.completed", tracer_.completed());
+  emit_u64(response, "stats.ring_capacity", tracer_.ring_capacity());
 
   emit_u64(response, "queue.depth", queue_.size());
   emit_u64(response, "queue.capacity", queue_.capacity());
@@ -97,7 +93,7 @@ Response Daemon::stats_response(std::uint64_t window) const {
     emit_u64(response, prefix + ".last_used", entries[i].last_used);
   }
 
-  for (const obs::TypeLatency& latency : tracer.type_latencies()) {
+  for (const obs::TypeLatency& latency : tracer_.type_latencies()) {
     const std::string prefix =
         std::string("req.") + request_type_name(latency.type);
     emit_u64(response, prefix + ".count", latency.count);
@@ -107,22 +103,26 @@ Response Daemon::stats_response(std::uint64_t window) const {
            static_cast<double>(latency.max_ns) / 1e3);
   }
 
-  const std::vector<obs::RequestRecord> slow = tracer.slowest(kSlowLogK);
+  const std::vector<obs::RequestRecord> slow = tracer_.slowest(kSlowLogK);
   for (std::size_t i = 0; i < slow.size(); ++i) {
     const std::string prefix = "slow." + std::to_string(i);
     emit_u64(response, prefix + ".request_id", slow[i].request_id);
     emit(response, prefix + ".type", request_type_name(slow[i].type));
+    emit_f(response, prefix + ".total_us",
+           static_cast<double>(slow[i].total_ns()) / 1e3);
+    emit_f(response, prefix + ".pool_us",
+           static_cast<double>(slow[i].pool_ns) / 1e3);
     emit_f(response, prefix + ".compute_us",
            static_cast<double>(slow[i].compute_ns) / 1e3);
     emit(response, prefix + ".world", io::digest_hex(slow[i].world_digest));
   }
 
-  emit_u64(response, "ts.samples", recorder.samples());
-  emit_u64(response, "ts.interval_ms", recorder.interval_ms());
+  emit_u64(response, "ts.samples", recorder_.samples());
+  emit_u64(response, "ts.interval_ms", recorder_.interval_ms());
   if (window > 0) {
-    for (const std::string& key : recorder.keys()) {
+    for (const std::string& key : recorder_.keys()) {
       const std::vector<obs::SeriesPoint> points =
-          recorder.window(key, static_cast<std::size_t>(window));
+          recorder_.window(key, static_cast<std::size_t>(window));
       std::string joined;
       for (std::size_t i = 0; i < points.size(); ++i) {
         if (i != 0) joined += ',';

@@ -47,12 +47,11 @@ World::World(core::Scenario scenario, std::uint64_t digest,
 }
 
 std::size_t World::resident_bytes() const {
-  std::lock_guard<std::mutex> lock(mutex_);
   std::size_t bytes = snapshot_bytes_;
-  if (offload_) bytes += sizeof(core::OffloadStudy);
-  if (greedy_)
-    bytes += sizeof(*greedy_) + greedy_->capacity() * sizeof(offload::GreedyStep);
-  if (spread_) bytes += sizeof(core::SpreadStudy);
+  if (offload_.peek()) bytes += sizeof(core::OffloadStudy);
+  if (const auto* greedy = greedy_.peek())
+    bytes += sizeof(*greedy) + greedy->capacity() * sizeof(offload::GreedyStep);
+  if (spread_.peek()) bytes += sizeof(core::SpreadStudy);
   for (std::size_t g = 0; g < whatif_.size(); ++g) {
     std::lock_guard<std::mutex> engine_lock(whatif_mutexes_[g]);
     if (whatif_[g]) bytes += whatif_[g]->retained_bytes();
@@ -61,32 +60,26 @@ std::size_t World::resident_bytes() const {
 }
 
 const core::OffloadStudy& World::offload() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!offload_) {
+  return offload_.get_or_build(build_mutex_, [this] {
     obs::Span span("serve.world.offload_study");
-    offload_ = std::make_unique<core::OffloadStudy>(
-        core::OffloadStudy::run(scenario_));
-  }
-  return *offload_;
+    return core::OffloadStudy::run(scenario_);
+  });
 }
 
 const std::vector<offload::GreedyStep>& World::greedy_curve() const {
   const core::OffloadStudy& study = offload();
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!greedy_) {
+  return greedy_.get_or_build(build_mutex_, [&study] {
     obs::Span span("serve.world.greedy_curve");
-    greedy_ = std::make_unique<std::vector<offload::GreedyStep>>(
-        study.analyzer().greedy_by_traffic(offload::PeerGroup::kAll, 20));
-  }
-  return *greedy_;
+    return study.analyzer().greedy_by_traffic(offload::PeerGroup::kAll, 20);
+  });
 }
 
 World::WhatIfLease World::what_if_engine(offload::PeerGroup group) const {
   const auto slot = static_cast<std::size_t>(group);
   if (slot >= whatif_.size())
     throw std::invalid_argument("World::what_if_engine: bad peer group");
-  // offload() takes and releases mutex_ internally, so the lock order stays
-  // mutex_ → whatif_mutexes_[slot] (matching resident_bytes).
+  // offload() releases build_mutex_ before returning, so the lease lock is
+  // never held together with it.
   const core::OffloadStudy& study = offload();
   std::unique_lock<std::mutex> lock(whatif_mutexes_[slot]);
   if (!whatif_[slot]) {
@@ -98,13 +91,10 @@ World::WhatIfLease World::what_if_engine(offload::PeerGroup group) const {
 }
 
 const core::SpreadStudy& World::spread() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!spread_) {
+  return spread_.get_or_build(build_mutex_, [this] {
     obs::Span span("serve.world.spread_study");
-    spread_ =
-        std::make_unique<core::SpreadStudy>(core::SpreadStudy::run(scenario_));
-  }
-  return *spread_;
+    return core::SpreadStudy::run(scenario_);
+  });
 }
 
 WorldPool::WorldPool(std::size_t capacity, std::filesystem::path cache_dir)
@@ -173,7 +163,7 @@ std::vector<WorldPool::EntryStats> WorldPool::entry_stats() const {
     entry.last_used = slot->last_used;
     entry.ready = slot->ready;
     // Lock order is pool → world only (World never calls back into the
-    // pool), so taking the world mutex here cannot deadlock.
+    // pool), so taking a what-if lease lock here cannot deadlock.
     entry.resident_bytes = slot->ready ? slot->world->resident_bytes() : 0;
     out.push_back(entry);
   }

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <filesystem>
@@ -32,8 +33,37 @@
 
 namespace rp::serve {
 
+/// A lazily built, never replaced artifact. The first get_or_build() builds
+/// it under the caller's build mutex and publishes it through an atomic
+/// pointer; every later read — including peek() from the stats surface while
+/// another artifact is being built — loads that pointer without locking.
+template <typename T>
+class Published {
+ public:
+  Published() = default;
+  ~Published() { delete ptr_.load(); }
+  Published(const Published&) = delete;
+  Published& operator=(const Published&) = delete;
+
+  /// The artifact if it is built, else nullptr. Never blocks.
+  const T* peek() const { return ptr_.load(); }
+
+  template <typename Build>
+  const T& get_or_build(std::mutex& build_mutex, Build&& build) {
+    if (const T* built = peek()) return *built;
+    std::lock_guard<std::mutex> lock(build_mutex);
+    if (const T* built = peek()) return *built;
+    const T* built = new T(build());
+    ptr_.store(built);
+    return *built;
+  }
+
+ private:
+  std::atomic<const T*> ptr_{nullptr};
+};
+
 /// A resident world. The scenario is immutable; the study accessors build
-/// lazily (single-flight via the entry mutex) and cache for the lifetime of
+/// lazily (single-flight via the build mutex) and cache for the lifetime of
 /// the residency. Thread-safe.
 class World {
  public:
@@ -72,7 +102,8 @@ class World {
   /// Lower-bound estimate of this residency's memory footprint: the world's
   /// snapshot-file size (a good proxy for the deserialized scenario) plus
   /// the directly measurable footprint of each artifact built so far. Used
-  /// by the stats surface; not an allocator-exact number.
+  /// by the stats surface; not an allocator-exact number. Never waits on an
+  /// artifact build.
   std::size_t resident_bytes() const;
 
  private:
@@ -81,14 +112,15 @@ class World {
   core::SnapshotCacheResult cache_result_;
   std::size_t snapshot_bytes_ = 0;
 
-  mutable std::mutex mutex_;
-  mutable std::unique_ptr<core::OffloadStudy> offload_;
-  mutable std::unique_ptr<std::vector<offload::GreedyStep>> greedy_;
-  mutable std::unique_ptr<core::SpreadStudy> spread_;
+  /// Serializes the study builds; readers of a built study never take it.
+  mutable std::mutex build_mutex_;
+  mutable Published<core::OffloadStudy> offload_;
+  mutable Published<std::vector<offload::GreedyStep>> greedy_;
+  mutable Published<core::SpreadStudy> spread_;
 
   /// Per-group what-if engines, indexed by static_cast of PeerGroup. Each
-  /// slot has its own mutex (the lease lock), taken after mutex_ never
-  /// before it.
+  /// slot has its own mutex (the lease lock), never held together with
+  /// build_mutex_.
   mutable std::array<std::mutex, 5> whatif_mutexes_;
   mutable std::array<std::unique_ptr<stream::IncrementalOffload>, 5> whatif_;
 };

@@ -17,20 +17,19 @@
 namespace rp::obs {
 namespace {
 
-/// Arms metrics and clears both the registry and the recorder for one test,
-/// restoring the disarmed default on exit.
+/// Arms metrics and clears the registry for one test, with a fresh recorder;
+/// restores the disarmed default on exit.
 struct RecorderOn {
   RecorderOn() {
     set_metrics_enabled(true);
     MetricsRegistry::global().reset();
-    TimeSeriesRecorder::global().reset();
   }
   ~RecorderOn() {
-    TimeSeriesRecorder::global().stop();
-    TimeSeriesRecorder::global().reset();
+    recorder.stop();
     MetricsRegistry::global().reset();
     set_metrics_enabled(false);
   }
+  TimeSeriesRecorder recorder;
 };
 
 bool has_key(const std::vector<std::string>& keys, const std::string& key) {
@@ -78,11 +77,21 @@ TEST(TimeSeries, IntervalFromEnvParsesAndDefaults) {
     EnvOverride env("RP_OBS_SAMPLE_MS", "not-a-number");
     EXPECT_EQ(TimeSeriesRecorder::interval_ms_from_env(), kDefaultSampleMs);
   }
+  // Signed and out-of-range values must not wrap into a huge (or, as
+  // milliseconds, negative) interval that spins the sampler.
+  {
+    EnvOverride env("RP_OBS_SAMPLE_MS", "-5");
+    EXPECT_EQ(TimeSeriesRecorder::interval_ms_from_env(), kDefaultSampleMs);
+  }
+  {
+    EnvOverride env("RP_OBS_SAMPLE_MS", "18446744073709551615");
+    EXPECT_EQ(TimeSeriesRecorder::interval_ms_from_env(), kDefaultSampleMs);
+  }
 }
 
 TEST(TimeSeries, CounterRateNeedsTwoSamplesAndIsNonNegative) {
   RecorderOn on;
-  TimeSeriesRecorder& recorder = TimeSeriesRecorder::global();
+  TimeSeriesRecorder& recorder = on.recorder;
   Counter counter("test.ts.counter");
   counter.add(100);
 
@@ -109,7 +118,7 @@ TEST(TimeSeries, CounterRateNeedsTwoSamplesAndIsNonNegative) {
 
 TEST(TimeSeries, GaugeSeriesTracksLastValue) {
   RecorderOn on;
-  TimeSeriesRecorder& recorder = TimeSeriesRecorder::global();
+  TimeSeriesRecorder& recorder = on.recorder;
   Gauge gauge("test.ts.gauge");
   gauge.set(1.5);
   recorder.sample_once();
@@ -125,7 +134,7 @@ TEST(TimeSeries, GaugeSeriesTracksLastValue) {
 
 TEST(TimeSeries, EmptyHistogramsAreSuppressedUntilTheyHaveData) {
   RecorderOn on;
-  TimeSeriesRecorder& recorder = TimeSeriesRecorder::global();
+  TimeSeriesRecorder& recorder = on.recorder;
   Histogram histogram("test.ts.hist");
 
   recorder.sample_once();  // Histogram registered but empty: no series.
@@ -147,7 +156,7 @@ TEST(TimeSeries, EmptyHistogramsAreSuppressedUntilTheyHaveData) {
 
 TEST(TimeSeries, RingWrapBoundsEachSeries) {
   RecorderOn on;
-  TimeSeriesRecorder& recorder = TimeSeriesRecorder::global();
+  TimeSeriesRecorder& recorder = on.recorder;
   const std::size_t capacity = recorder.capacity();
   ASSERT_GE(capacity, 16u);
   Gauge gauge("test.ts.wrap");
@@ -176,7 +185,7 @@ TEST(TimeSeries, RingWrapBoundsEachSeries) {
 
 TEST(TimeSeries, SamplerThreadTicksAndStopsCleanly) {
   RecorderOn on;
-  TimeSeriesRecorder& recorder = TimeSeriesRecorder::global();
+  TimeSeriesRecorder& recorder = on.recorder;
   Gauge gauge("test.ts.sampler");
   gauge.set(7.0);
 
@@ -202,24 +211,6 @@ TEST(TimeSeries, SamplerThreadTicksAndStopsCleanly) {
   recorder.stop();  // Idempotent.
 
   EXPECT_FALSE(recorder.window("test.ts.sampler").empty());
-}
-
-TEST(TimeSeries, ResetDropsSeriesAndTicks) {
-  RecorderOn on;
-  TimeSeriesRecorder& recorder = TimeSeriesRecorder::global();
-  Gauge gauge("test.ts.reset");
-  gauge.set(1.0);
-  recorder.sample_once();
-  ASSERT_FALSE(recorder.keys().empty());
-
-  recorder.reset();
-  EXPECT_TRUE(recorder.keys().empty());
-  EXPECT_EQ(recorder.samples(), 0u);
-  EXPECT_TRUE(recorder.window("test.ts.reset").empty());
-
-  // Still usable after reset.
-  recorder.sample_once();
-  EXPECT_EQ(recorder.samples(), 1u);
 }
 
 }  // namespace
