@@ -75,10 +75,12 @@ struct IxpMeasurement {
   util::SimDuration campaign_length;
   std::vector<InterfaceObservation> interfaces;
 
-  /// Discrete events the campaign's simulator executed — a pure function of
-  /// (ixp, config, rng), so it is identical at any thread/shard count. Not
-  /// part of the serialized dataset; the perf trajectory and the shard
-  /// determinism tests read it.
+  /// Discrete events the campaign's simulator executed, counting the ARP
+  /// deliveries hosts apply at transmit time (sim/simulator.hpp) — a pure
+  /// function of (ixp, config, rng), so it is identical at any thread
+  /// count. Not part of the serialized dataset; the rp.sim.campaign.events
+  /// histogram, perf_sim's campaign events_per_sec, perfbench's sim.events
+  /// and tests/measure/campaign_bytes_test.cpp read it.
   std::uint64_t events_executed = 0;
 };
 

@@ -38,6 +38,15 @@ void Host::receive(std::size_t /*ifindex*/, const EthernetFrame& frame) {
   if (frame.is_ipv4()) handle_ipv4(frame.ipv4());
 }
 
+bool Host::apply_at_transmit(const EthernetFrame& frame) {
+  if (!frame.is_arp()) return false;
+  const ArpMessage& arp = frame.arp();
+  if (arp.op != ArpMessage::Op::kRequest || arp.target_ip == config_.ip)
+    return false;
+  arp_cache_[arp.sender_ip] = arp.sender_mac;
+  return true;
+}
+
 void Host::handle_arp(const ArpMessage& arp) {
   // Gratuitously cache the sender's mapping (hosts in a LAN learn the
   // requester's address from the broadcast request itself).

@@ -6,6 +6,16 @@
 // TTL switches mid-campaign (OS changes), echo blackholing, rate-limited or
 // lossy responders, processing delay, and proxied replies that take extra IP
 // hops and arrive with a decremented TTL from a different source address.
+//
+// A broadcast ARP request for another address is applied when the link
+// transmits it (apply_at_transmit), not as a delivery event. Its only effect
+// is caching the sender's mapping, and writing that entry early cannot be
+// observed: answer_echo reads the requester's entry only after the
+// requester learned this host's MAC from its ARP reply, sent when the
+// requester's *targeted* request arrived (an event that writes the same
+// entry); ping reads the target's entry, which a request for another
+// address writes only if the target itself pings, and no §3 target does.
+// Every other frame arrives as an event (DESIGN.md §13).
 #pragma once
 
 #include <functional>
@@ -68,6 +78,9 @@ class Host : public Device {
   Host(Simulator& sim, HostConfig config, util::Rng rng);
 
   void receive(std::size_t ifindex, const EthernetFrame& frame) override;
+  /// Applies an ARP request whose target is another address (it only caches
+  /// the sender's mapping); declines every other frame.
+  bool apply_at_transmit(const EthernetFrame& frame) override;
   std::size_t allocate_interface() override;
 
   const HostConfig& config() const { return config_; }

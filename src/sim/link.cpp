@@ -31,10 +31,14 @@ void Link::transmit(int from_side, const EthernetFrame& frame) {
   }
   util::SimDuration delay = base_delay_;
   if (extra_delay_) delay += extra_delay_->sample(sim_->now(), rng_);
+  ++frames_delivered_;
+  if (target->apply_at_transmit(frame)) {
+    sim_->count_applied_delivery();
+    return;
+  }
   // The ifindex travels as u32 so the delivery closure packs into one slab
   // slot — this is the single hottest event kind, one per frame per hop.
   const auto ifindex = static_cast<std::uint32_t>(ifindex_[to_side]);
-  ++frames_delivered_;
   auto deliver = [target, ifindex, frame] { target->receive(ifindex, frame); };
   static_assert(Simulator::stored_inline<decltype(deliver)>(),
                 "frame delivery must stay slab-resident (zero allocation)");

@@ -5,6 +5,13 @@
 // geography for member circuits — plus optional stochastic extra delay from a
 // DelayModel and optional loss. Delivery is a scheduled simulator event, so
 // the whole fabric is deterministic given the scenario seed.
+//
+// One exception keeps floods cheap: a device may apply a frame the moment
+// the link transmits it, when the frame's effect cannot depend on when it
+// arrives (Device::apply_at_transmit; a host's broadcast ARP request for
+// another address is the one case). The link still draws the delay sample
+// and counts the frame, so its RNG stream is unchanged, and the simulator
+// counts the applied delivery as an executed event (DESIGN.md §13).
 #pragma once
 
 #include <memory>
@@ -33,6 +40,15 @@ class Device {
 
   /// Called by a link when a frame arrives on interface `ifindex`.
   virtual void receive(std::size_t ifindex, const EthernetFrame& frame) = 0;
+
+  /// Called by a link as it transmits `frame` toward this device, after the
+  /// loss check and the delay draw. A device whose handling of this frame
+  /// cannot depend on arrival order may apply it now and return true; the
+  /// link then schedules no delivery. The default keeps every delivery an
+  /// event.
+  virtual bool apply_at_transmit(const EthernetFrame& /*frame*/) {
+    return false;
+  }
 
   /// Creates a new attachment point; the Network wires it to a link.
   virtual std::size_t allocate_interface() = 0;
@@ -67,7 +83,8 @@ class Link {
   friend class Device;
   friend class Network;
 
-  /// Schedules delivery of `frame` at the far end of side `from_side`.
+  /// Schedules delivery of `frame` at the far end of side `from_side`, or
+  /// hands it to the far device's apply_at_transmit.
   void transmit(int from_side, const EthernetFrame& frame);
 
   Simulator* sim_;

@@ -258,8 +258,7 @@ std::size_t Simulator::run() {
       run_record(store[top.ref]);
     }
   }
-  finish_run(executed);
-  return executed;
+  return finish_run(executed);
 }
 
 std::size_t Simulator::run_until(util::SimTime deadline) {
@@ -271,8 +270,7 @@ std::size_t Simulator::run_until(util::SimTime deadline) {
     ++executed;
   }
   if (now_ < deadline) now_ = deadline;
-  finish_run(executed);
-  return executed;
+  return finish_run(executed);
 }
 
 bool Simulator::next_at_or_before(std::int64_t deadline_ns) {
@@ -308,14 +306,18 @@ void Simulator::execute_next() {
   run_record(local);
 }
 
-void Simulator::finish_run(std::size_t executed) {
+std::size_t Simulator::finish_run(std::size_t executed) {
+  executed +=
+      static_cast<std::size_t>(deliveries_applied_ - deliveries_counted_);
+  deliveries_counted_ = deliveries_applied_;
   events_executed_ += executed;
-  if (!obs::metrics_enabled()) return;
+  if (!obs::metrics_enabled()) return executed;
   static obs::Counter events("rp.sim.events");
   static obs::Gauge high_water("rp.sim.queue.high_water",
                                obs::Stability::kScheduling);
   events.add(executed);
   high_water.set(static_cast<double>(queue_high_water_));
+  return executed;
 }
 
 }  // namespace rp::sim

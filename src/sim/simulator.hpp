@@ -27,12 +27,19 @@
 //     heap top — so runs are bit-for-bit identical to a single sorted
 //     queue.
 //
+// Deliveries a device applies at transmit time (Device::apply_at_transmit)
+// are never scheduled, but the link reports each one here, and run(),
+// run_until(), events_executed() and rp.sim.events count them as executed
+// events: an event count stays a property of the simulated world, equal to
+// what a fabric that schedules every delivery executes.
+//
 // Observability: run()/run_until() count executed events into the
 // rp.sim.events counter and expose the queue's high-water mark
 // (rp.sim.queue.high_water, scheduling-dependent, excluded from determinism
 // snapshots). The sim.event fault site (RP_FAULT=sim.event:<spec>) drops a
 // scheduled event (throw action) or delays it by 250 ms (flip/truncate
-// actions), deterministically per the armed spec.
+// actions), deterministically per the armed spec. Deliveries applied at
+// transmit time are not scheduled, so the site never sees them.
 #pragma once
 
 #include <array>
@@ -84,8 +91,14 @@ class Simulator {
   bool idle() const { return size_ == 0; }
   std::size_t pending() const { return size_; }
 
-  /// Events executed over this simulator's lifetime (all run calls).
+  /// Events executed over this simulator's lifetime (all run calls),
+  /// including the deliveries applied at transmit time.
   std::uint64_t events_executed() const { return events_executed_; }
+  /// Deliveries applied at transmit time instead of scheduled.
+  std::uint64_t deliveries_applied() const { return deliveries_applied_; }
+  /// Called by a link for each delivery its far device applied at transmit
+  /// time; the next run()/run_until() counts it as an executed event.
+  void count_applied_delivery() { ++deliveries_applied_; }
   /// Largest pending-event count observed so far.
   std::size_t queue_high_water() const { return queue_high_water_; }
 
@@ -222,7 +235,9 @@ class Simulator {
   void heap_push(HeapEntry entry);
   HeapEntry heap_pop();
   void execute_next();
-  void finish_run(std::size_t executed);
+  /// Adds the deliveries applied since the last run to `executed`, records
+  /// the total, and returns it.
+  std::size_t finish_run(std::size_t executed);
 
   /// Far-future events (beyond the wheel window), plus stragglers scheduled
   /// behind a re-based window; ordered by (time, seq). Their records live in
@@ -248,6 +263,9 @@ class Simulator {
   util::SimTime now_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_executed_ = 0;
+  std::uint64_t deliveries_applied_ = 0;
+  /// deliveries_applied_ as of the last finish_run.
+  std::uint64_t deliveries_counted_ = 0;
   std::size_t queue_high_water_ = 0;
 };
 

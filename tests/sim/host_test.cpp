@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <vector>
 
 #include "sim/l2_switch.hpp"
 
@@ -179,6 +180,125 @@ TEST(Host, SecondPingSkipsArp) {
   ASSERT_TRUE(first && second && first->replied && second->replied);
   // Without the ARP round trip the second RTT cannot exceed the first.
   EXPECT_LE(second->rtt, first->rtt);
+}
+
+/// A host that takes every frame as a scheduled delivery: the reference a
+/// transmit-time fabric must match event for event.
+class EventHost : public Host {
+ public:
+  using Host::Host;
+  bool apply_at_transmit(const EthernetFrame&) override { return false; }
+};
+
+/// One pinger and three members on one switch, the members behind links of
+/// different delay. `scheduled` builds the members as EventHosts.
+struct FloodLan {
+  Simulator sim;
+  Network network{sim};
+  Host* pinger;
+  std::vector<Link*> member_links;
+
+  explicit FloodLan(bool scheduled) {
+    auto& sw = network.emplace_device<L2Switch>("fabric");
+    pinger = &network.emplace_device<Host>(
+        sim, host_config("lg", 1, net::Ipv4Addr(198, 18, 0, 1)),
+        util::Rng(1));
+    network.connect(sw, *pinger, util::SimDuration::micros(10));
+    for (std::uint8_t i = 0; i < 3; ++i) {
+      const HostConfig config =
+          host_config("m", 2u + i, net::Ipv4Addr(198, 18, 0, 2 + i));
+      Host& member =
+          scheduled ? network.emplace_device<EventHost>(sim, config,
+                                                        util::Rng(2u + i))
+                    : network.emplace_device<Host>(sim, config,
+                                                   util::Rng(2u + i));
+      member_links.push_back(&network.connect(
+          sw, member, util::SimDuration::micros(30 + 40 * i)));
+    }
+  }
+};
+
+TEST(TransmitTimeArp, RequestForAnotherHostLeavesNoPendingDelivery) {
+  FloodLan lan(/*scheduled=*/false);
+  lan.pinger->ping(net::Ipv4Addr(198, 18, 0, 2), util::SimDuration::seconds(2),
+                   [](const PingOutcome&) {});
+  // The request reaches the switch at 10 us and floods to all three members.
+  lan.sim.run_until(util::SimTime::at(util::SimDuration::micros(15)));
+  // Pending: the ping timeout and the delivery to the target. The two other
+  // members applied the request at transmit time.
+  EXPECT_EQ(lan.sim.pending(), 2u);
+  EXPECT_EQ(lan.sim.deliveries_applied(), 2u);
+  // Their links still carried (and counted) the frame.
+  for (const Link* link : lan.member_links)
+    EXPECT_EQ(link->frames_delivered(), 1u);
+}
+
+TEST(TransmitTimeArp, EventCountMatchesAScheduledFabric) {
+  FloodLan applied(/*scheduled=*/false);
+  FloodLan scheduled(/*scheduled=*/true);
+  const auto run = [](FloodLan& lan) {
+    std::vector<PingOutcome> outcomes;
+    const auto record = [&outcomes](const PingOutcome& o) {
+      outcomes.push_back(o);
+    };
+    // Two resolvable targets and one absent address, which floods again.
+    for (const std::uint8_t last : {2, 4, 99, 2})
+      lan.pinger->ping(net::Ipv4Addr(198, 18, 0, last),
+                       util::SimDuration::millis(500), record);
+    const std::size_t executed = lan.sim.run();
+    EXPECT_EQ(executed, lan.sim.events_executed());
+    return outcomes;
+  };
+  const auto applied_outcomes = run(applied);
+  const auto scheduled_outcomes = run(scheduled);
+
+  EXPECT_EQ(applied.sim.events_executed(), scheduled.sim.events_executed());
+  EXPECT_EQ(scheduled.sim.deliveries_applied(), 0u);
+  // Three floods: two non-target members each for .2 and .4, all three
+  // members for the absent .99.
+  EXPECT_EQ(applied.sim.deliveries_applied(), 2u + 2u + 3u);
+  ASSERT_EQ(applied_outcomes.size(), scheduled_outcomes.size());
+  for (std::size_t i = 0; i < applied_outcomes.size(); ++i) {
+    EXPECT_EQ(applied_outcomes[i].replied, scheduled_outcomes[i].replied);
+    EXPECT_EQ(applied_outcomes[i].sequence, scheduled_outcomes[i].sequence);
+    EXPECT_EQ(applied_outcomes[i].rtt, scheduled_outcomes[i].rtt);
+    EXPECT_EQ(applied_outcomes[i].reply_ttl, scheduled_outcomes[i].reply_ttl);
+  }
+  for (std::size_t i = 0; i < applied.member_links.size(); ++i)
+    EXPECT_EQ(applied.member_links[i]->frames_delivered(),
+              scheduled.member_links[i]->frames_delivered());
+}
+
+TEST(TransmitTimeArp, RepliesIpv4AndTargetedRequestsStayEvents) {
+  Simulator sim;
+  const net::Ipv4Addr self(198, 18, 0, 2);
+  const net::Ipv4Addr other(198, 18, 0, 1);
+  Host host(sim, host_config("h", 2, self), util::Rng(2));
+  const net::MacAddr other_mac = net::MacAddr::from_id(1);
+
+  EthernetFrame frame;
+  frame.src = other_mac;
+  frame.dst = net::MacAddr::broadcast();
+  frame.payload = ArpMessage{ArpMessage::Op::kRequest, other_mac, other,
+                             net::MacAddr{}, net::Ipv4Addr(198, 18, 0, 3)};
+  EXPECT_TRUE(host.apply_at_transmit(frame));
+
+  frame.payload = ArpMessage{ArpMessage::Op::kRequest, other_mac, other,
+                             net::MacAddr{}, self};
+  EXPECT_FALSE(host.apply_at_transmit(frame)) << "targeted request";
+
+  frame.dst = host.config().mac;
+  frame.payload = ArpMessage{ArpMessage::Op::kReply, other_mac, other,
+                             host.config().mac, self};
+  EXPECT_FALSE(host.apply_at_transmit(frame)) << "ARP reply";
+
+  Ipv4Packet echo;
+  echo.src = other;
+  echo.dst = self;
+  frame.payload = echo;
+  EXPECT_FALSE(host.apply_at_transmit(frame)) << "IPv4";
+  frame.dst = net::MacAddr::broadcast();
+  EXPECT_FALSE(host.apply_at_transmit(frame)) << "broadcast IPv4";
 }
 
 TEST(Host, CannotBeWiredTwice) {
