@@ -62,6 +62,36 @@ doc_lint_against() {
   return "$bad"
 }
 
+# The docs whose file references must resolve.
+DOC_FILES=(README.md DESIGN.md EXPERIMENTS.md docs/*.md)
+
+# Fails unless every repository file the given docs name exists. Two forms
+# count: a full path with an extension (src/..., tests/..., bench/...,
+# examples/..., scripts/...) and a backticked `module/file.hpp` or
+# `module/file.cpp`, which names src/module/file. Globs, brace lists and
+# extensionless binary names (bench/fig5_traffic) are not file references.
+doc_paths_lint_against() {
+  python3 - "$@" <<'EOF'
+import os, re, sys
+full = re.compile(r"(?<![\w./-])((?:src|tests|bench|examples|scripts)/"
+                  r"[\w./-]*\.[A-Za-z]+)(?![\w*{</-]|\.[\w{])")
+short = re.compile(r"`([a-z0-9_]+/\w+\.(?:hpp|cpp))`")
+roots = ("src", "tests", "bench", "examples", "scripts")
+bad = 0
+for doc in sys.argv[1:]:
+    for n, line in enumerate(open(doc, encoding="utf-8"), 1):
+        paths = [m.group(1) for m in full.finditer(line)]
+        paths += ["src/" + m.group(1) for m in short.finditer(line)
+                  if m.group(1).split("/")[0] not in roots]
+        for path in paths:
+            if not os.path.exists(path):
+                print(f"doc-lint: {doc}:{n} names {path}, which does not exist",
+                      file=sys.stderr)
+                bad = 1
+sys.exit(bad)
+EOF
+}
+
 doc_lint() {
   echo "=== doc lint (RP_* env reads vs README reference table) ==="
   doc_lint_against README.md
@@ -75,6 +105,21 @@ doc_lint() {
     return 1
   fi
   echo "doc lint passed (self-test: a removed row fails the lint)"
+
+  echo "=== doc lint (file paths the docs name) ==="
+  doc_paths_lint_against "${DOC_FILES[@]}"
+  # Self-test, once per form: a copy of the docs that also names a missing
+  # file must fail the lint.
+  local missing
+  for missing in 'src/flow/missing_file.cpp' '`flow/missing_file.hpp`'; do
+    cp "${DOC_FILES[@]}" "$scratch/"
+    echo "See $missing." >> "$scratch/README.md"
+    if doc_paths_lint_against "$scratch"/*.md 2> /dev/null; then
+      echo "FAIL: doc lint did not flag the missing file $missing" >&2
+      return 1
+    fi
+  done
+  echo "doc lint passed (self-test: a missing file fails the lint)"
 }
 
 configure_and_build() {

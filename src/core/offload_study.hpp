@@ -10,7 +10,6 @@
 
 #include "bgp/rib.hpp"
 #include "core/scenario.hpp"
-#include "flow/netflow.hpp"
 #include "flow/rate_model.hpp"
 #include "flow/traffic_matrix.hpp"
 #include "offload/analyzer.hpp"

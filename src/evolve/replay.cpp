@@ -154,12 +154,6 @@ ReplayOutcome replay_timeline(const Timeline& timeline,
   return outcome;
 }
 
-std::size_t completed_epochs(const Timeline& timeline,
-                             const std::filesystem::path& dir) {
-  return EvolvePaths(dir).completed(timeline_digest_hex(timeline),
-                                    timeline.epochs.size());
-}
-
 std::size_t summarize_replay(const Timeline& timeline,
                              const std::filesystem::path& dir) {
   obs::Span span("evolve.summarize");

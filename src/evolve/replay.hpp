@@ -109,10 +109,6 @@ ReplayOutcome replay_timeline(const Timeline& timeline,
                               const std::filesystem::path& dir,
                               const ReplayOptions& options = {});
 
-/// Epochs with a valid completion record for this timeline.
-std::size_t completed_epochs(const Timeline& timeline,
-                             const std::filesystem::path& dir);
-
 /// Collates the records into results.csv / results.json (atomically).
 /// Throws std::runtime_error naming the first missing epoch when the replay
 /// is incomplete. Returns the number of rows written.

@@ -83,13 +83,6 @@ void Ixp::add_looking_glass(LookingGlass lg) {
   looking_glasses_.push_back(lg);
 }
 
-std::vector<const MemberInterface*> Ixp::interfaces_of(net::Asn asn) const {
-  std::vector<const MemberInterface*> out;
-  for (const auto& iface : interfaces_)
-    if (iface.asn == asn) out.push_back(&iface);
-  return out;
-}
-
 const MemberInterface* Ixp::interface_at(net::Ipv4Addr addr) const {
   for (const auto& iface : interfaces_)
     if (iface.addr == addr) return &iface;
@@ -135,13 +128,6 @@ const Ixp* IxpEcosystem::find(const std::string& acronym) const {
 
 Ixp* IxpEcosystem::find(const std::string& acronym) {
   return const_cast<Ixp*>(std::as_const(*this).find(acronym));
-}
-
-std::vector<IxpId> IxpEcosystem::ixps_of(net::Asn asn) const {
-  std::vector<IxpId> out;
-  for (const auto& ixp : ixps_)
-    if (ixp.has_member(asn)) out.push_back(ixp.id());
-  return out;
 }
 
 }  // namespace rp::ixp

@@ -162,8 +162,6 @@ class Ixp {
     return looking_glasses_;
   }
 
-  /// All interfaces belonging to one member ASN.
-  std::vector<const MemberInterface*> interfaces_of(net::Asn asn) const;
   /// Interface bound to an address in the peering LAN; nullptr if none.
   const MemberInterface* interface_at(net::Ipv4Addr addr) const;
   /// Distinct member ASNs.
@@ -201,10 +199,6 @@ class IxpEcosystem {
   std::span<const RemotePeeringProvider> providers() const {
     return providers_;
   }
-
-  /// Every IXP id where `asn` has at least one interface — the network's
-  /// "IXP count" of Fig. 4a.
-  std::vector<IxpId> ixps_of(net::Asn asn) const;
 
  private:
   std::vector<Ixp> ixps_;

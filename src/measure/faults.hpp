@@ -82,7 +82,6 @@ class FaultPlan {
     const auto it = faults_.find(addr);
     return it == faults_.end() ? InterfaceFaults{} : it->second;
   }
-  std::size_t assigned_count() const { return faults_.size(); }
 
  private:
   std::unordered_map<net::Ipv4Addr, InterfaceFaults> faults_;

@@ -162,18 +162,12 @@ IxpTestbed::IxpTestbed(const ixp::Ixp& ixp, const FaultPlan& faults,
             : std::make_unique<sim::CompositeDelay>(std::move(parts));
 
     network_.connect(site_for(), host, base, std::move(noise));
-    member_hosts_[iface.addr] = &host;
   }
 }
 
 sim::Host* IxpTestbed::lg_host(ixp::LgOperator op) {
   const auto it = lg_hosts_.find(op);
   return it == lg_hosts_.end() ? nullptr : it->second;
-}
-
-sim::Host* IxpTestbed::member_host(net::Ipv4Addr addr) {
-  const auto it = member_hosts_.find(addr);
-  return it == member_hosts_.end() ? nullptr : it->second;
 }
 
 }  // namespace rp::measure

@@ -70,11 +70,6 @@ class IxpTestbed {
   sim::Host* lg_host(ixp::LgOperator op);
   /// The route-server host, when built with one.
   sim::Host* route_server_host() { return route_server_; }
-  /// The member host answering for `addr`; nullptr if the interface is
-  /// absent from the LAN (stale registry data).
-  sim::Host* member_host(net::Ipv4Addr addr);
-
-  std::size_t host_count() const { return member_hosts_.size(); }
 
   /// Number of fabric switches built (== the IXP's site count).
   std::size_t site_count() const { return fabric_sites_.size(); }
@@ -86,7 +81,6 @@ class IxpTestbed {
   /// One switch per site; site 0 is the hub of a star of metro trunks.
   std::vector<sim::L2Switch*> fabric_sites_;
   sim::Host* route_server_ = nullptr;
-  std::unordered_map<net::Ipv4Addr, sim::Host*> member_hosts_;
   std::unordered_map<ixp::LgOperator, sim::Host*> lg_hosts_;
 };
 

@@ -1,9 +1,8 @@
 // A binary (radix-1) trie over IPv4 prefixes with longest-prefix matching.
 //
-// The BGP substrate stores per-AS routing tables in this structure; the flow
-// classifier uses longest-prefix match to attribute NetFlow records to origin
-// and destination ASes, mirroring how the paper joins RedIRIS NetFlow with
-// the ASBR BGP tables (§4.1).
+// The BGP substrate stores the vantage's routing table in this structure,
+// keyed by originated prefix, so an address resolves to its origin AS by
+// longest-prefix match.
 #pragma once
 
 #include <array>

@@ -7,10 +7,12 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
+#include <thread>
 #include <unordered_map>
 
 #include "fault/fault.hpp"
@@ -31,6 +33,10 @@ obs::Counter& accepted_counter() {
 }
 obs::Counter& rejected_counter() {
   static obs::Counter c("rp.serve.connections.rejected");
+  return c;
+}
+obs::Counter& accept_errors_counter() {
+  static obs::Counter c("rp.serve.accept_errors", obs::Stability::kScheduling);
   return c;
 }
 obs::Counter& killed_counter() {
@@ -309,6 +315,12 @@ void Daemon::accept_loop() {
     if (fd < 0) {
       if (errno == EINTR) continue;
       if (!running_.load(std::memory_order_acquire)) return;
+      // At the descriptor limit (EMFILE) accept() fails at once, pending
+      // connection or not, and so does every immediate retry: back off
+      // instead of spinning a core until a descriptor frees. The loop
+      // re-checks running_ after the sleep.
+      accept_errors_counter().add();
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
       continue;
     }
     obs::Span span("serve.accept");

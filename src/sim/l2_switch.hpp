@@ -21,7 +21,6 @@ class L2Switch : public Device {
   void receive(std::size_t ifindex, const EthernetFrame& frame) override;
   std::size_t allocate_interface() override { return port_count_++; }
 
-  std::size_t port_count() const { return port_count_; }
   std::size_t mac_table_size() const { return mac_table_.size(); }
   std::uint64_t frames_forwarded() const { return frames_forwarded_; }
   std::uint64_t frames_flooded() const { return frames_flooded_; }

@@ -119,9 +119,6 @@ class Network {
                 std::unique_ptr<DelayModel> extra_delay = nullptr,
                 double loss_probability = 0.0);
 
-  std::size_t device_count() const { return devices_.size(); }
-  std::size_t link_count() const { return links_.size(); }
-
   /// Deterministic per-link RNG seeds derive from this stream.
   void seed_noise(util::Rng rng) { noise_rng_ = rng; }
 

@@ -75,8 +75,6 @@ class IncrementalOffload {
   /// Throws std::logic_error before the first on_bin.
   offload::Potential live_potential();
 
-  std::size_t endpoint_count() const { return endpoint_count_; }
-
   /// Bytes held by the live state (weights, counts, blocks; the coverage
   /// masks belong to the analyzer). Feeds the serve stats surface.
   std::size_t retained_bytes() const;

@@ -290,11 +290,6 @@ ExecuteOutcome execute_sweep(const SweepSpec& spec,
   return outcome;
 }
 
-std::size_t completed_runs(const SweepSpec& spec,
-                           const std::filesystem::path& dir) {
-  return SweepPaths(dir).completed(spec_digest_hex(spec), spec.run_count());
-}
-
 std::size_t summarize_sweep(const SweepSpec& spec,
                             const std::filesystem::path& dir) {
   obs::Span span("sweep.summarize");

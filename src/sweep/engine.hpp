@@ -132,10 +132,6 @@ ExecuteOutcome execute_sweep(const SweepSpec& spec,
                              const std::filesystem::path& dir,
                              const EngineOptions& options = {});
 
-/// Runs with a valid completion record for this spec.
-std::size_t completed_runs(const SweepSpec& spec,
-                           const std::filesystem::path& dir);
-
 /// Collates the records into results.csv / results.json (atomically).
 /// Throws std::runtime_error naming the first missing run when the sweep is
 /// incomplete. Returns the number of rows written.

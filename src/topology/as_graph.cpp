@@ -19,8 +19,6 @@ AsGraph& AsGraph::operator=(const AsGraph& other) {
   peering_links_ = other.peering_links_;
   cones_built_ = other.cones_built_.load();
   cone_masks_ = other.cone_masks_;
-  cone_addresses_ = other.cone_addresses_;
-  cone_sizes_ = other.cone_sizes_;
   return *this;
 }
 
@@ -35,8 +33,6 @@ AsGraph& AsGraph::operator=(AsGraph&& other) noexcept {
   peering_links_ = other.peering_links_;
   cones_built_ = other.cones_built_.load();
   cone_masks_ = std::move(other.cone_masks_);
-  cone_addresses_ = std::move(other.cone_addresses_);
-  cone_sizes_ = std::move(other.cone_sizes_);
   other.cones_built_ = false;
   return *this;
 }
@@ -140,8 +136,6 @@ void AsGraph::invalidate_cones() {
   std::scoped_lock lock(cone_mutex_);
   cones_built_.store(false, std::memory_order_release);
   cone_masks_.clear();
-  cone_addresses_.clear();
-  cone_sizes_.clear();
 }
 
 void AsGraph::ensure_cones() const {
@@ -150,8 +144,6 @@ void AsGraph::ensure_cones() const {
   if (cones_built_.load(std::memory_order_relaxed)) return;
   const std::size_t n = nodes_.size();
   cone_masks_.assign(n, util::DynamicBitset(n));
-  cone_addresses_.assign(n, 0);
-  cone_sizes_.assign(n, 1);
 
   // One reverse-topological sweep: a node's cone is itself plus the union of
   // its customers' cones, so processing customers before providers (Kahn's
@@ -163,30 +155,13 @@ void AsGraph::ensure_cones() const {
     if (pending[i] == 0) ready.push_back(i);
   }
   std::size_t processed = 0;
-  std::vector<bool> done(n, false);
   while (!ready.empty()) {
     const std::size_t i = ready.front();
     ready.pop_front();
     util::DynamicBitset& mask = cone_masks_[i];
     mask.set(i);
-    std::uint64_t addresses = nodes_[i].address_count();
     for (net::Asn customer : adj_[i].customers)
       mask |= cone_masks_[index_of(customer)];
-    // The address total cannot be summed from child totals (multihomed
-    // customers would double-count), so it is re-counted from the mask.
-    if (adj_[i].customers.empty()) {
-      cone_addresses_[i] = addresses;
-    } else {
-      addresses = 0;
-      std::size_t members = 0;
-      mask.for_each([this, &addresses, &members](std::size_t j) {
-        addresses += nodes_[j].address_count();
-        ++members;
-      });
-      cone_addresses_[i] = addresses;
-      cone_sizes_[i] = members;
-    }
-    done[i] = true;
     ++processed;
     for (net::Asn provider : adj_[i].providers) {
       const std::size_t p = index_of(provider);
@@ -195,21 +170,11 @@ void AsGraph::ensure_cones() const {
   }
 
   // A provider cycle (rejected by validate(), but the graph is mutable) would
-  // strand nodes; give them correct per-node BFS cones so queries still
-  // terminate.
+  // strand nodes, which still wait on a customer; give them correct per-node
+  // BFS cones so queries still terminate.
   if (processed != n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (done[i]) continue;
-      cone_masks_[i] = bfs_cone_mask(*this, i);
-      std::uint64_t addresses = 0;
-      std::size_t members = 0;
-      cone_masks_[i].for_each([this, &addresses, &members](std::size_t j) {
-        addresses += nodes_[j].address_count();
-        ++members;
-      });
-      cone_addresses_[i] = addresses;
-      cone_sizes_[i] = members;
-    }
+    for (std::size_t i = 0; i < n; ++i)
+      if (pending[i] != 0) cone_masks_[i] = bfs_cone_mask(*this, i);
   }
   cones_built_ = true;
 }
@@ -223,23 +188,12 @@ std::vector<net::Asn> AsGraph::customer_cone(net::Asn asn) const {
   const std::size_t root = index_of(asn);
   const util::DynamicBitset& mask = cone_mask(root);
   std::vector<net::Asn> cone;
-  cone.reserve(cone_sizes_[root]);
+  cone.reserve(mask.count());
   cone.push_back(asn);
   mask.for_each([this, root, &cone](std::size_t i) {
     if (i != root) cone.push_back(nodes_[i].asn);
   });
   return cone;
-}
-
-std::uint64_t AsGraph::cone_address_count(net::Asn asn) const {
-  ensure_cones();
-  return cone_addresses_[index_of(asn)];
-}
-
-std::uint64_t AsGraph::total_address_count() const {
-  std::uint64_t total = 0;
-  for (const auto& n : nodes_) total += n.address_count();
-  return total;
 }
 
 std::optional<std::string> AsGraph::validate() const {
@@ -275,20 +229,6 @@ std::optional<std::string> AsGraph::validate() const {
     }
   }
   return std::nullopt;
-}
-
-AsGraph::SnapshotParts AsGraph::snapshot_parts() const {
-  SnapshotParts parts;
-  parts.nodes = nodes_;
-  parts.providers.reserve(adj_.size());
-  parts.customers.reserve(adj_.size());
-  parts.peers.reserve(adj_.size());
-  for (const Adjacency& a : adj_) {
-    parts.providers.push_back(a.providers);
-    parts.customers.push_back(a.customers);
-    parts.peers.push_back(a.peers);
-  }
-  return parts;
 }
 
 AsGraph AsGraph::restore(SnapshotParts parts) {

@@ -77,14 +77,6 @@ class AsGraph {
   /// next such mutation.
   const util::DynamicBitset& cone_mask(std::size_t index) const;
 
-  /// Number of IP interfaces originated inside the customer cone. Memoized
-  /// alongside cone_mask(); assumes node prefixes stop changing once cones
-  /// are queried.
-  std::uint64_t cone_address_count(net::Asn asn) const;
-
-  /// Total addresses originated by all ASes in the graph.
-  std::uint64_t total_address_count() const;
-
   /// Checks structural invariants: provider hierarchy is acyclic and no pair
   /// of ASes holds both transit and peering relationships.
   /// Returns an explanatory message for the first violation, or nullopt.
@@ -106,9 +98,6 @@ class AsGraph {
     std::vector<std::vector<net::Asn>> peers;
   };
 
-  /// Copies the graph into its snapshot representation.
-  SnapshotParts snapshot_parts() const;
-
   /// Rebuilds a graph from snapshot parts, preserving adjacency order
   /// bit-for-bit. Validates referential symmetry (every transit edge appears
   /// in both endpoints' lists exactly once, every peering in both peer
@@ -125,7 +114,7 @@ class AsGraph {
 
   const Adjacency& adjacency(net::Asn asn) const;
 
-  /// Builds all cone masks (and per-cone address totals) if stale.
+  /// Builds all cone masks if stale.
   void ensure_cones() const;
   void invalidate_cones();
 
@@ -141,8 +130,6 @@ class AsGraph {
   mutable std::mutex cone_mutex_;
   mutable std::atomic<bool> cones_built_ = false;
   mutable std::vector<util::DynamicBitset> cone_masks_;
-  mutable std::vector<std::uint64_t> cone_addresses_;
-  mutable std::vector<std::size_t> cone_sizes_;
 };
 
 }  // namespace rp::topology

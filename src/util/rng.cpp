@@ -133,32 +133,6 @@ std::size_t Rng::weighted_index(const std::vector<double>& weights) {
   return weights.size() - 1;  // Floating-point slack: last positive bucket.
 }
 
-ZipfSampler::ZipfSampler(std::size_t n, double s) : s_(s) {
-  if (n == 0) throw std::invalid_argument("ZipfSampler: n == 0");
-  cdf_.resize(n);
-  double sum = 0.0;
-  for (std::size_t k = 1; k <= n; ++k) {
-    sum += 1.0 / std::pow(static_cast<double>(k), s);
-    cdf_[k - 1] = sum;
-  }
-  for (double& c : cdf_) c /= sum;
-}
-
-std::size_t ZipfSampler::sample(Rng& rng) const {
-  const double u = rng.uniform();
-  // Binary search for the first CDF entry >= u.
-  std::size_t lo = 0, hi = cdf_.size() - 1;
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (cdf_[mid] < u) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo + 1;
-}
-
 DoubleParetoSampler::DoubleParetoSampler(double scale, double head_alpha,
                                          double tail_alpha,
                                          std::size_t knee_rank)

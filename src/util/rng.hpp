@@ -73,25 +73,6 @@ class Rng {
   double spare_normal_ = 0.0;
 };
 
-/// Zipf-distributed integers over {1, ..., n} with exponent s, sampled by
-/// inverting a precomputed CDF. Heavy-tailed popularity is ubiquitous in
-/// Internet traffic; the paper's per-network traffic contributions (Fig. 5a)
-/// follow such a tail.
-class ZipfSampler {
- public:
-  ZipfSampler(std::size_t n, double s);
-
-  /// Returns a rank in [1, n]; rank 1 is the most popular.
-  std::size_t sample(Rng& rng) const;
-
-  std::size_t n() const { return cdf_.size(); }
-  double exponent() const { return s_; }
-
- private:
-  std::vector<double> cdf_;
-  double s_;
-};
-
 /// Double-Pareto traffic-volume sampler: the body follows one power law and
 /// the tail beyond `knee_rank` falls faster. Fig. 5a of the paper shows this
 /// "bend" around network rank ~20,000, where individual contributions start

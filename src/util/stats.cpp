@@ -75,44 +75,4 @@ double EmpiricalCdf::quantile(double q) const {
   return sorted_[lo] + frac * (sorted_[lo + 1] - sorted_[lo]);
 }
 
-std::vector<EmpiricalCdf::Point> EmpiricalCdf::steps() const {
-  std::vector<Point> out;
-  const double n = static_cast<double>(sorted_.size());
-  for (std::size_t i = 0; i < sorted_.size(); ++i) {
-    if (i + 1 < sorted_.size() && sorted_[i + 1] == sorted_[i]) continue;
-    out.push_back({sorted_[i], static_cast<double>(i + 1) / n});
-  }
-  return out;
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)),
-      counts_(bins, 0) {
-  if (!(lo < hi) || bins == 0)
-    throw std::invalid_argument("Histogram: invalid range or bin count");
-}
-
-void Histogram::add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  auto i = static_cast<std::size_t>((x - lo_) / width_);
-  if (i >= counts_.size()) i = counts_.size() - 1;  // FP edge at hi_.
-  ++counts_[i];
-}
-
-double Histogram::bin_lo(std::size_t i) const {
-  return lo_ + width_ * static_cast<double>(i);
-}
-
-double Histogram::bin_hi(std::size_t i) const {
-  return lo_ + width_ * static_cast<double>(i + 1);
-}
-
 }  // namespace rp::util

@@ -32,8 +32,8 @@ double percentile(std::vector<double> values, double q);
 /// nearest-rank at ceil(0.95 * n).
 double p95_billing_rate(std::vector<double> five_minute_rates);
 
-/// An empirical CDF over a fixed sample, queryable at arbitrary x and
-/// renderable as (x, F(x)) steps — used for Fig. 2's minimum-RTT CDF.
+/// An empirical CDF over a fixed sample, queryable at arbitrary x and by
+/// quantile — used for Fig. 2's minimum-RTT CDF.
 class EmpiricalCdf {
  public:
   explicit EmpiricalCdf(std::vector<double> values);
@@ -43,43 +43,9 @@ class EmpiricalCdf {
   /// The q-quantile (q in [0,1]), by linear interpolation.
   double quantile(double q) const;
   std::size_t size() const { return sorted_.size(); }
-  const std::vector<double>& sorted_values() const { return sorted_; }
-
-  /// Evaluation points suitable for plotting: one (value, cumulative
-  /// fraction) pair per distinct sample value.
-  struct Point {
-    double value;
-    double fraction;
-  };
-  std::vector<Point> steps() const;
 
  private:
   std::vector<double> sorted_;
-};
-
-/// Fixed-width histogram over [lo, hi) with `bins` buckets plus an overflow
-/// and underflow count.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t underflow() const { return underflow_; }
-  std::size_t overflow() const { return overflow_; }
-  std::size_t bins() const { return counts_.size(); }
-  std::size_t total() const { return total_; }
-  double bin_lo(std::size_t i) const;
-  double bin_hi(std::size_t i) const;
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<std::size_t> counts_;
-  std::size_t underflow_ = 0;
-  std::size_t overflow_ = 0;
-  std::size_t total_ = 0;
 };
 
 }  // namespace rp::util

@@ -19,15 +19,6 @@ std::vector<std::string> split(std::string_view s, char delim) {
   }
 }
 
-std::string_view trim(std::string_view s) {
-  while (!s.empty() &&
-         std::isspace(static_cast<unsigned char>(s.front())) != 0)
-    s.remove_prefix(1);
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.back())) != 0)
-    s.remove_suffix(1);
-  return s;
-}
-
 bool is_all_digits(std::string_view s) {
   if (s.empty()) return false;
   for (char c : s)
@@ -45,13 +36,6 @@ bool parse_u32(std::string_view s, unsigned long& out) {
   }
   out = value;
   return true;
-}
-
-std::string to_lower(std::string_view s) {
-  std::string out(s);
-  for (char& c : out)
-    c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return out;
 }
 
 std::vector<std::string> split_tokens(std::string_view text) {

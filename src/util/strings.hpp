@@ -14,9 +14,6 @@ namespace rp::util {
 /// Splits on a single-character delimiter; keeps empty fields.
 std::vector<std::string> split(std::string_view s, char delim);
 
-/// Strips ASCII whitespace from both ends.
-std::string_view trim(std::string_view s);
-
 /// True if `s` consists only of decimal digits (and is non-empty).
 bool is_all_digits(std::string_view s);
 
@@ -33,9 +30,6 @@ std::optional<T> parse_exact(std::string_view s) {
   if (ec != std::errc() || end != s.data() + s.size()) return std::nullopt;
   return out;
 }
-
-/// Lower-cases ASCII letters.
-std::string to_lower(std::string_view s);
 
 /// Splits on runs of ASCII whitespace, dropping empty tokens: the tokenizer
 /// of the line grammars (sweep specs, timelines).

@@ -9,18 +9,12 @@ namespace rp::util {
 TextTable::TextTable(std::vector<std::string> headers)
     : headers_(std::move(headers)) {
   if (headers_.empty()) throw std::invalid_argument("TextTable: no headers");
-  aligns_.assign(headers_.size(), Align::kRight);
-  aligns_[0] = Align::kLeft;
 }
 
 void TextTable::add_row(std::vector<std::string> cells) {
   if (cells.size() != headers_.size())
     throw std::invalid_argument("TextTable: row width mismatch");
   rows_.push_back(std::move(cells));
-}
-
-void TextTable::set_align(std::size_t column, Align align) {
-  aligns_.at(column) = align;
 }
 
 void TextTable::render(std::ostream& os) const {
@@ -33,7 +27,7 @@ void TextTable::render(std::ostream& os) const {
 
   auto emit_cell = [&](const std::string& s, std::size_t c) {
     const std::size_t pad = widths[c] - s.size();
-    if (aligns_[c] == Align::kRight) os << std::string(pad, ' ') << s;
+    if (c > 0) os << std::string(pad, ' ') << s;
     else os << s << std::string(pad, ' ');
   };
   auto emit_row = [&](const std::vector<std::string>& row) {
@@ -50,30 +44,6 @@ void TextTable::render(std::ostream& os) const {
     os << std::string(widths[c], '-');
   }
   os << '\n';
-  for (const auto& row : rows_) emit_row(row);
-}
-
-void TextTable::render_csv(std::ostream& os) const {
-  auto emit_cell = [&](const std::string& s) {
-    if (s.find_first_of(",\"\n") == std::string::npos) {
-      os << s;
-      return;
-    }
-    os << '"';
-    for (char ch : s) {
-      if (ch == '"') os << '"';
-      os << ch;
-    }
-    os << '"';
-  };
-  auto emit_row = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c > 0) os << ',';
-      emit_cell(row[c]);
-    }
-    os << '\n';
-  };
-  emit_row(headers_);
   for (const auto& row : rows_) emit_row(row);
 }
 

@@ -1,8 +1,7 @@
 // Plain-text table rendering for the bench harnesses.
 //
 // Every bench binary regenerates one of the paper's tables or figures as rows
-// of text; this renderer keeps the output aligned and also emits CSV so the
-// series can be re-plotted.
+// of text; this renderer keeps the output aligned.
 #pragma once
 
 #include <cstddef>
@@ -12,9 +11,6 @@
 
 namespace rp::util {
 
-/// Column alignment for TextTable rendering.
-enum class Align { kLeft, kRight };
-
 /// A simple text table: set headers, append rows of strings, render aligned.
 class TextTable {
  public:
@@ -23,25 +19,18 @@ class TextTable {
   /// Appends a row; must have exactly as many cells as there are headers.
   void add_row(std::vector<std::string> cells);
 
-  /// Sets the alignment for one column (default: left for the first column,
-  /// right for the rest — the common "name, numbers..." layout).
-  void set_align(std::size_t column, Align align);
-
   std::size_t rows() const { return rows_.size(); }
   std::size_t columns() const { return headers_.size(); }
 
-  /// Renders with a header rule, e.g.
+  /// Renders with a header rule, the first column left-aligned and the rest
+  /// right-aligned (the "name, numbers..." layout), e.g.
   ///   IXP      | members | remote
   ///   ---------+---------+-------
   ///   AMS-IX   |     638 |     41
   void render(std::ostream& os) const;
 
-  /// Renders as RFC-4180-style CSV (quotes cells containing comma/quote/NL).
-  void render_csv(std::ostream& os) const;
-
  private:
   std::vector<std::string> headers_;
-  std::vector<Align> aligns_;
   std::vector<std::vector<std::string>> rows_;
 };
 

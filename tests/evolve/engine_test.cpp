@@ -239,7 +239,8 @@ TEST_F(EpochTimelineTest, FaultInterruptThenResumeIsByteIdentical) {
   EXPECT_THROW(replay_timeline(timeline_, dir, options_),
                fault::InjectedFault);
   fault::disarm_all();
-  const std::size_t survived = completed_epochs(timeline_, dir);
+  const std::size_t survived = EvolvePaths(dir).completed(
+      timeline_digest_hex(timeline_), timeline_.epochs.size());
   EXPECT_GT(survived, 0u);
   EXPECT_LT(survived, 5u);
   EXPECT_THROW(summarize_replay(timeline_, dir), std::runtime_error);

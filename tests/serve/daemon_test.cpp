@@ -1,11 +1,18 @@
 // Integration tests of the serve daemon over real loopback sockets:
 // byte-identical responses across clients and thread counts, per-connection
 // fault isolation (serve.accept / serve.parse / serve.respond and malformed
-// frames), admission control, and protocol-driven shutdown.
+// frames), accept back-off at the descriptor limit, admission control, and
+// protocol-driven shutdown.
 #include "serve/daemon.hpp"
 
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
@@ -14,6 +21,7 @@
 
 #include "evolve/timeline.hpp"
 #include "fault/fault.hpp"
+#include "obs/metrics.hpp"
 #include "serve/client.hpp"
 #include "util/thread_pool.hpp"
 
@@ -203,6 +211,101 @@ TEST(Daemon, RespondFaultKillsOneConnectionAndAnswersStayIdentical) {
   // The concurrent client's next answer is byte-identical to its baseline:
   // the poisoned connection corrupted nothing shared.
   EXPECT_EQ(healthy.call_raw(world_info_request()), baseline);
+  daemon.stop();
+}
+
+std::uint64_t counter_total(const std::string& name) {
+  for (const obs::MetricValue& metric :
+       obs::MetricsRegistry::global().snapshot())
+    if (metric.name == name) return metric.count;
+  return 0;
+}
+
+/// User plus system CPU time of the whole process, in milliseconds.
+double process_cpu_ms() {
+  rusage usage{};
+  ::getrusage(RUSAGE_SELF, &usage);
+  const auto ms = [](const timeval& tv) {
+    return static_cast<double>(tv.tv_sec) * 1e3 +
+           static_cast<double>(tv.tv_usec) / 1e3;
+  };
+  return ms(usage.ru_utime) + ms(usage.ru_stime);
+}
+
+/// The process's open descriptors, ascending.
+std::vector<int> open_fds() {
+  std::vector<int> fds;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd"))
+    fds.push_back(std::stoi(entry.path().filename().string()));
+  // The listing's own descriptor is closed by now.
+  std::erase_if(fds, [](int fd) { return ::fcntl(fd, F_GETFD) < 0; });
+  std::sort(fds.begin(), fds.end());
+  return fds;
+}
+
+// At the descriptor limit accept() fails with EMFILE at once, and so does
+// every retry. The accept loop must back off instead of spinning a core, and
+// must accept again once descriptors free.
+TEST(Daemon, AcceptBacksOffAtTheDescriptorLimit) {
+  Daemon daemon(test_config());
+  daemon.start();
+  // One full round trip first. UBSan's vptr check probes memory through a
+  // pipe, which fails at the limit; a warm type cache never needs the probe.
+  Client warm = Client::connect("127.0.0.1", daemon.port());
+  EXPECT_EQ(warm.call(ping_request("warm")).field("token"), "warm");
+  const std::uint64_t errors_before = counter_total("rp.serve.accept_errors");
+
+  // The smallest soft limit that leaves exactly kFree descriptors free.
+  constexpr rlim_t kFree = 4;
+  const std::vector<int> fds = open_fds();
+  ASSERT_FALSE(fds.empty());
+  rlim_t limit = 0;
+  for (std::size_t below = 0;; ++limit) {
+    while (below < fds.size() && static_cast<rlim_t>(fds[below]) < limit)
+      ++below;
+    if (limit - below == kFree) break;
+  }
+  rlimit saved{};
+  ASSERT_EQ(::getrlimit(RLIMIT_NOFILE, &saved), 0);
+  ASSERT_LT(limit, saved.rlim_cur);
+  rlimit lowered = saved;
+  lowered.rlim_cur = limit;
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
+
+  // Fill the free slots (never more than 8), then hand the last one to the
+  // client's socket. A blocked accept() has already reserved a descriptor,
+  // which the daemon's end of that connection takes; the accept after it
+  // finds none left.
+  std::vector<int> dups;
+  int dup_errno = 0;
+  while (dups.size() < 8) {
+    const int fd = ::dup(fds.front());
+    if (fd < 0) {
+      dup_errno = errno;
+      break;
+    }
+    dups.push_back(fd);
+  }
+  ASSERT_EQ(dup_errno, EMFILE);
+  ASSERT_FALSE(dups.empty());
+  ::close(dups.back());
+  dups.pop_back();
+  Client waiting = Client::connect("127.0.0.1", daemon.port());
+
+  const double cpu_before = process_cpu_ms();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const double cpu_used = process_cpu_ms() - cpu_before;
+  const std::uint64_t errors =
+      counter_total("rp.serve.accept_errors") - errors_before;
+
+  for (int fd : dups) ::close(fd);
+  ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
+  EXPECT_LT(cpu_used, 50.0) << "accept loop spun at the descriptor limit";
+  EXPECT_GT(errors, 0u);
+  EXPECT_EQ(waiting.call(ping_request("waited")).field("token"), "waited");
+  Client fresh = Client::connect("127.0.0.1", daemon.port());
+  EXPECT_EQ(fresh.call(ping_request("fresh")).field("token"), "fresh");
   daemon.stop();
 }
 

@@ -100,7 +100,9 @@ TEST_F(SweepEngineTest, GridSharesOneWorldAcrossAllRuns) {
   EXPECT_EQ(outcome.executed, 24u);
   EXPECT_EQ(outcome.skipped, 0u);
   EXPECT_EQ(outcome.worlds_built, 1u);
-  EXPECT_EQ(completed_runs(spec_, dir), 24u);
+  EXPECT_EQ(
+      SweepPaths(dir).completed(spec_digest_hex(spec_), spec_.run_count()),
+      24u);
   // Re-executing is a no-op: every record is valid.
   const ExecuteOutcome again = execute_sweep(spec_, dir, options_);
   EXPECT_EQ(again.executed, 0u);
@@ -124,7 +126,8 @@ TEST_F(SweepEngineTest, FaultInterruptThenResumeIsByteIdentical) {
   fault::arm(std::string(fault::kSiteSweepRun) + ":nth=9");
   EXPECT_THROW(execute_sweep(spec_, dir, options_), fault::InjectedFault);
   fault::disarm_all();
-  const std::size_t survived = completed_runs(spec_, dir);
+  const std::size_t survived =
+      SweepPaths(dir).completed(spec_digest_hex(spec_), spec_.run_count());
   EXPECT_GT(survived, 0u);
   EXPECT_LT(survived, 24u);
   // The interrupted sweep cannot be summarized...
@@ -191,7 +194,7 @@ TEST_F(SweepEngineTest, StaleRecordsAreDetectedAndReexecuted) {
   std::ofstream(paths.record(3), std::ios::trunc) << "garbage\n";
   std::ofstream(paths.record(7), std::ios::trunc)
       << "rpsweep-record v1 0123456789abcdef 7\nrow\njson\n";
-  EXPECT_EQ(completed_runs(spec_, dir), 22u);
+  EXPECT_EQ(paths.completed(spec_digest_hex(spec_), spec_.run_count()), 22u);
   const ExecuteOutcome repaired = execute_sweep(spec_, dir, options_);
   EXPECT_EQ(repaired.executed, 2u);
   EXPECT_EQ(repaired.skipped, 22u);

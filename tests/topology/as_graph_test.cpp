@@ -99,20 +99,6 @@ TEST(AsGraph, CustomerConeHandlesMultihoming) {
   EXPECT_EQ(g.customer_cone(net::Asn{2}).size(), 2u);
 }
 
-TEST(AsGraph, ConeAddressCount) {
-  AsGraph g;
-  AsNode a = make_node(1);
-  a.prefixes.push_back(net::Ipv4Prefix::make(net::Ipv4Addr(10, 0, 0, 0), 24));
-  AsNode b = make_node(2);
-  b.prefixes.push_back(net::Ipv4Prefix::make(net::Ipv4Addr(10, 1, 0, 0), 25));
-  g.add_as(std::move(a));
-  g.add_as(std::move(b));
-  g.add_transit(net::Asn{1}, net::Asn{2});
-  EXPECT_EQ(g.cone_address_count(net::Asn{1}), 256u + 128u);
-  EXPECT_EQ(g.cone_address_count(net::Asn{2}), 128u);
-  EXPECT_EQ(g.total_address_count(), 384u);
-}
-
 /// Reference implementation: the plain BFS the pre-memoization code used.
 std::unordered_set<std::uint32_t> bfs_cone(const AsGraph& g, net::Asn root) {
   std::unordered_set<std::uint32_t> seen{root.value()};
@@ -124,6 +110,24 @@ std::unordered_set<std::uint32_t> bfs_cone(const AsGraph& g, net::Asn root) {
       if (seen.insert(customer.value()).second) frontier.push_back(customer);
   }
   return seen;
+}
+
+/// Checks every memoized cone of `g`, in both the ASN listing and the
+/// index-space mask, against the BFS reference.
+void expect_cones_match_bfs(const AsGraph& g) {
+  for (const AsNode& node : g.nodes()) {
+    const net::Asn asn = node.asn;
+    const auto reference = bfs_cone(g, asn);
+    const auto cone = g.customer_cone(asn);
+    EXPECT_EQ(cone.size(), reference.size()) << "cone of " << asn.to_string();
+    EXPECT_EQ(cone.front(), asn);  // Root stays first.
+    std::unordered_set<std::uint32_t> got;
+    for (net::Asn member : cone) got.insert(member.value());
+    EXPECT_EQ(got, reference) << "cone of " << asn.to_string();
+    // The index-space mask agrees with the ASN-space listing.
+    const auto& mask = g.cone_mask(g.index_of(asn));
+    EXPECT_EQ(mask.count(), reference.size());
+  }
 }
 
 TEST(AsGraph, MemoizedConesMatchBfsOnRandomDag) {
@@ -141,19 +145,25 @@ TEST(AsGraph, MemoizedConesMatchBfsOnRandomDag) {
     }
   }
   ASSERT_FALSE(g.validate().has_value());
+  expect_cones_match_bfs(g);
+}
 
-  for (std::uint32_t asn = 1; asn <= kNodes; ++asn) {
-    const auto reference = bfs_cone(g, net::Asn{asn});
-    const auto cone = g.customer_cone(net::Asn{asn});
-    EXPECT_EQ(cone.size(), reference.size()) << "cone of AS" << asn;
-    EXPECT_EQ(cone.front(), net::Asn{asn});  // Root stays first.
-    std::unordered_set<std::uint32_t> got;
-    for (net::Asn member : cone) got.insert(member.value());
-    EXPECT_EQ(got, reference) << "cone of AS" << asn;
-    // The index-space mask agrees with the ASN-space listing.
-    const auto& mask = g.cone_mask(g.index_of(net::Asn{asn}));
-    EXPECT_EQ(mask.count(), reference.size());
-  }
+TEST(AsGraph, MemoizedConesMatchBfsWithProviderCycle) {
+  // A provider cycle 1 -> 2 -> 3 -> 1 with a provider above it (6 -> 1) and
+  // an acyclic tail below it (3 -> 4 -> 5, 7 -> 5). The topological sweep
+  // settles only the tail; the cycle and everything above it take the BFS
+  // fallback.
+  AsGraph g;
+  for (std::uint32_t asn = 1; asn <= 7; ++asn) g.add_as(make_node(asn));
+  g.add_transit(net::Asn{1}, net::Asn{2});
+  g.add_transit(net::Asn{2}, net::Asn{3});
+  g.add_transit(net::Asn{3}, net::Asn{1});
+  g.add_transit(net::Asn{6}, net::Asn{1});
+  g.add_transit(net::Asn{3}, net::Asn{4});
+  g.add_transit(net::Asn{4}, net::Asn{5});
+  g.add_transit(net::Asn{7}, net::Asn{5});
+  ASSERT_TRUE(g.validate().has_value());
+  expect_cones_match_bfs(g);
 }
 
 TEST(AsGraph, ConeMemoInvalidatedByNewTransitEdge) {

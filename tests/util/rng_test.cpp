@@ -186,30 +186,6 @@ TEST(Rng, ShufflePreservesElements) {
   EXPECT_EQ(v, shuffled);
 }
 
-TEST(ZipfSampler, RanksWithinBounds) {
-  ZipfSampler zipf(50, 1.0);
-  Rng rng(73);
-  for (int i = 0; i < 10000; ++i) {
-    const std::size_t rank = zipf.sample(rng);
-    EXPECT_GE(rank, 1u);
-    EXPECT_LE(rank, 50u);
-  }
-}
-
-TEST(ZipfSampler, RankOneDominates) {
-  ZipfSampler zipf(100, 1.2);
-  Rng rng(79);
-  std::vector<int> hits(101, 0);
-  for (int i = 0; i < 50000; ++i) ++hits[zipf.sample(rng)];
-  EXPECT_GT(hits[1], hits[2]);
-  EXPECT_GT(hits[2], hits[10]);
-  EXPECT_GT(hits[10], hits[100]);
-}
-
-TEST(ZipfSampler, RejectsEmptyDomain) {
-  EXPECT_THROW(ZipfSampler(0, 1.0), std::invalid_argument);
-}
-
 TEST(DoubleParetoSampler, HeadFollowsHeadExponent) {
   DoubleParetoSampler law(100.0, 1.0, 3.0, 10);
   EXPECT_DOUBLE_EQ(law.volume_at_rank(1), 100.0);

@@ -94,47 +94,8 @@ TEST(EmpiricalCdf, QuantileInterpolates) {
   EXPECT_DOUBLE_EQ(cdf.quantile(1.0), 10.0);
 }
 
-TEST(EmpiricalCdf, StepsCollapseDuplicates) {
-  EmpiricalCdf cdf({1.0, 1.0, 2.0});
-  const auto steps = cdf.steps();
-  ASSERT_EQ(steps.size(), 2u);
-  EXPECT_DOUBLE_EQ(steps[0].value, 1.0);
-  EXPECT_NEAR(steps[0].fraction, 2.0 / 3.0, 1e-12);
-  EXPECT_DOUBLE_EQ(steps[1].value, 2.0);
-  EXPECT_DOUBLE_EQ(steps[1].fraction, 1.0);
-}
-
 TEST(EmpiricalCdf, RejectsEmpty) {
   EXPECT_THROW(EmpiricalCdf({}), std::invalid_argument);
-}
-
-TEST(Histogram, BinsAndOverflow) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-1.0);   // underflow
-  h.add(0.0);    // bin 0
-  h.add(1.9);    // bin 0
-  h.add(2.0);    // bin 1
-  h.add(9.99);   // bin 4
-  h.add(10.0);   // overflow
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(1), 1u);
-  EXPECT_EQ(h.bin_count(4), 1u);
-  EXPECT_EQ(h.total(), 6u);
-}
-
-TEST(Histogram, BinEdges) {
-  Histogram h(0.0, 10.0, 5);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 0.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_lo(4), 8.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(4), 10.0);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 5), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
 }
 
 }  // namespace

@@ -26,13 +26,6 @@ TEST(Split, NoDelimiterYieldsWhole) {
   EXPECT_EQ(parts[0], "abc");
 }
 
-TEST(Trim, StripsBothEnds) {
-  EXPECT_EQ(trim("  hi \t\n"), "hi");
-  EXPECT_EQ(trim(""), "");
-  EXPECT_EQ(trim("   "), "");
-  EXPECT_EQ(trim("x"), "x");
-}
-
 TEST(IsAllDigits, Cases) {
   EXPECT_TRUE(is_all_digits("0123"));
   EXPECT_FALSE(is_all_digits(""));
@@ -49,11 +42,6 @@ TEST(ParseU32, ParsesAndBounds) {
   EXPECT_FALSE(parse_u32("1x", v));
   EXPECT_TRUE(parse_u32("0", v));
   EXPECT_EQ(v, 0UL);
-}
-
-TEST(ToLower, AsciiOnly) {
-  EXPECT_EQ(to_lower("AmS-IX"), "ams-ix");
-  EXPECT_EQ(to_lower("123"), "123");
 }
 
 TEST(SplitTokens, SplitsOnWhitespaceRuns) {

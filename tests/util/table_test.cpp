@@ -28,25 +28,6 @@ TEST(TextTable, EmptyHeadersThrow) {
   EXPECT_THROW(TextTable({}), std::invalid_argument);
 }
 
-TEST(TextTable, CsvEscapesSpecialCharacters) {
-  TextTable t({"name", "note"});
-  t.add_row({"a,b", "say \"hi\""});
-  std::ostringstream os;
-  t.render_csv(os);
-  EXPECT_EQ(os.str(), "name,note\n\"a,b\",\"say \"\"hi\"\"\"\n");
-}
-
-TEST(TextTable, AlignmentOverride) {
-  TextTable t({"n", "name"});
-  t.set_align(1, Align::kLeft);
-  t.set_align(0, Align::kRight);
-  t.add_row({"1", "x"});
-  t.add_row({"10", "yy"});
-  std::ostringstream os;
-  t.render(os);
-  EXPECT_NE(os.str().find(" 1 | x "), std::string::npos);
-}
-
 TEST(FmtDouble, Digits) {
   EXPECT_EQ(fmt_double(3.14159, 2), "3.14");
   EXPECT_EQ(fmt_double(3.14159, 0), "3");
