@@ -9,8 +9,8 @@
 // an internet-facing service) and answers rp::serve protocol queries until a
 // client sends `shutdown` or the process receives SIGINT/SIGTERM.
 //
-// Environment: RP_SERVE_PORT, RP_SERVE_WORLDS, RP_SERVE_QUEUE seed the
-// defaults (flags win); RP_THREADS sizes the execution pool; RP_CACHE_DIR is
+// Environment: RP_SERVE_PORT seeds the default port, the one rpq also dials
+// (--port wins); RP_THREADS sizes the execution pool; RP_CACHE_DIR is
 // honoured through the snapshot cache the worlds load from.
 //
 // --port-file writes the bound port (one line) once the listener is up, so

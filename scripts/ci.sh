@@ -42,10 +42,9 @@ export_artifacts() {
 }
 
 # Every RP_* environment variable the binaries read. The sed strips the
-# getenv("...") / env_value("...", ...) wrapper around each match (env_value
-# is the serve daemon's numeric-env helper — it forwards to getenv).
+# getenv("...") wrapper around each match.
 env_vars_read() {
-  grep -rhoE '(getenv|env_value)\("RP_[A-Z_]+"' src examples bench |
+  grep -rhoE 'getenv\("RP_[A-Z_]+"' src examples bench |
     sed -e 's/.*("//' -e 's/"$//' | sort -u
 }
 

@@ -5,6 +5,7 @@
 #
 # Starts rpserve-daemon on an ephemeral loopback port and drives it with rpq:
 # ping, world-info, viability and offload-curve against a warm fast world;
+# 20 short-lived clients that must leave no descriptor behind in the daemon;
 # the stats surface as JSON, Prometheus text and `rpq top`; an unknown config
 # field (soft error) and a poisoned frame the daemon must survive; then a
 # protocol-driven shutdown that must exit 0. Numeric flags that do not fit
@@ -21,7 +22,7 @@ fi
 BIN="$(cd "$1" && pwd)"
 
 # A caller's fault, cache or daemon settings must not leak into the run.
-unset RP_FAULT RP_SNAPSHOT_CACHE RP_SERVE_PORT RP_SERVE_WORLDS RP_SERVE_QUEUE
+unset RP_FAULT RP_SNAPSHOT_CACHE RP_SERVE_PORT
 
 TEMP_DIRS=()
 DAEMON_PID=""
@@ -83,6 +84,16 @@ serve_smoke() {
   port="$(cat "$dir/port")"
 
   "$rpq" --port "$port" ping ci-token | grep -q "token = ci-token"
+  # A client that leaves gives its descriptor back: 20 short-lived clients
+  # may leave at most 2 descriptors open (one still closing) in the daemon.
+  local fds_before fds_after
+  fds_before="$(ls "/proc/$DAEMON_PID/fd" | wc -l)"
+  for _ in $(seq 20); do "$rpq" --port "$port" ping > /dev/null; done
+  fds_after="$(ls "/proc/$DAEMON_PID/fd" | wc -l)"
+  if ((fds_after > fds_before + 2)); then
+    echo "FAIL: daemon descriptors $fds_before -> $fds_after after 20 pings" >&2
+    return 1
+  fi
   "$rpq" --port "$port" --fast world-info | tee "$dir/info.log" |
     grep -q "world.digest"
   grep -q "world.ases" "$dir/info.log"

@@ -17,31 +17,21 @@ Rib Rib::build(const topology::AsGraph& graph, net::Asn vantage) {
 
   // Only the vantage's route is kept, so each destination costs its own
   // provider ancestors plus the vantage's provider closure (a handful of
-  // ASes): a serial loop in node order, which is also the order the
-  // order-sensitive trie/map inserts need.
+  // ASes): a serial loop in node order. A world allocates each prefix once
+  // (net::SubnetAllocator), so summing them counts distinct prefixes.
   const net::Asn sources[] = {vantage};
-  std::uint64_t inserted = 0;
   for (const auto& node : nodes) {
     routes.compute(node.asn, sources);
     const std::optional<Route> route = routes.route_from(vantage);
     if (!route) continue;
-    for (const auto& prefix : node.prefixes) {
-      rib.trie_.insert(prefix, RibEntry{node.asn, *route});
-      ++inserted;
-    }
+    rib.prefix_count_ += node.prefixes.size();
     rib.by_destination_.emplace(node.asn, *route);
   }
   static obs::Counter computed("rp.bgp.routes.computed");
   static obs::Counter prefixes("rp.bgp.prefixes.inserted");
   computed.add(nodes.size());
-  prefixes.add(inserted);
+  prefixes.add(rib.prefix_count_);
   return rib;
-}
-
-std::optional<net::Asn> Rib::lookup_origin(net::Ipv4Addr addr) const {
-  const RibEntry* entry = trie_.lookup(addr);
-  if (entry == nullptr) return std::nullopt;
-  return entry->origin;
 }
 
 const Route* Rib::route_to(net::Asn destination) const {

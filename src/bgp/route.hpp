@@ -1,8 +1,8 @@
 // BGP route objects.
 //
-// The offload study (§4.1) joins NetFlow with the BGP tables of the vantage
-// network's border routers to get an AS-level path for every flow. These are
-// the route types that computation produces and the RIB stores.
+// The offload study (§4.1) reads an AS-level path toward every traffic
+// endpoint from the BGP tables of the vantage network's border routers.
+// These are the route types that computation produces and the RIB stores.
 #pragma once
 
 #include <string>

@@ -206,8 +206,8 @@ std::vector<SiteStatus> site_status();
 /// event on a throw action and delays it by 250 ms on a flip/truncate action
 /// (a simulator must degrade, not unwind, mid-run), and the serve.* sites
 /// kill the one connection they fire on (the daemon itself never unwinds) —
-/// serve.stats fires while a stats request is being answered inline on its
-/// reader thread. evolve.apply fires once per epoch event as a timeline
+/// serve.stats fires while a stats request is being answered inline on the
+/// I/O thread. evolve.apply fires once per epoch event as a timeline
 /// replay applies it — CI kills a replay mid-timeline with it and proves
 /// the per-epoch records resume byte-identically.
 inline constexpr const char* kSiteIoRead = "io.read";

@@ -10,7 +10,7 @@
 //
 //   - one ring of kRingCapacity (256) records, slot (seq − 1) % capacity,
 //     and cumulative per-type log2 latency histograms, all under one mutex;
-//   - a record is ten integers and one lock hold, so writers (reader threads
+//   - a record is ten integers and one lock hold, so writers (the I/O thread
 //     and the dispatcher) and the stats reader never see a torn record;
 //   - bounded memory: one ring per tracer, however many threads record.
 //

@@ -2,18 +2,20 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 
 #include "fault/fault.hpp"
 #include "io/snapshot.hpp"
@@ -104,17 +106,12 @@ fault::Site& stats_site() {
   return site;
 }
 
+// A send blocked this long fails and kills its connection: a client that stops
+// reading its answers must not hold the I/O thread or the dispatcher.
+constexpr timeval kSendTimeout{2, 0};
+
 // The "serve.request" flow name: one arrow per request id across threads.
 constexpr const char* kRequestFlow = "serve.request";
-
-/// The environment value of `name` if it parses exactly as a T, else
-/// `fallback`: a signed or out-of-range value is as unusable as text.
-template <typename T>
-T env_value(const char* name, T fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr) return fallback;
-  return util::parse_exact<T>(raw).value_or(fallback);
-}
 
 }  // namespace
 
@@ -202,9 +199,9 @@ std::size_t RequestQueue::high_water() const {
 
 DaemonConfig DaemonConfig::from_env() {
   DaemonConfig config;
-  config.port = env_value("RP_SERVE_PORT", config.port);
-  config.worlds = env_value("RP_SERVE_WORLDS", config.worlds);
-  config.queue_capacity = env_value("RP_SERVE_QUEUE", config.queue_capacity);
+  // A signed or out-of-range value is as unusable as text.
+  if (const char* raw = std::getenv("RP_SERVE_PORT"))
+    config.port = util::parse_exact<std::uint16_t>(raw).value_or(config.port);
   return config;
 }
 
@@ -256,8 +253,7 @@ void Daemon::start() {
   recorder_.start(obs::TimeSeriesRecorder::interval_ms_from_env());
   start_ns_ = obs::monotonic_ns();
 
-  running_.store(true, std::memory_order_release);
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  io_thread_ = std::thread([this] { io_loop(); });
   dispatcher_thread_ = std::thread([this] { dispatcher_loop(); });
 }
 
@@ -276,31 +272,17 @@ void Daemon::request_shutdown() {
 
 void Daemon::stop() {
   if (stopped_.exchange(true)) return;
-  running_.store(false, std::memory_order_release);
 
-  // Wake the accept thread, then the dispatcher (which drains what is
-  // already queued), then the readers. Readers are joined last so every
-  // in-flight handle they hold stays valid.
+  // shutdown() turns the listener's poll entry into POLLHUP, which ends the
+  // I/O thread (within kSendTimeout if it is blocked in a send). Its exit
+  // drops every connection no queued request holds; the dispatcher answers
+  // what is queued, and the last of those references closes the rest.
   if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  if (io_thread_.joinable()) io_thread_.join();
+  if (listen_fd_ >= 0) ::close(std::exchange(listen_fd_, -1));
 
   queue_.stop();
   if (dispatcher_thread_.joinable()) dispatcher_thread_.join();
-
-  std::vector<std::shared_ptr<Connection>> connections;
-  std::vector<std::thread> readers;
-  {
-    std::lock_guard<std::mutex> lock(conn_mutex_);
-    connections.swap(connections_);
-    readers.swap(readers_);
-  }
-  for (auto& connection : connections) connection->kill();
-  for (auto& reader : readers)
-    if (reader.joinable()) reader.join();
 
   // Metrics stay on: other components may share the process-wide flag, and
   // a stopped daemon recording nothing costs nothing.
@@ -309,74 +291,92 @@ void Daemon::stop() {
   request_shutdown();  // Unblock a wait()er that did not see a client ask.
 }
 
-void Daemon::accept_loop() {
-  while (running_.load(std::memory_order_acquire)) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      if (!running_.load(std::memory_order_acquire)) return;
-      // At the descriptor limit (EMFILE) accept() fails at once, pending
-      // connection or not, and so does every immediate retry: back off
-      // instead of spinning a core until a descriptor frees. The loop
-      // re-checks running_ after the sleep.
-      accept_errors_counter().add();
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-      continue;
+void Daemon::io_loop() {
+  // Each connection this thread reads, with its input not yet parsed.
+  struct Peer {
+    std::shared_ptr<Connection> connection;
+    std::vector<std::uint8_t> buffer;
+  };
+  std::vector<Peer> peers;
+  std::vector<pollfd> fds;  // fds[0] is the listener, fds[i + 1] peers[i].
+  std::uint64_t listen_resume_ns = 0;
+  for (;;) {
+    // At the descriptor limit (EMFILE) accept() fails at once, and so does
+    // every immediate retry. After a failure the listener sits out of the
+    // poll set (poll skips a negative fd) for 10 ms instead of spinning a
+    // core, while established connections are still read.
+    const std::uint64_t now = obs::monotonic_ns();
+    const bool listening = now >= listen_resume_ns;
+    fds.assign(1, pollfd{listening ? listen_fd_ : -1, POLLIN, 0});
+    for (const Peer& peer : peers)
+      fds.push_back(pollfd{peer.connection->fd(), POLLIN, 0});
+    const int timeout_ms =
+        listening ? -1 : static_cast<int>((listen_resume_ns - now + 999'999) /
+                                          1'000'000);
+    if (::poll(fds.data(), fds.size(), timeout_ms) < 0) continue;  // EINTR.
+    if (fds[0].revents & (POLLHUP | POLLERR)) break;  // stop() shut it down.
+
+    const std::size_t polled = peers.size();  // Accepted peers wait a round.
+    if (fds[0].revents & POLLIN) {
+      const int fd = ::accept(listen_fd_, nullptr, nullptr);
+      if (fd < 0) {
+        accept_errors_counter().add();
+        listen_resume_ns = obs::monotonic_ns() + 10'000'000;
+      } else if (obs::Span span("serve.accept"); accept_site().fire()) {
+        // The fault kills only the brand-new connection: the listener and
+        // every established client are untouched.
+        ::close(fd);
+        rejected_counter().add();
+      } else {
+        ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &kSendTimeout,
+                     sizeof kSendTimeout);
+        peers.push_back({std::make_shared<Connection>(fd), {}});
+        accepted_counter().add();
+      }
     }
-    obs::Span span("serve.accept");
-    if (accept_site().fire()) {
-      // The fault kills only the brand-new connection: the listener and
-      // every established client are untouched.
-      ::close(fd);
-      rejected_counter().add();
-      continue;
-    }
-    auto connection = std::make_shared<Connection>(fd);
-    accepted_counter().add();
-    std::lock_guard<std::mutex> lock(conn_mutex_);
-    connections_.push_back(connection);
-    readers_.emplace_back(
-        [this, connection] { reader_loop(connection); });
+    for (std::size_t i = 0; i < polled; ++i)
+      if (fds[i + 1].revents != 0)
+        read_from(peers[i].connection, peers[i].buffer);
+    // A dead connection (peer gone, bad frame, or killed by the dispatcher)
+    // leaves the poll set now; queued requests keep it open until answered.
+    std::erase_if(peers,
+                  [](const Peer& peer) { return !peer.connection->alive(); });
   }
 }
 
-void Daemon::reader_loop(std::shared_ptr<Connection> connection) {
-  std::vector<std::uint8_t> buffer;
+void Daemon::read_from(const std::shared_ptr<Connection>& connection,
+                       std::vector<std::uint8_t>& buffer) {
   std::uint8_t chunk[4096];
-  while (connection->alive()) {
-    const ssize_t n = ::recv(connection->fd(), chunk, sizeof chunk, 0);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
+  const ssize_t n = ::recv(connection->fd(), chunk, sizeof chunk, 0);
+  if (n <= 0) {
+    if (n == 0 || errno != EINTR) connection->kill();  // Gone or broken.
+    return;
+  }
+  buffer.insert(buffer.end(), chunk, chunk + n);
+  // Drain every complete frame in the buffer (clients may pipeline).
+  for (;;) {
+    std::optional<std::pair<std::size_t, std::span<const std::uint8_t>>> frame;
+    try {
+      obs::Span span("serve.parse");
+      frame = try_parse_frame(buffer);
+      // The fault site fires only once a complete frame parsed: nth= then
+      // counts frames, not drain-loop polls, so it neither depends on TCP
+      // segmentation nor races an arm() against the leftover-buffer check
+      // that runs after the previous response was already sent.
+      if (frame) {
+        parse_site().maybe_throw();
+        handle_frame(connection, frame->second);
+      }
+    } catch (const std::exception&) {
+      // Malformed frame or injected parse fault: this connection is
+      // unrecoverable (framing is lost), so it dies — alone.
       connection->kill();
+      killed_counter().add();
       return;
     }
-    buffer.insert(buffer.end(), chunk, chunk + n);
-    // Drain every complete frame in the buffer (clients may pipeline).
-    for (;;) {
-      std::optional<std::pair<std::size_t, std::span<const std::uint8_t>>>
-          frame;
-      try {
-        obs::Span span("serve.parse");
-        frame = try_parse_frame(buffer);
-        // The fault site fires only once a complete frame parsed: nth= then
-        // counts frames, not drain-loop polls, so it neither depends on TCP
-        // segmentation nor races an arm() against the leftover-buffer check
-        // that runs after the previous response was already sent.
-        if (frame) {
-          parse_site().maybe_throw();
-          handle_frame(connection, frame->second);
-        }
-      } catch (const std::exception&) {
-        // Malformed frame or injected parse fault: this connection is
-        // unrecoverable (framing is lost), so it dies — alone.
-        connection->kill();
-        killed_counter().add();
-        return;
-      }
-      if (!frame) break;
-      buffer.erase(buffer.begin(),
-                   buffer.begin() + static_cast<std::ptrdiff_t>(frame->first));
-    }
+    if (!frame) break;
+    buffer.erase(buffer.begin(),
+                 buffer.begin() + static_cast<std::ptrdiff_t>(frame->first));
   }
 }
 
@@ -388,7 +388,7 @@ void Daemon::handle_frame(const std::shared_ptr<Connection>& connection,
   received_counter().add();
 
   // Assign the server-side request id and open its flow arrow ('s' binds to
-  // the enclosing serve.parse slice on this reader thread).
+  // the enclosing serve.parse slice on the I/O thread).
   const std::uint64_t server_id = obs::RequestTracer::next_request_id();
   const std::uint64_t accept_ns = obs::monotonic_ns();
   obs::flow_begin(kRequestFlow, server_id);
@@ -396,8 +396,8 @@ void Daemon::handle_frame(const std::shared_ptr<Connection>& connection,
   if (request.type == RequestType::kPing ||
       request.type == RequestType::kShutdown ||
       request.type == RequestType::kStats) {
-    // No world needed: answer inline on the reader thread. The serve.stats
-    // site throws into the reader's catch, so a firing stats fault kills
+    // No world needed: answer inline on the I/O thread. The serve.stats
+    // site throws into read_from's catch, so a firing stats fault kills
     // exactly this connection — the daemon and its other clients carry on.
     const std::uint64_t compute_start = obs::monotonic_ns();
     Response response;

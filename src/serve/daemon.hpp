@@ -1,17 +1,19 @@
 // The rp::serve daemon: a resident TCP query server over warm worlds.
 //
-// Thread shape
-//   accept thread    accepts connections (serve.accept fault site: a fire
-//                    closes the one new socket, never the listener) and
-//                    spawns one blocking reader per connection.
-//   reader threads   frame + decode incoming requests (serve.parse site). A
-//                    malformed or fault-poisoned frame kills that connection
-//                    only. Well-formed requests go through admission control:
-//                    a full queue earns an immediate kBusy response and the
+// Thread shape (two threads, whatever the number of clients)
+//   I/O thread       polls the listener and every live connection. It
+//                    accepts (serve.accept fault site: a fire closes the one
+//                    new socket, never the listener), reads, and frames +
+//                    decodes requests (serve.parse site). A malformed or
+//                    fault-poisoned frame kills that connection only.
+//                    Well-formed requests go through admission control: a
+//                    full queue earns an immediate kBusy response and the
 //                    connection stays healthy. ping/shutdown/stats are
 //                    answered inline (they need no world; stats works even
 //                    when the queue is saturated, and carries its own
-//                    serve.stats fault site).
+//                    serve.stats fault site). A dead connection leaves the
+//                    poll set at once and closes once its queued requests
+//                    are answered.
 //   dispatcher       pops batches off the bounded queue, resolves each
 //                    batch's distinct worlds once through the WorldPool,
 //                    pre-warms the artifacts the batch needs, executes the
@@ -35,7 +37,7 @@
 // Every finished request goes through Daemon::complete(), which records the
 // per-phase latency breakdown into the daemon's own obs::RequestTracer (one
 // locked ring) and — when an RP_TRACE session is live — closes the
-// "serve.request" flow ('s' at admission on the reader thread, 't' at
+// "serve.request" flow ('s' at admission on the I/O thread, 't' at
 // execute on the worker, 'f' at respond) that ties one request's spans
 // together across threads in the Perfetto view. The daemon also owns an
 // obs::TimeSeriesRecorder whose RP_OBS_SAMPLE_MS sampler runs from start()
@@ -66,9 +68,9 @@
 namespace rp::serve {
 
 /// One live client connection. Writes are serialized by an internal mutex
-/// (the reader answers busy/ping inline while the dispatcher writes query
-/// responses). kill() shuts the socket down, which unblocks the reader and
-/// fails later writes; the fd closes when the last reference drops.
+/// (the I/O thread answers busy/ping inline while the dispatcher writes query
+/// responses). kill() shuts the socket down and fails later writes; the fd
+/// closes when the last reference drops.
 class Connection {
  public:
   explicit Connection(int fd) : fd_(fd) {}
@@ -81,11 +83,11 @@ class Connection {
   bool alive() const { return alive_.load(std::memory_order_relaxed); }
 
   /// Frames `payload` and writes it out. Returns false (and marks the
-  /// connection dead) when the peer is gone.
+  /// connection dead) when the peer is gone or leaves it unread for 2 s.
   bool send_payload(std::span<const std::uint8_t> payload);
 
-  /// Marks the connection dead and shuts the socket down both ways (wakes a
-  /// blocked reader). Idempotent.
+  /// Marks the connection dead and shuts the socket down both ways (the I/O
+  /// thread reads end of stream). Idempotent.
   void kill();
 
  private:
@@ -103,9 +105,9 @@ struct QueueItem {
   std::uint64_t accept_ns = 0;   ///< monotonic_ns at admission.
 };
 
-/// The bounded admission queue between readers and the dispatcher.
+/// The bounded admission queue between the I/O thread and the dispatcher.
 /// try_push never blocks — a full queue is the daemon's backpressure signal
-/// (the reader turns it into a kBusy response).
+/// (the I/O thread turns it into a kBusy response).
 class RequestQueue {
  public:
   explicit RequestQueue(std::size_t capacity);
@@ -143,8 +145,8 @@ struct DaemonConfig {
   std::size_t max_batch = 64;
   std::filesystem::path cache_dir;  ///< Empty = io::default_cache_dir().
 
-  /// Overlays RP_SERVE_PORT / RP_SERVE_WORLDS / RP_SERVE_QUEUE onto the
-  /// defaults (unparsable or out-of-range values are ignored).
+  /// Overlays RP_SERVE_PORT, the port rpq also dials, onto the defaults (an
+  /// unparsable or out-of-range value is ignored).
   static DaemonConfig from_env();
 };
 
@@ -156,7 +158,7 @@ class Daemon {
   Daemon(const Daemon&) = delete;
   Daemon& operator=(const Daemon&) = delete;
 
-  /// Binds, listens, and starts the accept + dispatcher threads. Throws
+  /// Binds, listens, and starts the I/O + dispatcher threads. Throws
   /// std::runtime_error when the socket cannot be bound.
   void start();
 
@@ -166,8 +168,8 @@ class Daemon {
   /// Blocks until a client sends shutdown or stop() is called elsewhere.
   void wait();
 
-  /// Stops accepting, drains the queue, kills remaining connections, and
-  /// joins every thread. Idempotent.
+  /// Stops accepting and reading, drains the queue (answering what was
+  /// queued), closes every connection, and joins both threads. Idempotent.
   void stop();
 
   const WorldPool& pool() const { return pool_; }
@@ -180,12 +182,14 @@ class Daemon {
   /// hit/resident-bytes accounting, per-request-type latency quantiles, the
   /// slow-query log, and — when `window` > 0 — the most recent `window`
   /// points of every recorded time series. Exposed for tests; the daemon
-  /// answers kStats requests with it inline on the reader thread.
+  /// answers kStats requests with it inline on the I/O thread.
   Response stats_response(std::uint64_t window) const;
 
  private:
-  void accept_loop();
-  void reader_loop(std::shared_ptr<Connection> connection);
+  void io_loop();
+  /// One recv(), then handle_frame for each complete frame in `buffer`.
+  void read_from(const std::shared_ptr<Connection>& connection,
+                 std::vector<std::uint8_t>& buffer);
   void dispatcher_loop();
   void handle_frame(const std::shared_ptr<Connection>& connection,
                     std::span<const std::uint8_t> payload);
@@ -202,14 +206,10 @@ class Daemon {
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   std::uint64_t start_ns_ = 0;  ///< monotonic_ns at start(), for uptime.
-  std::atomic<bool> running_{false};
   std::atomic<bool> stopped_{false};
 
-  std::thread accept_thread_;
+  std::thread io_thread_;
   std::thread dispatcher_thread_;
-  std::mutex conn_mutex_;
-  std::vector<std::shared_ptr<Connection>> connections_;
-  std::vector<std::thread> readers_;
 
   std::mutex shutdown_mutex_;
   std::condition_variable shutdown_cv_;

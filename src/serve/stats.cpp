@@ -1,5 +1,5 @@
 // Daemon::stats_response — the daemon's live stats surface, answered inline
-// on the reader thread (it needs no world and must work even when the
+// on the I/O thread (it needs no world and must work even when the
 // admission queue is saturated).
 //
 // Row set (flat key/value, like every kOk report; doubles canonically

@@ -168,8 +168,8 @@ AsGraph generate_topology(const GeneratorConfig& config, util::Rng& rng,
     node.policy = sample_policy(cls, rng);
     node.prefixes.push_back(space.allocate(prefix_length_for_class(cls, rng)));
     // Real networks announce several prefixes; give a third of them 1-3
-    // extra, much smaller blocks (exercises longest-prefix matching without
-    // inflating the Fig. 10 address totals beyond the pools).
+    // extra, much smaller blocks (small enough not to inflate the Fig. 10
+    // address totals beyond the pools).
     if (rng.chance(0.33)) {
       const auto extra = 1 + rng.uniform_int(0, 2);
       for (std::uint64_t e = 0; e < extra; ++e) {

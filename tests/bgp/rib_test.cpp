@@ -41,13 +41,6 @@ TEST(Rib, BuildsRoutesForAllReachableDestinations) {
   EXPECT_EQ(rib.prefix_count(), 5u);
 }
 
-TEST(Rib, LookupOriginByAddress) {
-  const Rib rib = Rib::build(graph(), as(2));
-  EXPECT_EQ(rib.lookup_origin(*net::Ipv4Addr::parse("10.3.9.9")), as(3));
-  EXPECT_EQ(rib.lookup_origin(*net::Ipv4Addr::parse("10.5.0.1")), as(5));
-  EXPECT_FALSE(rib.lookup_origin(*net::Ipv4Addr::parse("192.168.0.1")));
-}
-
 TEST(Rib, RouteSourcesMatchTopologyRoles) {
   const Rib rib = Rib::build(graph(), as(2));
   ASSERT_NE(rib.route_to(as(1)), nullptr);
@@ -62,14 +55,6 @@ TEST(Rib, RouteSourcesMatchTopologyRoles) {
   EXPECT_EQ(rib.route_to(as(2))->source, RouteSource::kOrigin);
 }
 
-TEST(Rib, LookupEntryCarriesFullRoute) {
-  const Rib rib = Rib::build(graph(), as(2));
-  const RibEntry* entry = rib.lookup(*net::Ipv4Addr::parse("10.5.1.2"));
-  ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(entry->origin, as(5));
-  EXPECT_EQ(entry->route.as_path, (std::vector<net::Asn>{as(4), as(5)}));
-}
-
 TEST(Rib, UnknownDestinationReturnsNull) {
   const Rib rib = Rib::build(graph(), as(2));
   EXPECT_EQ(rib.route_to(as(99)), nullptr);
@@ -81,7 +66,7 @@ TEST(Rib, UnreachableDestinationOmitted) {
   g.add_as(std::move(island));
   const Rib rib = Rib::build(g, as(2));
   EXPECT_EQ(rib.route_to(as(7)), nullptr);
-  EXPECT_FALSE(rib.lookup_origin(*net::Ipv4Addr::parse("10.7.0.1")));
+  EXPECT_EQ(rib.prefix_count(), 5u);  // The island's prefix is not routed.
 }
 
 }  // namespace

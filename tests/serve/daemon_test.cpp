@@ -1,13 +1,17 @@
 // Integration tests of the serve daemon over real loopback sockets:
 // byte-identical responses across clients and thread counts, per-connection
 // fault isolation (serve.accept / serve.parse / serve.respond and malformed
-// frames), accept back-off at the descriptor limit, admission control, and
-// protocol-driven shutdown.
+// frames), accept back-off at the descriptor limit, descriptors released as
+// clients leave, a thread count independent of the client count, a client
+// that stops reading, admission control, and protocol-driven shutdown.
 #include "serve/daemon.hpp"
 
+#include <arpa/inet.h>
 #include <fcntl.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
 #include <sys/resource.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -15,6 +19,8 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -244,9 +250,134 @@ std::vector<int> open_fds() {
   return fds;
 }
 
+/// The process's thread count, from /proc/self/status.
+std::size_t thread_count() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);)
+    if (line.rfind("Threads:", 0) == 0) return std::stoul(line.substr(8));
+  return 0;
+}
+
+// A client that hangs up gives its descriptor back while the daemon runs,
+// not at stop().
+TEST(Daemon, ClosedClientsReleaseTheirDescriptors) {
+  Daemon daemon(test_config());
+  daemon.start();
+  const std::size_t before = open_fds().size();
+  for (int i = 0; i < 64; ++i) {
+    Client client = Client::connect("127.0.0.1", daemon.port());
+    EXPECT_EQ(client.call(ping_request("cycle")).status, Status::kOk);
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (open_fds().size() > before &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  EXPECT_LE(open_fds().size(), before);
+  daemon.stop();
+}
+
+// One I/O thread serves every connection: more clients, no more threads.
+TEST(Daemon, ThreadCountIndependentOfClients) {
+  Daemon daemon(test_config());
+  daemon.start();
+  constexpr std::size_t kClients = 32;
+  std::vector<Client> clients;
+  clients.reserve(kClients);
+  std::size_t with_one = 0;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    clients.push_back(Client::connect("127.0.0.1", daemon.port()));
+    EXPECT_EQ(clients.back().call(ping_request("open")).status, Status::kOk);
+    if (c == 0) with_one = thread_count();
+  }
+  EXPECT_GT(with_one, 0u);
+  EXPECT_EQ(thread_count(), with_one);
+  daemon.stop();
+}
+
+/// A plain loopback socket connected to the daemon. Unlike a Client, the
+/// test can shut it down from outside while another thread writes to it.
+int connect_raw(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  EXPECT_EQ(
+      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr), 0);
+  return fd;
+}
+
+/// Waits (at most 20 s) until the daemon has sent no response for 200 ms:
+/// its one I/O thread is then blocked in a send, or the traffic is over.
+void wait_for_responses_to_stall() {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  std::uint64_t last = counter_total("rp.serve.responses.sent");
+  while (std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    const std::uint64_t now = counter_total("rp.serve.responses.sent");
+    if (now == last) return;
+    last = now;
+  }
+}
+
+// A client that pipelines pings and never reads its answers fills its socket
+// buffers, so the daemon's inline send to it blocks. That send must fail
+// after the daemon's 2 s send timeout and drop the hog alone: a second
+// client is still answered, and stop() returns even while a send is stuck.
+// Each hog is then shut down (which ends its writer) and closed with unread
+// input (which resets the connection and frees a daemon stuck on it), so a
+// daemon without the timeout fails this test instead of hanging it.
+TEST(Daemon, AClientThatStopsReadingStallsNoOne) {
+  Daemon daemon(test_config());
+  daemon.start();
+  std::vector<std::uint8_t> pings;
+  const std::vector<std::uint8_t> one =
+      encode_request(ping_request(std::string(200, 'x')));
+  for (int i = 0; i < 100'000; ++i) append_frame(pings, one);
+
+  // Writes every ping, or until the daemon drops the connection.
+  const auto write_all = [&pings](int fd) {
+    for (std::size_t sent = 0; sent < pings.size();) {
+      const ssize_t n = ::send(fd, pings.data() + sent, pings.size() - sent,
+                               MSG_NOSIGNAL);
+      if (n <= 0) return;
+      sent += static_cast<std::size_t>(n);
+    }
+  };
+  constexpr auto kPatience = std::chrono::seconds(10);
+
+  const int hog = connect_raw(daemon.port());
+  std::thread hog_writer(write_all, hog);
+  wait_for_responses_to_stall();
+  auto answer = std::async(std::launch::async, [&daemon] {
+    Client other = Client::connect("127.0.0.1", daemon.port());
+    return std::string(other.call(ping_request("other")).field("token"));
+  });
+  EXPECT_TRUE(answer.wait_for(kPatience) == std::future_status::ready)
+      << "a client that never reads stalled another";
+  ::shutdown(hog, SHUT_RDWR);
+  hog_writer.join();
+  ::close(hog);
+  EXPECT_EQ(answer.get(), "other");
+
+  const int stuck = connect_raw(daemon.port());
+  std::thread stuck_writer(write_all, stuck);
+  wait_for_responses_to_stall();
+  auto stopped = std::async(std::launch::async, [&daemon] { daemon.stop(); });
+  EXPECT_TRUE(stopped.wait_for(kPatience) == std::future_status::ready)
+      << "stop() hung on a send to a client that never reads";
+  ::shutdown(stuck, SHUT_RDWR);
+  stuck_writer.join();
+  ::close(stuck);
+  stopped.get();
+}
+
 // At the descriptor limit accept() fails with EMFILE at once, and so does
-// every retry. The accept loop must back off instead of spinning a core, and
-// must accept again once descriptors free.
+// every retry. The daemon must back off instead of spinning a core, keep
+// answering established clients meanwhile, and accept again once
+// descriptors free.
 TEST(Daemon, AcceptBacksOffAtTheDescriptorLimit) {
   Daemon daemon(test_config());
   daemon.start();
@@ -274,9 +405,8 @@ TEST(Daemon, AcceptBacksOffAtTheDescriptorLimit) {
   ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &lowered), 0);
 
   // Fill the free slots (never more than 8), then hand the last one to the
-  // client's socket. A blocked accept() has already reserved a descriptor,
-  // which the daemon's end of that connection takes; the accept after it
-  // finds none left.
+  // client's socket. The daemon's end of that connection finds none left, so
+  // every accept() fails until the slots free.
   std::vector<int> dups;
   int dup_errno = 0;
   while (dups.size() < 8) {
@@ -294,7 +424,11 @@ TEST(Daemon, AcceptBacksOffAtTheDescriptorLimit) {
   Client waiting = Client::connect("127.0.0.1", daemon.port());
 
   const double cpu_before = process_cpu_ms();
-  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  const auto window_end =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
+  const Response warm_reply = warm.call(ping_request("limit"));
+  const bool warm_in_window = std::chrono::steady_clock::now() < window_end;
+  std::this_thread::sleep_until(window_end);
   const double cpu_used = process_cpu_ms() - cpu_before;
   const std::uint64_t errors =
       counter_total("rp.serve.accept_errors") - errors_before;
@@ -303,6 +437,8 @@ TEST(Daemon, AcceptBacksOffAtTheDescriptorLimit) {
   ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
   EXPECT_LT(cpu_used, 50.0) << "accept loop spun at the descriptor limit";
   EXPECT_GT(errors, 0u);
+  EXPECT_EQ(warm_reply.field("token"), "limit");
+  EXPECT_TRUE(warm_in_window) << "the backoff stalled an established client";
   EXPECT_EQ(waiting.call(ping_request("waited")).field("token"), "waited");
   Client fresh = Client::connect("127.0.0.1", daemon.port());
   EXPECT_EQ(fresh.call(ping_request("fresh")).field("token"), "fresh");
@@ -446,18 +582,12 @@ TEST(RequestQueue, PopBatchHonoursMaxBatch) {
 TEST(DaemonConfig, FromEnvKeepsDefaultsForOutOfRangeValues) {
   const DaemonConfig defaults;
   ::setenv("RP_SERVE_PORT", "70000", 1);  // Would wrap to 4464 as a uint16.
-  ::setenv("RP_SERVE_WORLDS", "-1", 1);   // Would wrap to SIZE_MAX.
-  ::setenv("RP_SERVE_QUEUE", "64", 1);
-  const DaemonConfig config = DaemonConfig::from_env();
-  EXPECT_EQ(config.port, defaults.port);
-  EXPECT_EQ(config.worlds, defaults.worlds);
-  EXPECT_EQ(config.queue_capacity, 64u);
-
+  EXPECT_EQ(DaemonConfig::from_env().port, defaults.port);
+  ::setenv("RP_SERVE_PORT", "-1", 1);  // Would wrap to 65535.
+  EXPECT_EQ(DaemonConfig::from_env().port, defaults.port);
   ::setenv("RP_SERVE_PORT", "65535", 1);
   EXPECT_EQ(DaemonConfig::from_env().port, 65535);
   ::unsetenv("RP_SERVE_PORT");
-  ::unsetenv("RP_SERVE_WORLDS");
-  ::unsetenv("RP_SERVE_QUEUE");
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // Chrome-trace session active and 6 concurrent clients against an 8-thread
 // execution pool, the trace must stay balanced (every span begin has an end,
 // every flow start has a finish), sorted by timestamp, and at least one
-// request's flow must cross threads (reader → dispatcher/worker).
+// request's flow must cross threads (I/O thread → dispatcher/worker).
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -129,7 +129,7 @@ TEST(ServeTrace, ConcurrentClientsProduceBalancedCrossThreadFlows) {
     last = ts;
   }
 
-  // Cross-thread causality: world requests begin their flow on a reader
+  // Cross-thread causality: world requests begin their flow on the I/O
   // thread and finish on the dispatcher, so at least one flow id must
   // appear on two distinct tids.
   std::map<std::string, std::set<std::string>> flow_tids;

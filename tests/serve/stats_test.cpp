@@ -101,7 +101,7 @@ TEST(Stats, ReportsTrafficPoolAndPerTypeLatencies) {
   client.call(world_info_request(10));  // Miss: builds the world.
   client.call(world_info_request(11));  // Hit: bumps the pool hit count.
 
-  // Inline requests (ping, stats) are recorded before the reader touches
+  // Inline requests (ping, stats) are recorded before the daemon reads
   // the connection's next frame, but queued requests land their record just
   // after the response write — poll briefly until the world-info row shows.
   Response response;
