@@ -136,12 +136,14 @@ void BM_EventRunSlab(benchmark::State& state) {
 
 // Steady-state phase: a fixed population of self-rescheduling pump chains.
 // Each executed event reschedules one successor until the budget drains, so
-// exactly n events dispatch through a queue held at a campaign-realistic
-// depth (a per-IXP campaign simulator's measured high-water is ~1.6k
-// pending events — see rp.sim.queue.high_water). The per-event workload
-// (the 56-byte closure copy and jitter arithmetic) is timed too, so this
-// phase bounds the end-to-end dispatch+reschedule cycle rather than
-// isolating the queue.
+// exactly n events dispatch through a queue held at 2,048 pending events.
+// That is shallower than a real campaign: the rp.sim.queue.high_water
+// histogram (one sample per simulator, seed 1) reads a mean of 14.2k and a
+// max of 53.6k pending events over the paper world's 22 campaigns, and a
+// mean of 20.7k and a max of 160.7k over the 65 campaigns of the all-IXP,
+// 3x-membership world. The per-event workload (the 56-byte closure copy and
+// jitter arithmetic) is timed too, so this phase bounds the end-to-end
+// dispatch+reschedule cycle rather than isolating the queue.
 void BM_EventSteadyStateSlab(benchmark::State& state) {
   const std::int64_t n = state.range(0);
   const std::uint64_t depth =

@@ -5,6 +5,7 @@
 #   scripts/ci.sh asan-ubsan   # ASan+UBSan lane: ctest
 #   scripts/ci.sh tsan         # TSan lane: ctest + RP_THREADS=8 reruns
 #   scripts/ci.sh all          # all three lanes, in that order
+#   scripts/ci.sh lint         # the doc lint only, no build (ctest lint.docs)
 #
 # Every lane configures and builds its own tree under build/<preset>, so the
 # lanes never contaminate each other. The end-to-end smokes
@@ -257,9 +258,12 @@ run_lane() {
 
 LANE="${1:-release}"
 # The doc lint needs no build; run it up front so every lane invocation
-# checks the docs before spending minutes compiling.
+# checks the docs before spending minutes compiling. It is the whole of the
+# lint lane.
 doc_lint
 case "$LANE" in
+  lint)
+    ;;
   release|asan-ubsan|tsan)
     run_lane "$LANE"
     ;;
@@ -269,7 +273,7 @@ case "$LANE" in
     done
     ;;
   *)
-    echo "usage: scripts/ci.sh [release|asan-ubsan|tsan|all]" >&2
+    echo "usage: scripts/ci.sh [release|asan-ubsan|tsan|all|lint]" >&2
     exit 2
     ;;
 esac

@@ -52,10 +52,7 @@ std::size_t World::resident_bytes() const {
   if (const auto* greedy = greedy_.peek())
     bytes += sizeof(*greedy) + greedy->capacity() * sizeof(offload::GreedyStep);
   if (spread_.peek()) bytes += sizeof(core::SpreadStudy);
-  for (std::size_t g = 0; g < whatif_.size(); ++g) {
-    std::lock_guard<std::mutex> engine_lock(whatif_mutexes_[g]);
-    if (whatif_[g]) bytes += whatif_[g]->retained_bytes();
-  }
+  for (const WhatIfSlot& slot : whatif_) bytes += slot.retained_bytes.load();
   return bytes;
 }
 
@@ -75,19 +72,23 @@ const std::vector<offload::GreedyStep>& World::greedy_curve() const {
 }
 
 World::WhatIfLease World::what_if_engine(offload::PeerGroup group) const {
-  const auto slot = static_cast<std::size_t>(group);
-  if (slot >= whatif_.size())
+  const auto index = static_cast<std::size_t>(group);
+  if (index >= whatif_.size())
     throw std::invalid_argument("World::what_if_engine: bad peer group");
   // offload() releases build_mutex_ before returning, so the lease lock is
   // never held together with it.
   const core::OffloadStudy& study = offload();
-  std::unique_lock<std::mutex> lock(whatif_mutexes_[slot]);
-  if (!whatif_[slot]) {
-    obs::Span span("serve.world.whatif_engine");
-    whatif_[slot] =
-        std::make_unique<stream::IncrementalOffload>(study.analyzer(), group);
-  }
-  return {std::move(lock), whatif_[slot].get()};
+  WhatIfSlot& slot = whatif_[index];
+  stream::IncrementalOffload& engine =
+      slot.engine.get_or_build(slot.lease_mutex, [&] {
+        obs::Span span("serve.world.whatif_engine");
+        stream::IncrementalOffload built(study.analyzer(), group);
+        // Serve never feeds the engine bins, so its capacities are final
+        // once built and this figure stays exact.
+        slot.retained_bytes.store(built.retained_bytes());
+        return built;
+      });
+  return {std::unique_lock<std::mutex>(slot.lease_mutex), &engine};
 }
 
 const core::SpreadStudy& World::spread() const {
@@ -162,8 +163,6 @@ std::vector<WorldPool::EntryStats> WorldPool::entry_stats() const {
     entry.hits = slot->hits;
     entry.last_used = slot->last_used;
     entry.ready = slot->ready;
-    // Lock order is pool → world only (World never calls back into the
-    // pool), so taking a what-if lease lock here cannot deadlock.
     entry.resident_bytes = slot->ready ? slot->world->resident_bytes() : 0;
     out.push_back(entry);
   }

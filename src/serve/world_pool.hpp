@@ -37,6 +37,8 @@ namespace rp::serve {
 /// it under the caller's build mutex and publishes it through an atomic
 /// pointer; every later read — including peek() from the stats surface while
 /// another artifact is being built — loads that pointer without locking.
+/// get_or_build() hands out a mutable reference for artifacts whose owner
+/// serializes their use (the what-if engines, under their lease lock).
 template <typename T>
 class Published {
  public:
@@ -49,17 +51,17 @@ class Published {
   const T* peek() const { return ptr_.load(); }
 
   template <typename Build>
-  const T& get_or_build(std::mutex& build_mutex, Build&& build) {
-    if (const T* built = peek()) return *built;
+  T& get_or_build(std::mutex& build_mutex, Build&& build) {
+    if (T* built = ptr_.load()) return *built;
     std::lock_guard<std::mutex> lock(build_mutex);
-    if (const T* built = peek()) return *built;
-    const T* built = new T(build());
+    if (T* built = ptr_.load()) return *built;
+    T* built = new T(build());
     ptr_.store(built);
     return *built;
   }
 
  private:
-  std::atomic<const T*> ptr_{nullptr};
+  std::atomic<T*> ptr_{nullptr};
 };
 
 /// A resident world. The scenario is immutable; the study accessors build
@@ -103,7 +105,7 @@ class World {
   /// snapshot-file size (a good proxy for the deserialized scenario) plus
   /// the directly measurable footprint of each artifact built so far. Used
   /// by the stats surface; not an allocator-exact number. Never waits on an
-  /// artifact build.
+  /// artifact build or a what-if lease.
   std::size_t resident_bytes() const;
 
  private:
@@ -118,11 +120,16 @@ class World {
   mutable Published<std::vector<offload::GreedyStep>> greedy_;
   mutable Published<core::SpreadStudy> spread_;
 
-  /// Per-group what-if engines, indexed by static_cast of PeerGroup. Each
-  /// slot has its own mutex (the lease lock), never held together with
-  /// build_mutex_.
-  mutable std::array<std::mutex, 5> whatif_mutexes_;
-  mutable std::array<std::unique_ptr<stream::IncrementalOffload>, 5> whatif_;
+  /// One per-group what-if engine, indexed by static_cast of PeerGroup. The
+  /// engine is built under its lease mutex (never held together with
+  /// build_mutex_) and published like the studies, with its retained bytes
+  /// beside it, so resident_bytes() never takes a lease lock.
+  struct WhatIfSlot {
+    std::mutex lease_mutex;
+    Published<stream::IncrementalOffload> engine;
+    std::atomic<std::size_t> retained_bytes{0};
+  };
+  mutable std::array<WhatIfSlot, 5> whatif_;
 };
 
 class WorldPool {

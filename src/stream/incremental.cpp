@@ -42,6 +42,9 @@ IncrementalOffload::IncrementalOffload(
       cover_count_(endpoint_count_, 0),
       covered_(endpoint_count_),
       blocks_((endpoint_count_ + kBlockSize - 1) / kBlockSize) {
+  // Reserved up front so no later delta grows a capacity: retained_bytes()
+  // is then fixed from construction on.
+  reached_.reserve(coverage_->size());
   const auto& endpoints = analyzer.transit_endpoints();
   for (std::size_t i = 0; i < endpoint_count_; ++i) {
     base_in_[i] = endpoints[i].inbound_bps;

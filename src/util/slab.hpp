@@ -3,9 +3,9 @@
 // Built for the discrete-event simulator's event records: the hot path
 // allocates and releases one slot per event, so both operations must be a
 // handful of instructions and must never touch malloc once a slab exists.
-// Slots live in fixed-capacity slabs that are never reallocated, so a
-// pointer obtained from at() stays valid across later allocations — the
-// property the simulator relies on when a running event schedules new ones.
+// Slots live in fixed-capacity slabs that are never reallocated, so growth
+// never copies a live slot and a pointer obtained from at() stays valid
+// across later allocations.
 // Freed slots form an intrusive LIFO free list threaded through the slot
 // bytes themselves (a freed slot stores the index of the next free slot).
 #pragma once
@@ -31,7 +31,6 @@ class SlabArena {
   /// slot when one exists; otherwise bump-allocates, growing by one slab
   /// (kSlabSlots slots) at a time.
   Index allocate() {
-    ++live_;
     if (free_head_ != kInvalidIndex) {
       const Index index = free_head_;
       std::memcpy(&free_head_, slot_ptr(index), sizeof(Index));
@@ -46,21 +45,12 @@ class SlabArena {
   /// Returns a slot to the free list. The handle must come from allocate()
   /// and must not be released twice.
   void release(Index index) {
-    --live_;
     std::memcpy(slot_ptr(index), &free_head_, sizeof(Index));
     free_head_ = index;
   }
 
   /// The slot's storage; stable until release (slabs never move).
   void* at(Index index) { return slot_ptr(index); }
-  const void* at(Index index) const {
-    return slabs_[index >> kSlabShift][index & kSlabMask].bytes;
-  }
-
-  /// Slots currently allocated.
-  std::size_t live() const { return live_; }
-  /// Total slot capacity reserved so far.
-  std::size_t capacity() const { return slabs_.size() * kSlabSlots; }
 
  private:
   static constexpr std::size_t kSlabShift = 10;  ///< 1024 slots per slab.
@@ -78,7 +68,6 @@ class SlabArena {
   std::vector<std::unique_ptr<Slot[]>> slabs_;
   Index free_head_ = kInvalidIndex;
   Index bump_ = 0;
-  std::size_t live_ = 0;
 };
 
 }  // namespace rp::util

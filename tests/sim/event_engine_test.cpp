@@ -1,7 +1,8 @@
-// Stress tests for the two-tier event engine: the calendar wheel, the
-// far-future heap, window re-basing, and stragglers must together execute
-// in exactly (time, schedule-order) — bit-identical to one sorted queue —
-// and every stored payload must be destroyed exactly once.
+// Stress tests for the event engine: fabric-scale and control-scale delays,
+// long jumps through an idle queue, late insertions ahead of pending events
+// and run_until pauses must execute in exactly (time, schedule-order) —
+// bit-identical to one sorted queue — and every stored payload must be
+// destroyed exactly once.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -41,9 +42,8 @@ TEST(EventEngine, OrderMatchesSortedQueueAcrossBothTiers) {
   Trace trace;
   std::uint64_t x = 0x243F6A8885A308D3ull;
   constexpr int kEvents = 20000;
-  // A coarse 512 ns grid over ~20 ms: times land on both sides of the
-  // ~4.2 ms wheel window, and collisions force plenty of same-time ties
-  // whose resolution must be schedule order.
+  // A coarse 512 ns grid over ~20 ms: collisions force plenty of
+  // same-time ties whose resolution must be schedule order.
   std::vector<std::int64_t> at(kEvents);
   for (int i = 0; i < kEvents; ++i) {
     at[i] = static_cast<std::int64_t>(next(x) % 40000) * 512;
@@ -66,7 +66,7 @@ TEST(EventEngine, OrderMatchesSortedQueueAcrossBothTiers) {
 
 /// A self-fanning event: runs, logs itself, and schedules two children at
 /// mixed fabric-scale (sub-millisecond) and control-scale (up to a second)
-/// delays, driving the queue through many window re-bases.
+/// delays, so the queue holds near and far events at once.
 struct Fanout {
   Simulator* sim;
   Trace* trace;
@@ -84,8 +84,8 @@ struct Fanout {
       child.x += static_cast<std::uint64_t>(k) * 0x9E3779B97F4A7C15ull;
       child.my_arrival = (*arrivals)++;
       child.depth = depth - 1;
-      // One child stays inside the wheel window, the other lands far out
-      // on the heap (and later spills back in).
+      // One child lands within a millisecond, the other up to a second
+      // out.
       const auto delay = (k == 0)
                              ? util::SimDuration::nanos(
                                    static_cast<std::int64_t>(child.x % 900'000))
@@ -123,16 +123,15 @@ TEST(EventEngine, StragglerBehindRebasedWindowRunsFirst) {
       trace.emplace_back(sim.now().count_nanos(), id);
     };
   };
-  // A lone far-future event; running up to an early deadline forces the
-  // wheel to re-base its window at 10 s.
+  // A lone far-future event; running up to an early deadline leaves it
+  // pending while now() moves to 1 ms.
   const std::int64_t far = 10'000'000'000;
   sim.schedule(at_nanos(far), log(2));
   EXPECT_EQ(sim.run_until(at_nanos(1'000'000)), 0u);
   EXPECT_EQ(sim.now().count_nanos(), 1'000'000);
 
-  // Now a straggler lands behind the re-based window (2 ms << 10 s) and an
-  // in-window event just after the far one. The straggler must still run
-  // first: the heap backstops anything the wheel can no longer hold.
+  // Now a straggler lands well before the far event (2 ms << 10 s) and
+  // another just after it. The straggler must still run first.
   sim.schedule(at_nanos(2'000'000), log(1));
   sim.schedule(at_nanos(far + 1024), log(3));
   EXPECT_EQ(sim.run(), 3u);
@@ -152,11 +151,9 @@ TEST(EventEngine, CursorStepsBackForAnEarlierBucket) {
   const std::int64_t base = 10'000'000'000;
   sim.schedule(at_nanos(base), log(1));
   sim.schedule(at_nanos(base + 2'000'000), log(3));
-  // Executes event 1 and leaves the bucket cursor parked on event 3's
-  // bucket (~2 ms into the re-based window).
+  // Executes event 1 and leaves event 3 pending 2 ms later.
   EXPECT_EQ(sim.run_until(at_nanos(base)), 1u);
-  // A new event one bucket-width after `base` lands in a bucket *before*
-  // the cursor; the cursor must step back for it.
+  // A new event between the two must run before event 3.
   sim.schedule(at_nanos(base + 1'000'000), log(2));
   EXPECT_EQ(sim.run(), 2u);
 
@@ -168,9 +165,9 @@ TEST(EventEngine, CursorStepsBackForAnEarlierBucket) {
 TEST(EventEngine, RunUntilDeadlineSplitsTheSameBucket) {
   Simulator sim;
   Trace trace;
-  // Two events 100 ns apart share a 1024 ns bucket; a deadline between
-  // them must execute only the first, and the rest of the bucket survives
-  // the pause (plus an insertion into the already-sorted active bucket).
+  // Two events 100 ns apart; a deadline between them must execute only
+  // the first, and the second survives the pause (plus an insertion that
+  // lands between the deadline and the survivor).
   sim.schedule(at_nanos(2048), [&] {
     trace.emplace_back(sim.now().count_nanos(), 1);
   });
@@ -223,7 +220,7 @@ TEST(EventEngine, LeftoverPayloadsDestroyedExactlyOnce) {
   int runs = 0;
   {
     Simulator sim;
-    // Executed, wheel leftover, heap leftover — inline and boxed flavours.
+    // Executed, near leftover, far leftover — inline and boxed flavours.
     sim.schedule(at_nanos(10), Counted(&runs));
     sim.schedule(at_nanos(20), BigCounted(&runs));
     sim.schedule(at_nanos(1'000'000), Counted(&runs));

@@ -4,6 +4,8 @@
 
 #include <vector>
 
+#include "obs/metrics.hpp"
+
 namespace rp::sim {
 namespace {
 
@@ -80,6 +82,29 @@ TEST(Simulator, IdleReflectsQueueState) {
   EXPECT_FALSE(sim.idle());
   sim.run();
   EXPECT_TRUE(sim.idle());
+}
+
+TEST(Simulator, QueueHighWaterKeepsEverySimulatorsSample) {
+  obs::set_metrics_enabled(true);
+  obs::MetricsRegistry::global().reset();
+  // A deep campaign finishes first, a shallow one last: the shallow one
+  // must not overwrite the deep one's high-water mark.
+  for (const int depth : {10, 3}) {
+    Simulator sim;
+    for (int i = 0; i < depth; ++i)
+      sim.schedule_in(util::SimDuration::millis(i), [] {});
+    sim.run();
+  }
+  const obs::MetricValue* high_water = nullptr;
+  const auto snapshot = obs::MetricsRegistry::global().snapshot();
+  for (const auto& metric : snapshot)
+    if (metric.name == "rp.sim.queue.high_water") high_water = &metric;
+  obs::set_metrics_enabled(false);
+  ASSERT_NE(high_water, nullptr);
+  EXPECT_EQ(high_water->kind, obs::MetricKind::kHistogram);
+  EXPECT_EQ(high_water->count, 2u);
+  EXPECT_GE(high_water->max, 10u);
+  EXPECT_EQ(high_water->min, 3u);
 }
 
 }  // namespace
