@@ -1,16 +1,12 @@
-// Microbenchmarks of the rp::stream hot paths, with the two headline
-// numbers the CI perf gate tracks:
-//   * bins_per_sec        streaming ingest throughput (fold one BinFrame
-//                         into every per-network and aggregate sketch)
-//   * delta_speedup       a single-IXP what-if answered by the incremental
-//                         engine vs. the batch analyzer re-unioning the
-//                         reached set's coverage masks (target: >= 10x at
-//                         paper scale)
+// Microbenchmarks of the rp::stream hot paths. The CI perf gate tracks
+// bins_per_sec for both arms:
+//   * BM_StreamIngestBins  streaming ingest throughput (fold one BinFrame
+//                          into every per-network and aggregate sketch)
+//   * BM_BinLogReplay      bin-log decode throughput
 // The world is the shared bench scenario (RP_BENCH_FAST shrinks it), the
 // same one the fig5-fig10 harnesses study.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
@@ -55,10 +51,7 @@ const std::vector<stream::BinFrame>& frames() {
 
 util::DynamicBitset maximal_covered() {
   const auto& analyzer = bench::offload_study().analyzer();
-  util::DynamicBitset covered(analyzer.transit_endpoints().size());
-  const auto& masks = analyzer.coverage_masks(offload::PeerGroup::kAll);
-  for (ixp::IxpId id : analyzer.all_ixps()) covered |= masks[id];
-  return covered;
+  return analyzer.covered_mask(analyzer.all_ixps(), offload::PeerGroup::kAll);
 }
 
 void BM_StreamIngestBins(benchmark::State& state) {
@@ -103,53 +96,6 @@ void BM_BinLogReplay(benchmark::State& state) {
   std::filesystem::remove(path);
 }
 BENCHMARK(BM_BinLogReplay)->Unit(benchmark::kMillisecond);
-
-/// One timing pass: every not-reached IXP asked as a single-IXP what-if.
-/// `incremental` answers from the live covered set; the batch arm rebuilds
-/// the union with analyzer.potential_at on reached + candidate.
-void BM_WhatIfDeltaVsRecompute(benchmark::State& state) {
-  const auto& analyzer = bench::offload_study().analyzer();
-  stream::IncrementalOffload engine(analyzer, offload::PeerGroup::kAll);
-  // Reached: the first five greedy picks — a realistic serve-daemon state.
-  std::vector<ixp::IxpId> reached;
-  for (const auto& step :
-       analyzer.greedy_by_traffic(offload::PeerGroup::kAll, 5))
-    reached.push_back(step.ixp_id);
-  engine.reset(reached);
-  std::vector<ixp::IxpId> candidates;
-  for (ixp::IxpId id : analyzer.all_ixps())
-    if (!engine.is_reached(id)) candidates.push_back(id);
-
-  using clock = std::chrono::steady_clock;
-  double delta_ns = 0.0;
-  double full_ns = 0.0;
-  std::uint64_t whatifs = 0;
-  for (auto _ : state) {
-    const auto t0 = clock::now();
-    for (ixp::IxpId id : candidates) {
-      const auto p = engine.what_if(std::span<const ixp::IxpId>{&id, 1});
-      benchmark::DoNotOptimize(p);
-    }
-    const auto t1 = clock::now();
-    std::vector<ixp::IxpId> set = reached;
-    set.push_back(0);
-    for (ixp::IxpId id : candidates) {
-      set.back() = id;
-      const auto p = analyzer.potential_at(set, offload::PeerGroup::kAll);
-      benchmark::DoNotOptimize(p);
-    }
-    const auto t2 = clock::now();
-    delta_ns += std::chrono::duration<double, std::nano>(t1 - t0).count();
-    full_ns += std::chrono::duration<double, std::nano>(t2 - t1).count();
-    whatifs += candidates.size();
-  }
-  state.counters["delta_speedup"] = full_ns / delta_ns;
-  state.counters["whatifs_per_sec"] =
-      static_cast<double>(whatifs) / (delta_ns * 1e-9);
-  state.counters["candidates"] = static_cast<double>(candidates.size());
-  set_thread_counter(state);
-}
-BENCHMARK(BM_WhatIfDeltaVsRecompute)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

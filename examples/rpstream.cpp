@@ -5,8 +5,8 @@
 //                                      bins (transit-endpoint schema) into an
 //                                      RPSNAP bin log
 //   rpstream ingest [opts] --log FILE  replay a bin log through the streaming
-//                                      ingest + incremental offload and print
-//                                      a deterministic summary on stdout
+//                                      ingest and print a deterministic
+//                                      summary on stdout
 //
 // The summary is the byte-identity surface of the ci.sh stream smoke: a run
 // killed mid-ingest (stream.bin fault site) and resumed from its checkpoint
@@ -209,18 +209,19 @@ int cmd_ingest(int argc, char** argv) {
   std::printf("offload.p95.out %.17g\n",
               ingest.offload_p95(flow::Direction::kOutbound));
 
-  stream::IncrementalOffload& engine = session.incremental();
-  if (engine.has_live_bin()) {
-    const offload::Potential live = engine.live_potential();
+  // The live view: the offload sample of the last bin this process folded
+  // (absent when it folded none, e.g. a resume with no bins left).
+  if (ingest.has_live_bin()) {
     std::printf("live.bin %llu\n",
-                static_cast<unsigned long long>(engine.live_bin()));
-    std::printf("live.offload.in %.17g\n", live.inbound_bps);
-    std::printf("live.offload.out %.17g\n", live.outbound_bps);
+                static_cast<unsigned long long>(ingest.next_bin() - 1));
+    std::printf("live.offload.in %.17g\n",
+                ingest.live_offload(flow::Direction::kInbound));
+    std::printf("live.offload.out %.17g\n",
+                ingest.live_offload(flow::Direction::kOutbound));
   }
 
-  const auto all = analyzer.all_ixps();
-  engine.reset(all);
-  const offload::Potential everywhere = engine.potential();
+  const offload::Potential everywhere = analyzer.potential_at(
+      analyzer.all_ixps(), static_cast<offload::PeerGroup>(group));
   std::printf("potential.all.in %.17g\n", everywhere.inbound_bps);
   std::printf("potential.all.out %.17g\n", everywhere.outbound_bps);
   std::printf("potential.all.covered %zu\n", everywhere.covered_networks);

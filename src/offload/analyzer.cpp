@@ -185,21 +185,26 @@ const util::DynamicBitset& OffloadAnalyzer::ixp_coverage(
   return coverage_for(group)[ixp];
 }
 
-std::vector<net::Asn> OffloadAnalyzer::covered_endpoints(
+util::DynamicBitset OffloadAnalyzer::covered_mask(
     std::span<const ixp::IxpId> ixps, PeerGroup group) const {
   util::DynamicBitset mask(endpoints_.size());
   for (ixp::IxpId id : ixps) mask |= ixp_coverage(id, group);
+  return mask;
+}
+
+std::vector<net::Asn> OffloadAnalyzer::covered_endpoints(
+    std::span<const ixp::IxpId> ixps, PeerGroup group) const {
   std::vector<net::Asn> out;
-  mask.for_each([this, &out](std::size_t i) {
+  covered_mask(ixps, group).for_each([this, &out](std::size_t i) {
     out.push_back(endpoints_[i].asn);
   });
   return out;
 }
 
-Potential OffloadAnalyzer::potential_at(std::span<const ixp::IxpId> ixps,
-                                        PeerGroup group) const {
-  util::DynamicBitset mask(endpoints_.size());
-  for (ixp::IxpId id : ixps) mask |= ixp_coverage(id, group);
+Potential OffloadAnalyzer::potential_of(
+    const util::DynamicBitset& mask) const {
+  // Ascending endpoint index: the order the stream ingest sums its covered
+  // mask in, so both report the same bits for the same set.
   Potential p;
   mask.for_each([this, &p](std::size_t i) {
     p.inbound_bps += endpoints_[i].inbound_bps;
@@ -207,6 +212,11 @@ Potential OffloadAnalyzer::potential_at(std::span<const ixp::IxpId> ixps,
     ++p.covered_networks;
   });
   return p;
+}
+
+Potential OffloadAnalyzer::potential_at(std::span<const ixp::IxpId> ixps,
+                                        PeerGroup group) const {
+  return potential_of(covered_mask(ixps, group));
 }
 
 Potential OffloadAnalyzer::remaining_potential_at(
@@ -215,13 +225,7 @@ Potential OffloadAnalyzer::remaining_potential_at(
   util::DynamicBitset mask = ixp_coverage(target, group);  // Copy of cache.
   for (ixp::IxpId id : already_reached)
     mask.subtract(ixp_coverage(id, group));
-  Potential p;
-  mask.for_each([this, &p](std::size_t i) {
-    p.inbound_bps += endpoints_[i].inbound_bps;
-    p.outbound_bps += endpoints_[i].outbound_bps;
-    ++p.covered_networks;
-  });
-  return p;
+  return potential_of(mask);
 }
 
 std::vector<ixp::IxpId> OffloadAnalyzer::all_ixps() const {
@@ -329,9 +333,7 @@ std::vector<GreedyStep> OffloadAnalyzer::greedy_by_addresses(
 
 std::vector<ContributorRow> OffloadAnalyzer::top_contributors(
     std::size_t count, PeerGroup group) const {
-  const std::vector<ixp::IxpId> everywhere = all_ixps();
-  util::DynamicBitset covered(endpoints_.size());
-  for (ixp::IxpId id : everywhere) covered |= ixp_coverage(id, group);
+  const util::DynamicBitset covered = covered_mask(all_ixps(), group);
 
   // Networks the vantage buys transit from are the entities being bypassed;
   // they are not contributors to the offload potential.

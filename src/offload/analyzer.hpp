@@ -100,6 +100,10 @@ class OffloadAnalyzer {
   /// top-10 selective refinement by offload potential).
   std::vector<net::Asn> peers_in_group(PeerGroup group) const;
 
+  /// Endpoint-space mask (transit_endpoints() order) of the networks
+  /// covered when reaching `ixps` under `group`.
+  util::DynamicBitset covered_mask(std::span<const ixp::IxpId> ixps,
+                                   PeerGroup group) const;
   /// Networks covered (offloadable) when reaching `ixps` under `group`.
   std::vector<net::Asn> covered_endpoints(std::span<const ixp::IxpId> ixps,
                                           PeerGroup group) const;
@@ -129,14 +133,6 @@ class OffloadAnalyzer {
   /// All reachable IXP ids (the analysis universe).
   std::vector<ixp::IxpId> all_ixps() const;
 
-  /// The per-IXP coverage masks of a group, indexed by IxpId: endpoint-space
-  /// bitsets in transit_endpoints() order. Built lazily (shared with every
-  /// other query); rp::stream's incremental layer folds them into live
-  /// covered-set state instead of re-unioning per what-if.
-  const std::vector<util::DynamicBitset>& coverage_masks(PeerGroup group) const {
-    return coverage_for(group);
-  }
-
  private:
   /// All coverage masks of a group, indexed by IxpId. Built lazily (in
   /// parallel across IXPs) on first use and cached for the analyzer's
@@ -147,6 +143,8 @@ class OffloadAnalyzer {
   const util::DynamicBitset& ixp_coverage(ixp::IxpId ixp,
                                           PeerGroup group) const;
   const util::DynamicBitset* peer_cone_mask(net::Asn peer) const;
+  /// Offload potential of the endpoints set in `mask`.
+  Potential potential_of(const util::DynamicBitset& mask) const;
   bool peer_in_group_resolved(net::Asn peer, PeerGroup group) const;
   std::vector<GreedyStep> greedy(PeerGroup group, std::size_t max_steps,
                                  const std::vector<double>& weights,

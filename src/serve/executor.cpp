@@ -166,21 +166,19 @@ void exec_what_if(const Request& request, const World& world,
                                        base.optimal_remote_m()));
     return;
   }
-  // Peering-set what-if: the offload potential of reaching `added_ixps` on
-  // top of `reached_ixps`, answered by the world's incremental engine — a
-  // coverage-count delta per IXP instead of re-unioning masks per query.
-  // Blockwise sums are a pure function of the covered set, so the response
+  // Peering-set what-if: the offload potential at `reached_ixps` and at
+  // `reached_ixps` plus `added_ixps`, both read from the analyzer's cached
+  // coverage masks. Each is a pure function of its IXP set, so the response
   // bytes are independent of what-if ordering across clients.
   const offload::PeerGroup group = to_group(request.group);
-  const std::vector<ixp::IxpId> reached =
+  std::vector<ixp::IxpId> reached =
       resolve_ixps(world.scenario(), request.reached_ixps);
   const std::vector<ixp::IxpId> added =
       resolve_ixps(world.scenario(), request.added_ixps);
-  World::WhatIfLease lease = world.what_if_engine(group);
-  stream::IncrementalOffload& engine = *lease.engine;
-  engine.reset(reached);
-  const offload::Potential base = engine.potential();
-  const offload::Potential whatif = engine.what_if(added);
+  const offload::OffloadAnalyzer& analyzer = world.offload().analyzer();
+  const offload::Potential base = analyzer.potential_at(reached, group);
+  reached.insert(reached.end(), added.begin(), added.end());
+  const offload::Potential whatif = analyzer.potential_at(reached, group);
   emit_f(response, "base.offload_bps", base.total_bps());
   emit(response, "base.covered", fmt_u64(base.covered_networks));
   emit_f(response, "whatif.offload_bps", whatif.total_bps());

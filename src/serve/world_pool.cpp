@@ -1,7 +1,6 @@
 #include "serve/world_pool.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "io/snapshot.hpp"
 #include "obs/metrics.hpp"
@@ -52,7 +51,6 @@ std::size_t World::resident_bytes() const {
   if (const auto* greedy = greedy_.peek())
     bytes += sizeof(*greedy) + greedy->capacity() * sizeof(offload::GreedyStep);
   if (spread_.peek()) bytes += sizeof(core::SpreadStudy);
-  for (const WhatIfSlot& slot : whatif_) bytes += slot.retained_bytes.load();
   return bytes;
 }
 
@@ -69,26 +67,6 @@ const std::vector<offload::GreedyStep>& World::greedy_curve() const {
     obs::Span span("serve.world.greedy_curve");
     return study.analyzer().greedy_by_traffic(offload::PeerGroup::kAll, 20);
   });
-}
-
-World::WhatIfLease World::what_if_engine(offload::PeerGroup group) const {
-  const auto index = static_cast<std::size_t>(group);
-  if (index >= whatif_.size())
-    throw std::invalid_argument("World::what_if_engine: bad peer group");
-  // offload() releases build_mutex_ before returning, so the lease lock is
-  // never held together with it.
-  const core::OffloadStudy& study = offload();
-  WhatIfSlot& slot = whatif_[index];
-  stream::IncrementalOffload& engine =
-      slot.engine.get_or_build(slot.lease_mutex, [&] {
-        obs::Span span("serve.world.whatif_engine");
-        stream::IncrementalOffload built(study.analyzer(), group);
-        // Serve never feeds the engine bins, so its capacities are final
-        // once built and this figure stays exact.
-        slot.retained_bytes.store(built.retained_bytes());
-        return built;
-      });
-  return {std::unique_lock<std::mutex>(slot.lease_mutex), &engine};
 }
 
 const core::SpreadStudy& World::spread() const {

@@ -16,7 +16,6 @@
 // in-flight load) / .evictions, plus the rp.serve.pool.resident gauge.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -29,7 +28,6 @@
 #include "core/offload_study.hpp"
 #include "core/scenario.hpp"
 #include "core/spread_study.hpp"
-#include "stream/incremental.hpp"
 
 namespace rp::serve {
 
@@ -37,8 +35,6 @@ namespace rp::serve {
 /// it under the caller's build mutex and publishes it through an atomic
 /// pointer; every later read — including peek() from the stats surface while
 /// another artifact is being built — loads that pointer without locking.
-/// get_or_build() hands out a mutable reference for artifacts whose owner
-/// serializes their use (the what-if engines, under their lease lock).
 template <typename T>
 class Published {
  public:
@@ -51,7 +47,7 @@ class Published {
   const T* peek() const { return ptr_.load(); }
 
   template <typename Build>
-  T& get_or_build(std::mutex& build_mutex, Build&& build) {
+  const T& get_or_build(std::mutex& build_mutex, Build&& build) {
     if (T* built = ptr_.load()) return *built;
     std::lock_guard<std::mutex> lock(build_mutex);
     if (T* built = ptr_.load()) return *built;
@@ -89,23 +85,11 @@ class World {
   /// The §3 study (campaigns + filters + classification).
   const core::SpreadStudy& spread() const;
 
-  /// Exclusive lease on the per-group incremental what-if engine
-  /// (rp::stream::IncrementalOffload over the offload analyzer's cached
-  /// coverage masks). Built on first use per group; the lease's lock
-  /// serializes the engine's delta state across request threads, so a
-  /// what-if is answered by O(one mask) coverage-count transitions instead
-  /// of a full potential recompute.
-  struct WhatIfLease {
-    std::unique_lock<std::mutex> lock;
-    stream::IncrementalOffload* engine = nullptr;
-  };
-  WhatIfLease what_if_engine(offload::PeerGroup group) const;
-
   /// Lower-bound estimate of this residency's memory footprint: the world's
   /// snapshot-file size (a good proxy for the deserialized scenario) plus
   /// the directly measurable footprint of each artifact built so far. Used
   /// by the stats surface; not an allocator-exact number. Never waits on an
-  /// artifact build or a what-if lease.
+  /// artifact build.
   std::size_t resident_bytes() const;
 
  private:
@@ -119,17 +103,6 @@ class World {
   mutable Published<core::OffloadStudy> offload_;
   mutable Published<std::vector<offload::GreedyStep>> greedy_;
   mutable Published<core::SpreadStudy> spread_;
-
-  /// One per-group what-if engine, indexed by static_cast of PeerGroup. The
-  /// engine is built under its lease mutex (never held together with
-  /// build_mutex_) and published like the studies, with its retained bytes
-  /// beside it, so resident_bytes() never takes a lease lock.
-  struct WhatIfSlot {
-    std::mutex lease_mutex;
-    Published<stream::IncrementalOffload> engine;
-    std::atomic<std::size_t> retained_bytes{0};
-  };
-  mutable std::array<WhatIfSlot, 5> whatif_;
 };
 
 class WorldPool {

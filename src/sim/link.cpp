@@ -12,12 +12,10 @@ void Device::transmit(std::size_t ifindex, const EthernetFrame& frame) {
 }
 
 Link::Link(Simulator& sim, util::SimDuration base_delay,
-           std::unique_ptr<DelayModel> extra_delay, double loss_probability,
-           util::Rng rng)
+           std::unique_ptr<DelayModel> extra_delay, util::Rng rng)
     : sim_(&sim),
       base_delay_(base_delay),
       extra_delay_(std::move(extra_delay)),
-      loss_probability_(loss_probability),
       rng_(rng) {}
 
 void Link::transmit(int from_side, const EthernetFrame& frame) {
@@ -25,10 +23,6 @@ void Link::transmit(int from_side, const EthernetFrame& frame) {
   Device* target = device_[to_side];
   if (target == nullptr)
     throw std::logic_error("Link::transmit: unterminated link");
-  if (loss_probability_ > 0.0 && rng_.chance(loss_probability_)) {
-    ++frames_dropped_;
-    return;
-  }
   util::SimDuration delay = base_delay_;
   if (extra_delay_) delay += extra_delay_->sample(sim_->now(), rng_);
   ++frames_delivered_;
@@ -46,10 +40,8 @@ void Link::transmit(int from_side, const EthernetFrame& frame) {
 }
 
 Link& Network::connect(Device& a, Device& b, util::SimDuration base_delay,
-                       std::unique_ptr<DelayModel> extra_delay,
-                       double loss_probability) {
+                       std::unique_ptr<DelayModel> extra_delay) {
   auto link = std::make_unique<Link>(*sim_, base_delay, std::move(extra_delay),
-                                     loss_probability,
                                      noise_rng_.fork(links_.size() + 1));
   Link& ref = *link;
   const std::size_t ia = a.allocate_interface();

@@ -3,7 +3,7 @@
 // A Network owns devices (switches, hosts) and the links between them. Links
 // deliver Ethernet frames after a configurable one-way delay — derived from
 // geography for member circuits — plus optional stochastic extra delay from a
-// DelayModel and optional loss. Delivery is a scheduled simulator event, so
+// DelayModel. Delivery is a scheduled simulator event, so
 // the whole fabric is deterministic given the scenario seed.
 //
 // One exception keeps floods cheap: a device may apply a frame the moment
@@ -42,7 +42,7 @@ class Device {
   virtual void receive(std::size_t ifindex, const EthernetFrame& frame) = 0;
 
   /// Called by a link as it transmits `frame` toward this device, after the
-  /// loss check and the delay draw. A device whose handling of this frame
+  /// delay draw. A device whose handling of this frame
   /// cannot depend on arrival order may apply it now and return true; the
   /// link then schedules no delivery. The default keeps every delivery an
   /// event.
@@ -67,17 +67,14 @@ class Device {
   std::vector<Attachment> attachments_;
 };
 
-/// A point-to-point link with one-way base delay, optional stochastic extra
-/// delay, and optional frame loss.
+/// A point-to-point link with one-way base delay and optional stochastic
+/// extra delay.
 class Link {
  public:
   Link(Simulator& sim, util::SimDuration base_delay,
-       std::unique_ptr<DelayModel> extra_delay, double loss_probability,
-       util::Rng rng);
+       std::unique_ptr<DelayModel> extra_delay, util::Rng rng);
 
-  util::SimDuration base_delay() const { return base_delay_; }
   std::uint64_t frames_delivered() const { return frames_delivered_; }
-  std::uint64_t frames_dropped() const { return frames_dropped_; }
 
  private:
   friend class Device;
@@ -90,12 +87,10 @@ class Link {
   Simulator* sim_;
   util::SimDuration base_delay_;
   std::unique_ptr<DelayModel> extra_delay_;
-  double loss_probability_;
   util::Rng rng_;
   Device* device_[2] = {nullptr, nullptr};
   std::size_t ifindex_[2] = {0, 0};
   std::uint64_t frames_delivered_ = 0;
-  std::uint64_t frames_dropped_ = 0;
 };
 
 /// Owns the devices and links of one simulated fabric.
@@ -116,8 +111,7 @@ class Network {
 
   /// Connects two devices with a fresh link; each side gets a new interface.
   Link& connect(Device& a, Device& b, util::SimDuration base_delay,
-                std::unique_ptr<DelayModel> extra_delay = nullptr,
-                double loss_probability = 0.0);
+                std::unique_ptr<DelayModel> extra_delay = nullptr);
 
   /// Deterministic per-link RNG seeds derive from this stream.
   void seed_noise(util::Rng rng) { noise_rng_ = rng; }

@@ -58,6 +58,9 @@ void StreamIngest::consume(const BinFrame& frame) {
   transit_out_.add(transit_out);
   offload_in_.add(offload_in);
   offload_out_.add(offload_out);
+  live_in_ = offload_in;
+  live_out_ = offload_out;
+  has_live_ = true;
 
   ++bins_;
   next_bin_ = frame.bin + 1;
@@ -71,19 +74,17 @@ void StreamIngest::consume(const BinFrame& frame) {
 }
 
 double StreamIngest::transit_p95(flow::Direction dir) const {
-  return transit_sketch(dir).p95();
+  return (dir == flow::Direction::kInbound ? transit_in_ : transit_out_).p95();
 }
 
 double StreamIngest::offload_p95(flow::Direction dir) const {
-  return offload_sketch(dir).p95();
+  return (dir == flow::Direction::kInbound ? offload_in_ : offload_out_).p95();
 }
 
-const P95Sketch& StreamIngest::transit_sketch(flow::Direction dir) const {
-  return dir == flow::Direction::kInbound ? transit_in_ : transit_out_;
-}
-
-const P95Sketch& StreamIngest::offload_sketch(flow::Direction dir) const {
-  return dir == flow::Direction::kInbound ? offload_in_ : offload_out_;
+double StreamIngest::live_offload(flow::Direction dir) const {
+  if (!has_live_)
+    throw std::logic_error("StreamIngest::live_offload: no bin folded");
+  return dir == flow::Direction::kInbound ? live_in_ : live_out_;
 }
 
 const P95Sketch& StreamIngest::network_sketch(std::size_t index,

@@ -18,8 +18,10 @@
 // util::p95_billing_rate over the batch series bit for bit (while the
 // sketches are in their exact regime).
 //
-// The complete state round-trips through the snapshot byte codec, so a
-// checkpointed ingest resumes with bit-identical percentiles.
+// The complete percentile state round-trips through the snapshot byte
+// codec, so a checkpointed ingest resumes with bit-identical percentiles.
+// The live view — the latest bin's offload pair — is not serialized: a
+// resumed ingest has none until its next bin arrives.
 #pragma once
 
 #include <cstdint>
@@ -56,8 +58,14 @@ class StreamIngest {
   /// Aggregate billing percentiles (throw std::logic_error before any bin).
   double transit_p95(flow::Direction dir) const;
   double offload_p95(flow::Direction dir) const;
-  const P95Sketch& transit_sketch(flow::Direction dir) const;
-  const P95Sketch& offload_sketch(flow::Direction dir) const;
+
+  /// True once this object has folded a bin itself (a deserialized ingest
+  /// starts without one).
+  bool has_live_bin() const { return has_live_; }
+  /// The offload sample of the last folded bin (bin next_bin() - 1): that
+  /// bin's rates summed over the covered mask — "what is offloadable right
+  /// now". Throws std::logic_error before has_live_bin().
+  double live_offload(flow::Direction dir) const;
 
   /// Per-network sketch at a schema position.
   const P95Sketch& network_sketch(std::size_t index,
@@ -83,6 +91,11 @@ class StreamIngest {
   P95Sketch transit_out_;
   P95Sketch offload_in_;
   P95Sketch offload_out_;
+
+  /// The live view; not serialized.
+  bool has_live_ = false;
+  double live_in_ = 0.0;
+  double live_out_ = 0.0;
 };
 
 }  // namespace rp::stream

@@ -10,17 +10,10 @@ namespace rp::stream {
 
 namespace {
 
-/// Checkpoint container sections.
+/// Checkpoint container section. Checkpoints written before the live view
+/// moved into the ingest also carry a reached-IXP-set section (id 2);
+/// resume() ignores it.
 constexpr std::uint32_t kSectionIngest = 1;
-constexpr std::uint32_t kSectionReached = 2;
-
-util::DynamicBitset maximal_coverage(const offload::OffloadAnalyzer& analyzer,
-                                     offload::PeerGroup group) {
-  util::DynamicBitset covered(analyzer.transit_endpoints().size());
-  const auto& masks = analyzer.coverage_masks(group);
-  for (ixp::IxpId id : analyzer.all_ixps()) covered |= masks[id];
-  return covered;
-}
 
 BinSchema endpoint_schema(const offload::OffloadAnalyzer& analyzer) {
   BinSchema schema;
@@ -37,19 +30,14 @@ StreamSession::StreamSession(BinSource& source,
                              StreamSessionConfig config)
     : source_(&source),
       config_(std::move(config)),
-      ingest_(endpoint_schema(analyzer), maximal_coverage(analyzer, group)),
-      incremental_(analyzer, group) {
+      ingest_(endpoint_schema(analyzer),
+              analyzer.covered_mask(analyzer.all_ixps(), group)) {
   if (!(source.schema() == ingest_.schema()))
     throw std::invalid_argument(
         "StreamSession: source schema != analyzer transit endpoints");
   if (config_.checkpoint_every > 0 && config_.checkpoint_path.empty())
     throw std::invalid_argument(
         "StreamSession: checkpoint cadence without a checkpoint path");
-  // Start from the maximal peering set so the live view mirrors the ingest's
-  // covered mask (Fig. 5b's offload series); callers can reset() to any
-  // other reached set, and resume() restores the checkpointed one.
-  const std::vector<ixp::IxpId> all = analyzer.all_ixps();
-  incremental_.reset(all);
 }
 
 std::uint64_t StreamSession::run(std::uint64_t max_bins) {
@@ -58,7 +46,6 @@ std::uint64_t StreamSession::run(std::uint64_t max_bins) {
   BinFrame frame;
   while (consumed < max_bins && source_->next(frame)) {
     ingest_.consume(frame);
-    incremental_.on_bin(frame);
     ++consumed;
     if (config_.checkpoint_every > 0 &&
         ingest_.bins() % config_.checkpoint_every == 0)
@@ -75,10 +62,6 @@ void StreamSession::checkpoint() const {
   io::ByteWriter ingest_bytes;
   ingest_.serialize(ingest_bytes);
   container.add_section(kSectionIngest, ingest_bytes.take());
-  io::ByteWriter reached_bytes;
-  reached_bytes.varint(incremental_.reached().size());
-  for (ixp::IxpId id : incremental_.reached()) reached_bytes.varint(id);
-  container.add_section(kSectionReached, reached_bytes.take());
   container.write_file_atomic(config_.checkpoint_path);
   if (obs::metrics_enabled()) {
     static obs::Counter checkpoints("rp.stream.checkpoints");
@@ -100,17 +83,9 @@ bool StreamSession::resume() {
   if (!(restored.schema() == source_->schema()))
     throw io::SnapshotError(
         "stream checkpoint: schema does not match the source");
-  io::ByteReader reached_bytes(container.section(kSectionReached),
-                               "stream checkpoint reached set");
-  std::vector<ixp::IxpId> reached(
-      static_cast<std::size_t>(reached_bytes.varint()));
-  for (ixp::IxpId& id : reached)
-    id = static_cast<ixp::IxpId>(reached_bytes.varint());
-  reached_bytes.expect_end();
 
   source_->seek(restored.next_bin());
   ingest_ = std::move(restored);
-  incremental_.reset(reached);
   if (obs::metrics_enabled()) {
     static obs::Counter resumes("rp.stream.resumes");
     resumes.add();

@@ -1,11 +1,10 @@
-// StreamSession: one end-to-end streaming run — source → ingest →
-// incremental offload — with crash-consistent checkpoints.
+// StreamSession: one end-to-end streaming run — source → ingest — with
+// crash-consistent checkpoints.
 //
 // The session pulls bins from a BinSource in arrival order, folds each into
-// the StreamIngest percentile state, publishes the frame to the
-// IncrementalOffload live view, and every `checkpoint_every` bins writes the
-// complete ingest state (plus the reached IXP set) to an RPSNAP container
-// with the usual atomic-rename discipline. A replay killed mid-ingest (the
+// the StreamIngest percentile state (whose last offload sample is the live
+// view), and every `checkpoint_every` bins writes the complete ingest state
+// to an RPSNAP container with the usual atomic-rename discipline. A replay killed mid-ingest (the
 // stream.bin fault site) therefore leaves a valid checkpoint on disk;
 // resume() restores it, seeks the source, and the continued run's
 // percentiles and greedy curve are byte-identical to an uninterrupted one —
@@ -16,10 +15,8 @@
 #include <filesystem>
 #include <limits>
 
-#include "ixp/ixp.hpp"
 #include "offload/analyzer.hpp"
 #include "stream/bin_source.hpp"
-#include "stream/incremental.hpp"
 #include "stream/ingest.hpp"
 
 namespace rp::stream {
@@ -59,14 +56,11 @@ class StreamSession {
   void checkpoint() const;
 
   const StreamIngest& ingest() const { return ingest_; }
-  IncrementalOffload& incremental() { return incremental_; }
-  const IncrementalOffload& incremental() const { return incremental_; }
 
  private:
   BinSource* source_;
   StreamSessionConfig config_;
   StreamIngest ingest_;
-  IncrementalOffload incremental_;
 };
 
 }  // namespace rp::stream

@@ -30,10 +30,6 @@ class DynamicBitset {
     assert(i < bits_);
     words_[i >> 6] |= std::uint64_t{1} << (i & 63);
   }
-  void reset(std::size_t i) {
-    assert(i < bits_);
-    words_[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
-  }
   bool test(std::size_t i) const {
     assert(i < bits_);
     return (words_[i >> 6] >> (i & 63)) & 1;

@@ -1,12 +1,10 @@
 // WorldPool tests: single-flight loading, LRU eviction under capacity
-// pressure, the pool counters, and stats that never wait on a lease.
+// pressure, the pool counters, and lazily shared artifacts.
 #include "serve/world_pool.hpp"
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <filesystem>
-#include <future>
 #include <thread>
 #include <vector>
 
@@ -125,26 +123,6 @@ TEST(WorldPool, LazyArtifactsBuildOnceAndAreShared) {
   EXPECT_FALSE(curve.empty());
   const auto* spread = &world->spread();
   EXPECT_EQ(spread, &world->spread());
-}
-
-TEST(WorldPool, EntryStatsNeverWaitOnAWhatIfLease) {
-  WorldPool pool(1, fresh_cache_dir("lease"));
-  const auto world = pool.acquire(fast_config(13));
-  std::future<std::vector<WorldPool::EntryStats>> stats;
-  std::size_t engine_bytes = 0;
-  {
-    // An executing what-if query holds this lease for its whole run.
-    World::WhatIfLease lease = world->what_if_engine(offload::PeerGroup::kAll);
-    engine_bytes = lease.engine->retained_bytes();
-    stats = std::async(std::launch::async,
-                       [&pool] { return pool.entry_stats(); });
-    EXPECT_EQ(stats.wait_for(std::chrono::seconds(1)),
-              std::future_status::ready);
-  }  // Dropping the lease frees a blocked call, so the test always ends.
-  const auto entries = stats.get();
-  ASSERT_EQ(entries.size(), 1u);
-  EXPECT_GT(engine_bytes, 0u);
-  EXPECT_GE(entries[0].resident_bytes, engine_bytes);
 }
 
 }  // namespace

@@ -131,21 +131,6 @@ TEST(Link, DeliversAfterConfiguredDelay) {
   EXPECT_EQ(b.received.size(), 1u);
 }
 
-TEST(Link, LossDropsFrames) {
-  Simulator sim;
-  Network network{sim};
-  auto& a = network.emplace_device<Sink>("a");
-  auto& b = network.emplace_device<Sink>("b");
-  Link& link = network.connect(a, b, util::SimDuration::micros(1), nullptr,
-                               /*loss_probability=*/1.0);
-  for (int i = 0; i < 10; ++i)
-    a.send(frame_between(net::MacAddr::from_id(1), net::MacAddr::from_id(2)));
-  sim.run();
-  EXPECT_EQ(b.received.size(), 0u);
-  EXPECT_EQ(link.frames_dropped(), 10u);
-  EXPECT_EQ(link.frames_delivered(), 0u);
-}
-
 TEST(Frame, ToStringIsInformative) {
   auto f = frame_between(net::MacAddr::from_id(1), net::MacAddr::from_id(2));
   const std::string s = f.to_string();

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "fault/fault.hpp"
@@ -84,33 +86,131 @@ TEST(StreamSession, OrderedArrivalContractEnforced) {
   EXPECT_THROW(copy.consume(gap), std::invalid_argument);
 }
 
+// The live view is the offload sample the ingest folded for the latest bin:
+// bin by bin it equals the batch offload series over the covered endpoints.
+TEST(StreamSession, LiveViewIsTheBatchOffloadSeriesPerBin) {
+  StreamWorld w;
+  RateModelBinSource source(*w.rates, w.endpoint_networks());
+  StreamSession session(source, *w.analyzer, offload::PeerGroup::kAll);
+  const StreamIngest& ingest = session.ingest();
+  EXPECT_FALSE(ingest.has_live_bin());
+  EXPECT_THROW(ingest.live_offload(flow::Direction::kInbound),
+               std::logic_error);
+
+  const auto covered = w.analyzer->covered_endpoints(
+      w.analyzer->all_ixps(), offload::PeerGroup::kAll);
+  const auto batch_in =
+      w.rates->aggregate_series(covered, flow::Direction::kInbound);
+  const auto batch_out =
+      w.rates->aggregate_series(covered, flow::Direction::kOutbound);
+  for (std::uint64_t bin = 0; bin < w.rates->bin_count(); ++bin) {
+    ASSERT_EQ(session.run(1), 1u);
+    ASSERT_TRUE(ingest.has_live_bin());
+    ASSERT_EQ(ingest.next_bin() - 1, bin);
+    ASSERT_EQ(ingest.live_offload(flow::Direction::kInbound), batch_in[bin]);
+    ASSERT_EQ(ingest.live_offload(flow::Direction::kOutbound),
+              batch_out[bin]);
+  }
+}
+
+/// A one-bin ingest over `covered` fed the §4-average endpoint rates: its
+/// live view is the offload potential of the covered set.
+std::pair<double, double> average_rate_offload(
+    const StreamWorld& w, const util::DynamicBitset& covered) {
+  BinFrame frame;
+  BinSchema schema;
+  for (const auto& endpoint : w.analyzer->transit_endpoints()) {
+    schema.networks.push_back(endpoint.asn);
+    frame.in_bps.push_back(endpoint.inbound_bps);
+    frame.out_bps.push_back(endpoint.outbound_bps);
+  }
+  StreamIngest ingest(std::move(schema), covered, 1);
+  ingest.consume(frame);
+  return {ingest.live_offload(flow::Direction::kInbound),
+          ingest.live_offload(flow::Direction::kOutbound)};
+}
+
+// The ingest and the analyzer sum the same endpoints in the same order, so
+// the live view of average rates is potential_at bit for bit, for any set —
+// and the session's covered mask is the one rpstream's potential.all lines
+// describe: potential_at over every IXP.
+TEST(StreamSession, AverageRateLiveViewIsThePotentialPerSet) {
+  StreamWorld w;
+  const std::vector<std::vector<const char*>> sets = {
+      {}, {"X1"}, {"X2"}, {"X1", "X2"}, {"X1", "X2", "HOME"}};
+  for (int g = 1; g <= 4; ++g) {
+    const auto group = static_cast<offload::PeerGroup>(g);
+    auto expect_potential = [&](const util::DynamicBitset& covered,
+                                const offload::Potential& want) {
+      const auto [in, out] = average_rate_offload(w, covered);
+      EXPECT_EQ(in, want.inbound_bps);
+      EXPECT_EQ(out, want.outbound_bps);
+      EXPECT_EQ(covered.count(), want.covered_networks);
+    };
+    for (const auto& acronyms : sets) {
+      std::vector<ixp::IxpId> ids;
+      for (const char* acronym : acronyms)
+        ids.push_back(w.eco.find(acronym)->id());
+      expect_potential(w.analyzer->covered_mask(ids, group),
+                       w.analyzer->potential_at(ids, group));
+    }
+    RateModelBinSource source(*w.rates, w.endpoint_networks());
+    const StreamSession session(source, *w.analyzer, group);
+    expect_potential(session.ingest().covered(),
+                     w.analyzer->potential_at(w.analyzer->all_ixps(), group));
+  }
+}
+
+struct Uninterrupted {
+  std::vector<std::uint8_t> ingest;
+  double live_in = 0.0;
+  double live_out = 0.0;
+};
+
+/// Records a 200-bin log and replays it once without interruption.
+Uninterrupted record_and_replay(const StreamWorld& w,
+                                const std::filesystem::path& log_path) {
+  RateModelBinSource recorder(*w.rates, w.endpoint_networks());
+  EXPECT_EQ(write_bin_log(recorder, 200, log_path), 200u);
+  BinLogSource source(log_path);
+  StreamSession session(source, *w.analyzer, offload::PeerGroup::kAll);
+  session.run();
+  EXPECT_EQ(session.ingest().next_bin(), 200u);
+  return {ingest_bytes(session.ingest()),
+          session.ingest().live_offload(flow::Direction::kInbound),
+          session.ingest().live_offload(flow::Direction::kOutbound)};
+}
+
+/// Resumes `config`'s checkpoint (taken at bin 120) in a fresh session,
+/// finishes the stream and checks it against the uninterrupted replay.
+void expect_resume_reproduces(const StreamWorld& w,
+                              const std::filesystem::path& log_path,
+                              const StreamSessionConfig& config,
+                              const Uninterrupted& reference) {
+  BinLogSource source(log_path);
+  StreamSession session(source, *w.analyzer, offload::PeerGroup::kAll,
+                        config);
+  ASSERT_TRUE(session.resume());
+  EXPECT_EQ(session.ingest().bins(), 120u);
+  // The live view is not checkpointed: empty until a bin arrives.
+  EXPECT_FALSE(session.ingest().has_live_bin());
+  session.run();
+  EXPECT_EQ(session.ingest().bins(), 200u);
+  EXPECT_EQ(ingest_bytes(session.ingest()), reference.ingest);
+
+  ASSERT_TRUE(session.ingest().has_live_bin());
+  EXPECT_EQ(session.ingest().next_bin() - 1, 199u);
+  EXPECT_EQ(session.ingest().live_offload(flow::Direction::kInbound),
+            reference.live_in);
+  EXPECT_EQ(session.ingest().live_offload(flow::Direction::kOutbound),
+            reference.live_out);
+}
+
 TEST(StreamSession, KillResumeReproducesUninterruptedBytes) {
   StreamWorld w;
   const auto log_path = temp_file("rp_stream_session_log.rpsnap");
   const auto ckpt_path = temp_file("rp_stream_session_ckpt.rpsnap");
-  {
-    RateModelBinSource recorder(*w.rates, w.endpoint_networks());
-    ASSERT_EQ(write_bin_log(recorder, 200, log_path), 200u);
-  }
-
-  // A reached set other than the session's default (every IXP), so only a
-  // checkpoint that restores it reproduces the live view.
-  const ixp::Ixp* x1 = w.eco.find("X1");
-  ASSERT_NE(x1, nullptr);
-  const std::vector<ixp::IxpId> reached{x1->id()};
-
-  // Reference: one uninterrupted replay.
-  std::vector<std::uint8_t> reference;
-  offload::Potential reference_live;
-  {
-    BinLogSource source(log_path);
-    StreamSession session(source, *w.analyzer, offload::PeerGroup::kAll);
-    session.incremental().reset(reached);
-    session.run();
-    reference = ingest_bytes(session.ingest());
-    ASSERT_EQ(session.incremental().live_bin(), 199u);
-    reference_live = session.incremental().live_potential();
-  }
+  const Uninterrupted reference = record_and_replay(w, log_path);
 
   // Replay killed mid-stream by the stream.bin fault site, after the
   // checkpoint at bin 120 (the fault fires on the 150th frame read).
@@ -122,31 +222,57 @@ TEST(StreamSession, KillResumeReproducesUninterruptedBytes) {
     BinLogSource source(log_path);
     StreamSession session(source, *w.analyzer, offload::PeerGroup::kAll,
                           config);
-    session.incremental().reset(reached);
     EXPECT_THROW(session.run(), fault::InjectedFault);
   }
   fault::disarm_all();
   ASSERT_TRUE(std::filesystem::exists(ckpt_path));
 
+  // A checkpoint holds the ingest section only.
+  const auto sections =
+      io::ContainerReader::from_file(ckpt_path).sections();
+  ASSERT_EQ(sections.size(), 1u);
+  EXPECT_EQ(sections[0].id, 1u);
+
   // A fresh process resumes from the checkpoint and finishes the stream.
+  expect_resume_reproduces(w, log_path, config, reference);
+  std::filesystem::remove(log_path);
+  std::filesystem::remove(ckpt_path);
+}
+
+// Checkpoints written while the session kept a reached IXP set carry it as
+// section 2 after the ingest section. They still resume, to the same bytes.
+TEST(StreamSession, ResumesACheckpointWithTheRetiredReachedSetSection) {
+  StreamWorld w;
+  const auto log_path = temp_file("rp_stream_session_old_log.rpsnap");
+  const auto ckpt_path = temp_file("rp_stream_session_old_ckpt.rpsnap");
+  const Uninterrupted reference = record_and_replay(w, log_path);
+
+  StreamSessionConfig config;
+  config.checkpoint_path = ckpt_path;
   {
     BinLogSource source(log_path);
     StreamSession session(source, *w.analyzer, offload::PeerGroup::kAll,
                           config);
-    ASSERT_TRUE(session.resume());
-    EXPECT_EQ(session.ingest().bins(), 120u);
-    session.run();
-    EXPECT_EQ(session.ingest().bins(), 200u);
-    EXPECT_EQ(ingest_bytes(session.ingest()), reference);
-
-    IncrementalOffload& live = session.incremental();
-    EXPECT_EQ(live.reached(), reached);
-    EXPECT_EQ(live.live_bin(), 199u);
-    const offload::Potential potential = live.live_potential();
-    EXPECT_EQ(potential.inbound_bps, reference_live.inbound_bps);
-    EXPECT_EQ(potential.outbound_bps, reference_live.outbound_bps);
-    EXPECT_EQ(potential.covered_networks, reference_live.covered_networks);
+    ASSERT_EQ(session.run(120), 120u);
+    session.checkpoint();
   }
+  {
+    // Rewrite it as the old layout: ingest, then the varint reached set.
+    const io::ContainerReader current =
+        io::ContainerReader::from_file(ckpt_path);
+    const auto ingest = current.section(1);
+    io::ContainerWriter old;
+    old.add_section(1, {ingest.begin(), ingest.end()});
+    io::ByteWriter reached;
+    const auto all = w.analyzer->all_ixps();
+    reached.varint(all.size());
+    for (ixp::IxpId id : all) reached.varint(id);
+    old.add_section(2, reached.take());
+    old.write_file_atomic(ckpt_path);
+  }
+  ASSERT_EQ(io::ContainerReader::from_file(ckpt_path).sections().size(), 2u);
+
+  expect_resume_reproduces(w, log_path, config, reference);
   std::filesystem::remove(log_path);
   std::filesystem::remove(ckpt_path);
 }
