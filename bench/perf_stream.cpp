@@ -1,7 +1,7 @@
 // Microbenchmarks of the rp::stream hot paths. The CI perf gate tracks
 // bins_per_sec for both arms:
 //   * BM_StreamIngestBins  streaming ingest throughput (fold one BinFrame
-//                          into every per-network and aggregate sketch)
+//                          into the four aggregate sketches)
 //   * BM_BinLogReplay      bin-log decode throughput
 // The world is the shared bench scenario (RP_BENCH_FAST shrinks it), the
 // same one the fig5-fig10 harnesses study.

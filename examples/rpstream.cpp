@@ -194,12 +194,12 @@ int cmd_ingest(int argc, char** argv) {
   const std::uint64_t consumed = session.run(max_bins);
   std::fprintf(stderr, "rpstream: consumed %llu bins (total %llu)\n",
                static_cast<unsigned long long>(consumed),
-               static_cast<unsigned long long>(session.ingest().bins()));
+               static_cast<unsigned long long>(session.ingest().next_bin()));
 
   // --- The deterministic summary (stdout; %.17g keeps doubles exact) -------
   const stream::StreamIngest& ingest = session.ingest();
   std::printf("bins %llu\n",
-              static_cast<unsigned long long>(ingest.bins()));
+              static_cast<unsigned long long>(ingest.next_bin()));
   std::printf("transit.p95.in %.17g\n",
               ingest.transit_p95(flow::Direction::kInbound));
   std::printf("transit.p95.out %.17g\n",

@@ -141,6 +141,15 @@ stream_smoke() {
   expect_rc 9 env RP_THREADS=8 RP_FAULT=stream.bin:nth=300 \
     "$rpstream" ingest --fast --span-days 2 --cache-dir "$dir/cache" \
     --log "$dir/bins.rpsnap" --checkpoint "$dir/ckpt.rpsnap" --every 100
+  # ...leaving a checkpoint of only the four aggregate sketches (~7 KB; the
+  # bound is 1/50 of the 1,020,804 bytes it took with per-network
+  # sketches)...
+  local ckpt_bytes
+  ckpt_bytes="$(wc -c < "$dir/ckpt.rpsnap")"
+  if (( ckpt_bytes > 20416 )); then
+    echo "FAIL: checkpoint is $ckpt_bytes bytes, bound 20416" >&2
+    return 1
+  fi
   # ...resumes from the last checkpoint (bin 200)...
   RP_THREADS=8 "$rpstream" ingest --fast --span-days 2 \
     --cache-dir "$dir/cache" --log "$dir/bins.rpsnap" \

@@ -172,6 +172,15 @@ std::string ByteReader::str() {
   return s;
 }
 
+std::size_t ByteReader::count(std::size_t min_element_bytes) {
+  const std::uint64_t n = varint();
+  // Divide rather than multiply: n * min_element_bytes can overflow.
+  if (n > remaining() / min_element_bytes)
+    throw SnapshotError("snapshot " + context_ + ": list count " +
+                        std::to_string(n) + " exceeds section size");
+  return static_cast<std::size_t>(n);
+}
+
 void ByteReader::expect_end() const {
   if (pos_ != data_.size())
     throw SnapshotError("snapshot " + context_ + ": " +

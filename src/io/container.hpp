@@ -136,6 +136,11 @@ class ByteReader {
   std::int64_t svarint();
   double f64();
   std::string str();
+  /// Reads a count that prefixes a list whose elements occupy at least
+  /// `min_element_bytes` (>= 1) each, and rejects one the remaining payload
+  /// cannot hold, so a corrupt count cannot trigger an absurd allocation
+  /// before the decode loop underruns.
+  std::size_t count(std::size_t min_element_bytes = 1);
 
   bool at_end() const { return pos_ == data_.size(); }
   std::size_t remaining() const { return data_.size() - pos_; }

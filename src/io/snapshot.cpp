@@ -66,17 +66,6 @@ net::Ipv4Prefix decode_prefix(ByteReader& in) {
   return prefix;
 }
 
-/// Reads a count that prefixes a list whose elements occupy at least
-/// `min_element_bytes` each; bounds it by the remaining payload so corrupt
-/// counts cannot trigger absurd allocations before the decode loop fails.
-std::size_t checked_count(ByteReader& in, std::size_t min_element_bytes = 1) {
-  const std::uint64_t count = in.varint();
-  if (count * min_element_bytes > in.remaining())
-    throw SnapshotError("snapshot: list count " + std::to_string(count) +
-                        " exceeds section size");
-  return static_cast<std::size_t>(count);
-}
-
 // --- kConfigSection ----------------------------------------------------------
 // Field order here is the canonical encoding: config_digest hashes these
 // bytes, so changing the order or adding a knob deliberately changes every
@@ -174,7 +163,7 @@ std::vector<std::uint8_t> encode_nodes(const topology::AsGraph& graph) {
 std::vector<topology::AsNode> decode_nodes(
     std::span<const std::uint8_t> payload) {
   ByteReader in(payload, "nodes section");
-  const std::size_t count = checked_count(in);
+  const std::size_t count = in.count();
   std::vector<topology::AsNode> nodes;
   nodes.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
@@ -193,7 +182,7 @@ std::vector<topology::AsNode> decode_nodes(
                           std::to_string(policy));
     node.policy = static_cast<topology::PeeringPolicy>(policy);
     node.home_city = decode_city(in);
-    const std::size_t prefixes = checked_count(in, 5);
+    const std::size_t prefixes = in.count(5);
     node.prefixes.reserve(prefixes);
     for (std::size_t p = 0; p < prefixes; ++p)
       node.prefixes.push_back(decode_prefix(in));
@@ -227,7 +216,7 @@ std::vector<std::uint8_t> encode_edges(const topology::AsGraph& graph) {
 topology::AsGraph decode_graph(std::span<const std::uint8_t> edges_payload,
                                std::vector<topology::AsNode> nodes) {
   ByteReader in(edges_payload, "edges section");
-  const std::size_t count = checked_count(in);
+  const std::size_t count = in.count();
   if (count != nodes.size())
     throw SnapshotError("snapshot: edges section covers " +
                         std::to_string(count) + " nodes but nodes section has " +
@@ -235,7 +224,7 @@ topology::AsGraph decode_graph(std::span<const std::uint8_t> edges_payload,
   topology::AsGraph::SnapshotParts parts;
   parts.nodes = std::move(nodes);
   auto read_list = [&in, &parts](std::vector<net::Asn>& list) {
-    const std::size_t n = checked_count(in);
+    const std::size_t n = in.count();
     list.reserve(n);
     for (std::size_t k = 0; k < n; ++k) {
       const std::uint64_t index = in.varint();
@@ -307,18 +296,18 @@ std::vector<std::uint8_t> encode_ecosystem(const ixp::IxpEcosystem& ecosystem) {
 ixp::IxpEcosystem decode_ecosystem(std::span<const std::uint8_t> payload) {
   ByteReader in(payload, "ecosystem section");
   ixp::IxpEcosystem ecosystem;
-  const std::size_t providers = checked_count(in);
+  const std::size_t providers = in.count();
   for (std::size_t p = 0; p < providers; ++p) {
     ixp::RemotePeeringProvider provider;
     provider.name = in.str();
     provider.path_stretch = in.f64();
-    const std::size_t pops = checked_count(in);
+    const std::size_t pops = in.count();
     provider.pops.reserve(pops);
     for (std::size_t c = 0; c < pops; ++c)
       provider.pops.push_back(decode_city(in));
     ecosystem.add_provider(std::move(provider));
   }
-  const std::size_t ixps = checked_count(in);
+  const std::size_t ixps = in.count();
   for (std::size_t x = 0; x < ixps; ++x) {
     std::string acronym = in.str();
     std::string full_name = in.str();
@@ -331,7 +320,7 @@ ixp::IxpEcosystem decode_ecosystem(std::span<const std::uint8_t> payload) {
                             std::move(city), peak, lan);
       ixp::Ixp& ixp = ecosystem.ixp(id);
       ixp.set_site_count(static_cast<int>(in.varint()));
-      const std::size_t lgs = checked_count(in);
+      const std::size_t lgs = in.count();
       for (std::size_t g = 0; g < lgs; ++g) {
         ixp::LookingGlass lg;
         const std::uint8_t op = in.u8();
@@ -343,7 +332,7 @@ ixp::IxpEcosystem decode_ecosystem(std::span<const std::uint8_t> payload) {
         lg.addr = net::Ipv4Addr{in.u32_fixed()};
         ixp.add_looking_glass(lg);
       }
-      const std::size_t ifaces = checked_count(in);
+      const std::size_t ifaces = in.count();
       for (std::size_t i = 0; i < ifaces; ++i) {
         ixp::MemberInterface iface;
         iface.asn = net::Asn{static_cast<std::uint32_t>(in.varint())};
@@ -508,7 +497,7 @@ core::Scenario decode_scenario(std::span<const std::uint8_t> bytes) {
   if (!graph.contains(vantage))
     throw SnapshotError("snapshot: vantage " + vantage.to_string() +
                         " is not in the graph");
-  const std::size_t measured = checked_count(vantage_in);
+  const std::size_t measured = vantage_in.count();
   std::vector<ixp::IxpId> measured_ixps;
   measured_ixps.reserve(measured);
   for (std::size_t i = 0; i < measured; ++i) {

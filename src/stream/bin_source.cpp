@@ -1,5 +1,6 @@
 #include "stream/bin_source.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "fault/fault.hpp"
@@ -128,7 +129,7 @@ std::uint64_t write_bin_log(BinSource& source, std::uint64_t bins,
 BinLogSource::BinLogSource(const std::filesystem::path& path)
     : reader_(io::ContainerReader::from_file(path)) {
   io::ByteReader header(reader_.section(kSectionHeader), "bin-log header");
-  const std::size_t networks = static_cast<std::size_t>(header.varint());
+  const std::size_t networks = header.count();
   schema_.networks.reserve(networks);
   for (std::size_t i = 0; i < networks; ++i)
     schema_.networks.push_back(net::Asn{
@@ -145,12 +146,22 @@ void BinLogSource::load_chunk(std::uint64_t chunk) {
   io::ByteReader body(
       reader_.section(kSectionChunkBase + static_cast<std::uint32_t>(chunk)),
       "bin-log chunk");
-  const std::size_t frames = static_cast<std::size_t>(body.varint());
-  if (frames > chunk_size_)
-    throw io::SnapshotError("bin-log chunk: more frames than chunk size");
+  // next() indexes this chunk by slot, so it must hold every slot the header
+  // promises it, each carrying its own bin. A chunk that fails part-way is
+  // not left half-loaded.
+  loaded_chunk_ = ~std::uint64_t{0};
+  const std::uint64_t first_slot = chunk * chunk_size_;
+  // A frame is its bin varint and 2N doubles.
+  const std::size_t frames = body.count(1 + 16 * schema_.size());
+  if (frames != std::min(chunk_size_, frame_count_ - first_slot))
+    throw io::SnapshotError(
+        "bin-log chunk: frame count disagrees with the header");
   chunk_frames_.resize(frames);
-  for (BinFrame& frame : chunk_frames_) {
+  for (std::size_t slot = 0; slot < frames; ++slot) {
+    BinFrame& frame = chunk_frames_[slot];
     frame.bin = body.varint();
+    if (frame.bin != first_bin_ + first_slot + slot)
+      throw io::SnapshotError("bin-log chunk: frame bin out of sequence");
     frame.in_bps.resize(schema_.size());
     frame.out_bps.resize(schema_.size());
     for (double& v : frame.in_bps) v = body.f64();

@@ -3,21 +3,11 @@
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-#include "util/thread_pool.hpp"
 
 namespace rp::stream {
 
-StreamIngest::StreamIngest(BinSchema schema, util::DynamicBitset covered,
-                           std::size_t exact_capacity)
-    : schema_(std::move(schema)),
-      covered_(std::move(covered)),
-      in_sketches_(schema_.size(), P95Sketch(exact_capacity)),
-      out_sketches_(schema_.size(), P95Sketch(exact_capacity)),
-      transit_in_(exact_capacity),
-      transit_out_(exact_capacity),
-      offload_in_(exact_capacity),
-      offload_out_(exact_capacity) {
+StreamIngest::StreamIngest(BinSchema schema, util::DynamicBitset covered)
+    : schema_(std::move(schema)), covered_(std::move(covered)) {
   if (covered_.size() != schema_.size())
     throw std::invalid_argument(
         "StreamIngest: covered mask size does not match schema");
@@ -29,15 +19,6 @@ void StreamIngest::consume(const BinFrame& frame) {
   if (frame.in_bps.size() != schema_.size() ||
       frame.out_bps.size() != schema_.size())
     throw std::invalid_argument("StreamIngest: frame width != schema");
-
-  // Per-network sketches are independent; fan the folds across the pool.
-  // Each position only touches its own sketch, so the result is identical
-  // at any RP_THREADS.
-  util::ThreadPool::global().parallel_for(
-      schema_.size(), [this, &frame](std::size_t i) {
-        in_sketches_[i].add(frame.in_bps[i]);
-        out_sketches_[i].add(frame.out_bps[i]);
-      });
 
   // Aggregates accumulate serially in schema order — the exact summation
   // order of RateModel::aggregate_series — so the fed samples (and hence the
@@ -62,14 +43,11 @@ void StreamIngest::consume(const BinFrame& frame) {
   live_out_ = offload_out;
   has_live_ = true;
 
-  ++bins_;
   next_bin_ = frame.bin + 1;
 
   if (obs::metrics_enabled()) {
     static obs::Counter bins("rp.stream.bins_ingested");
-    static obs::Gauge retained("rp.stream.retained_bytes");
     bins.add();
-    retained.set(static_cast<double>(retained_bytes()));
   }
 }
 
@@ -87,66 +65,50 @@ double StreamIngest::live_offload(flow::Direction dir) const {
   return dir == flow::Direction::kInbound ? live_in_ : live_out_;
 }
 
-const P95Sketch& StreamIngest::network_sketch(std::size_t index,
-                                              flow::Direction dir) const {
-  if (index >= schema_.size())
-    throw std::out_of_range("StreamIngest::network_sketch");
-  return dir == flow::Direction::kInbound ? in_sketches_[index]
-                                          : out_sketches_[index];
-}
-
-std::size_t StreamIngest::retained_bytes() const {
-  std::size_t bytes = transit_in_.retained_bytes() +
-                      transit_out_.retained_bytes() +
-                      offload_in_.retained_bytes() +
-                      offload_out_.retained_bytes();
-  for (const P95Sketch& sketch : in_sketches_) bytes += sketch.retained_bytes();
-  for (const P95Sketch& sketch : out_sketches_)
-    bytes += sketch.retained_bytes();
-  return bytes;
-}
-
 void StreamIngest::serialize(io::ByteWriter& writer) const {
   writer.varint(schema_.size());
   for (net::Asn asn : schema_.networks) writer.varint(asn.value());
   writer.varint(covered_.size());
   for (std::uint64_t word : covered_.words()) writer.u64_fixed(word);
-  writer.varint(bins_);
   writer.varint(next_bin_);
-  for (const P95Sketch& sketch : in_sketches_) sketch.serialize(writer);
-  for (const P95Sketch& sketch : out_sketches_) sketch.serialize(writer);
   transit_in_.serialize(writer);
   transit_out_.serialize(writer);
   offload_in_.serialize(writer);
   offload_out_.serialize(writer);
 }
 
-StreamIngest StreamIngest::deserialize(io::ByteReader& reader) {
+StreamIngest StreamIngest::deserialize(io::ByteReader& reader,
+                                       bool retired_layout) {
   BinSchema schema;
-  const std::size_t networks = static_cast<std::size_t>(reader.varint());
+  const std::size_t networks = reader.count();
   schema.networks.reserve(networks);
   for (std::size_t i = 0; i < networks; ++i)
     schema.networks.push_back(
         net::Asn{static_cast<std::uint32_t>(reader.varint())});
-  const std::size_t covered_bits = static_cast<std::size_t>(reader.varint());
+  // The schema count bounds the mask's words as well.
+  const std::uint64_t covered_bits = reader.varint();
   if (covered_bits != networks)
     throw io::SnapshotError("StreamIngest: covered mask size != schema");
-  std::vector<std::uint64_t> words((covered_bits + 63) / 64);
+  std::vector<std::uint64_t> words((networks + 63) / 64);
   for (std::uint64_t& word : words) word = reader.u64_fixed();
   util::DynamicBitset covered;
   try {
-    covered = util::DynamicBitset::from_words(covered_bits, std::move(words));
+    covered = util::DynamicBitset::from_words(networks, std::move(words));
   } catch (const std::invalid_argument& e) {
     throw io::SnapshotError(std::string("StreamIngest: ") + e.what());
   }
 
-  StreamIngest ingest(std::move(schema), std::move(covered), 1);
-  ingest.bins_ = reader.varint();
-  ingest.next_bin_ = reader.varint();
-  for (P95Sketch& sketch : ingest.in_sketches_)
-    sketch = P95Sketch::deserialize(reader);
-  for (P95Sketch& sketch : ingest.out_sketches_)
-    sketch = P95Sketch::deserialize(reader);
+  StreamIngest ingest(std::move(schema), std::move(covered));
+  if (retired_layout) {
+    const std::uint64_t bins = reader.varint();
+    ingest.next_bin_ = reader.varint();
+    if (bins != ingest.next_bin_)
+      throw io::SnapshotError("StreamIngest: bin count != bin cursor");
+    for (std::size_t i = 0; i < 2 * networks; ++i)
+      P95Sketch::deserialize(reader);
+  } else {
+    ingest.next_bin_ = reader.varint();
+  }
   ingest.transit_in_ = P95Sketch::deserialize(reader);
   ingest.transit_out_ = P95Sketch::deserialize(reader);
   ingest.offload_in_ = P95Sketch::deserialize(reader);

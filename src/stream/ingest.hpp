@@ -2,12 +2,9 @@
 //
 // The batch path (core::OffloadStudy::time_series + util::p95_billing_rate)
 // materializes the whole month before a single percentile is known. The
-// ingest instead folds each BinFrame as it arrives into
-//
-//   * one P95Sketch per (network, direction)   — every transit endpoint's
-//     own billing percentile, and
-//   * four aggregate sketches                  — transit in/out (all schema
-//     networks) and offload in/out (the covered subset), the Fig. 5b pair.
+// ingest instead folds each BinFrame as it arrives into four aggregate
+// sketches: transit in/out (all schema networks) and offload in/out (the
+// covered subset), the Fig. 5b pair.
 //
 // Byte-identity contract (DESIGN.md §16): per-bin aggregate sums accumulate
 // in schema order — the same network order RateModel::aggregate_series folds
@@ -25,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "flow/traffic_matrix.hpp"
 #include "io/container.hpp"
@@ -39,9 +35,8 @@ class StreamIngest {
  public:
   /// `covered` flags the schema positions whose networks are offloadable
   /// (endpoint-space coverage at the reached IXPs); its size must equal the
-  /// schema's. `exact_capacity` sizes every sketch's exact ring.
-  StreamIngest(BinSchema schema, util::DynamicBitset covered,
-               std::size_t exact_capacity = kPaperScaleBins);
+  /// schema's.
+  StreamIngest(BinSchema schema, util::DynamicBitset covered);
 
   /// Folds one bin. Frames must arrive in order: frame.bin must equal
   /// next_bin() (the contract a resumed checkpoint relies on). Throws
@@ -50,9 +45,8 @@ class StreamIngest {
 
   const BinSchema& schema() const { return schema_; }
   const util::DynamicBitset& covered() const { return covered_; }
-  /// Bins folded so far.
-  std::uint64_t bins() const { return bins_; }
-  /// The bin index the next consume() must carry.
+  /// The bin index the next consume() must carry. Frames start at bin 0, so
+  /// this is also the number of bins folded so far.
   std::uint64_t next_bin() const { return next_bin_; }
 
   /// Aggregate billing percentiles (throw std::logic_error before any bin).
@@ -67,26 +61,21 @@ class StreamIngest {
   /// now". Throws std::logic_error before has_live_bin().
   double live_offload(flow::Direction dir) const;
 
-  /// Per-network sketch at a schema position.
-  const P95Sketch& network_sketch(std::size_t index,
-                                  flow::Direction dir) const;
-
-  /// Bytes retained across every sketch (diagnostic; feeds the
-  /// rp.stream.retained_bytes gauge).
-  std::size_t retained_bytes() const;
-
+  /// Layout: schema, covered mask, next_bin(), then the transit in/out and
+  /// offload in/out sketches.
   void serialize(io::ByteWriter& writer) const;
-  static StreamIngest deserialize(io::ByteReader& reader);
+  /// Decodes serialize()'s layout. `retired_layout` reads the layout that
+  /// checkpoint section 1 held instead: a bin count before the cursor and
+  /// 2N per-network sketches before the aggregates. Each of those is
+  /// decoded, so its bounds are checked, and dropped.
+  static StreamIngest deserialize(io::ByteReader& reader,
+                                  bool retired_layout = false);
 
  private:
   BinSchema schema_;
   util::DynamicBitset covered_;
-  std::uint64_t bins_ = 0;
   std::uint64_t next_bin_ = 0;
 
-  /// Per-network sketches, schema order.
-  std::vector<P95Sketch> in_sketches_;
-  std::vector<P95Sketch> out_sketches_;
   P95Sketch transit_in_;
   P95Sketch transit_out_;
   P95Sketch offload_in_;

@@ -141,19 +141,20 @@ P95Sketch P95Sketch::deserialize(io::ByteReader& reader) {
     throw io::SnapshotError("P95Sketch: unexpected level capacity");
   P95Sketch sketch(static_cast<std::size_t>(exact_capacity));
   sketch.count_ = reader.varint();
-  const std::size_t ring_size = static_cast<std::size_t>(reader.varint());
+  const std::size_t ring_size = reader.count(sizeof(double));
   if (ring_size > sketch.exact_capacity_)
     throw io::SnapshotError("P95Sketch: ring larger than its capacity");
   sketch.ring_.reserve(ring_size);
   for (std::size_t i = 0; i < ring_size; ++i)
     sketch.ring_.push_back(reader.f64());
-  const std::size_t level_count = static_cast<std::size_t>(reader.varint());
+  // A level is at least its parity byte and its item count.
+  const std::size_t level_count = reader.count(2);
   if (level_count > 64)
     throw io::SnapshotError("P95Sketch: implausible level count");
   sketch.levels_.resize(level_count);
   for (Level& level : sketch.levels_) {
     level.keep_odd = reader.u8() != 0;
-    const std::size_t items = static_cast<std::size_t>(reader.varint());
+    const std::size_t items = reader.count(sizeof(double));
     if (items > kLevelCapacity)
       throw io::SnapshotError("P95Sketch: level larger than its capacity");
     level.items.reserve(items);

@@ -10,10 +10,12 @@ namespace rp::stream {
 
 namespace {
 
-/// Checkpoint container section. Checkpoints written before the live view
-/// moved into the ingest also carry a reached-IXP-set section (id 2);
-/// resume() ignores it.
-constexpr std::uint32_t kSectionIngest = 1;
+/// Checkpoint container section: the ingest's serialize() layout. Older
+/// checkpoints hold the ingest with its retired per-network sketches as
+/// section 1 instead, and may carry a reached-IXP-set section (id 2), which
+/// resume() ignores.
+constexpr std::uint32_t kSectionIngest = 3;
+constexpr std::uint32_t kSectionRetiredIngest = 1;
 
 BinSchema endpoint_schema(const offload::OffloadAnalyzer& analyzer) {
   BinSchema schema;
@@ -48,7 +50,7 @@ std::uint64_t StreamSession::run(std::uint64_t max_bins) {
     ingest_.consume(frame);
     ++consumed;
     if (config_.checkpoint_every > 0 &&
-        ingest_.bins() % config_.checkpoint_every == 0)
+        ingest_.next_bin() % config_.checkpoint_every == 0)
       checkpoint();
   }
   return consumed;
@@ -76,9 +78,11 @@ bool StreamSession::resume() {
   obs::Span span("stream.session.resume");
   io::ContainerReader container =
       io::ContainerReader::from_file(config_.checkpoint_path);
-  io::ByteReader ingest_bytes(container.section(kSectionIngest),
-                              "stream checkpoint ingest");
-  StreamIngest restored = StreamIngest::deserialize(ingest_bytes);
+  const bool retired = !container.has(kSectionIngest);
+  io::ByteReader ingest_bytes(
+      container.section(retired ? kSectionRetiredIngest : kSectionIngest),
+      "stream checkpoint ingest");
+  StreamIngest restored = StreamIngest::deserialize(ingest_bytes, retired);
   ingest_bytes.expect_end();
   if (!(restored.schema() == source_->schema()))
     throw io::SnapshotError(

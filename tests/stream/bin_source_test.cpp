@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <vector>
 
 #include "fault/fault.hpp"
 #include "stream_world.hpp"
@@ -132,6 +133,93 @@ TEST(BinLog, StreamBinFaultSiteFiresOnNthFrame) {
   // Disarmed, the stream continues from where the fault interrupted it.
   EXPECT_TRUE(replay.next(frame));
   EXPECT_EQ(frame.bin, 2u);
+  std::filesystem::remove(path);
+}
+
+/// Rewrites the header of the bin log at `path` to claim `frames` frames,
+/// keeping every chunk as written.
+void rewrite_frame_count(const std::filesystem::path& path,
+                         std::uint64_t frames) {
+  const auto log = io::ContainerReader::from_file(path);
+  io::ByteReader header(log.section(1), "bin-log header");
+  io::ByteWriter claimed;
+  const std::uint64_t networks = header.varint();
+  claimed.varint(networks);
+  for (std::uint64_t i = 0; i < networks; ++i) claimed.varint(header.varint());
+  header.varint();
+  claimed.varint(frames);
+  claimed.varint(header.varint());  // Chunk size.
+  claimed.varint(header.varint());  // First bin.
+  io::ContainerWriter rewritten;
+  for (const io::SectionEntry& entry : log.sections()) {
+    const auto payload = log.section(entry.id);
+    rewritten.add_section(entry.id, entry.id == 1
+                                        ? claimed.take()
+                                        : std::vector<std::uint8_t>(
+                                              payload.begin(), payload.end()));
+  }
+  rewritten.write_file_atomic(path);
+}
+
+// A header that promises more frames than the last chunk holds must not let
+// next() index past the decoded chunk.
+TEST(BinLog, RejectsAChunkShorterThanTheHeaderClaims) {
+  StreamWorld w(2);  // 576 bins: two full chunks and one of 64 frames.
+  RateModelBinSource source(*w.rates, w.endpoint_networks());
+  const auto path = temp_log("rp_stream_short_chunk.rpsnap");
+  ASSERT_EQ(write_bin_log(source, 576, path), 576u);
+  rewrite_frame_count(path, 676);
+
+  BinLogSource replay(path);
+  EXPECT_EQ(replay.bin_count(), 676u);
+  BinFrame frame;
+  for (std::uint64_t bin = 0; bin < 512; ++bin) ASSERT_TRUE(replay.next(frame));
+  EXPECT_THROW(replay.next(frame), io::SnapshotError);
+  std::filesystem::remove(path);
+}
+
+/// Delivers `inner`'s frames, but numbers the one for bin 3 as bin 9.
+class MisnumberedSource : public BinSource {
+ public:
+  explicit MisnumberedSource(BinSource& inner) : inner_(&inner) {}
+  const BinSchema& schema() const override { return inner_->schema(); }
+  std::uint64_t bin_count() const override { return inner_->bin_count(); }
+  bool next(BinFrame& frame) override {
+    if (!inner_->next(frame)) return false;
+    if (frame.bin == 3) frame.bin = 9;
+    return true;
+  }
+  void seek(std::uint64_t bin) override { inner_->seek(bin); }
+
+ private:
+  BinSource* inner_;
+};
+
+// Slot k of a log holds bin first_bin + k; a frame carrying any other bin
+// is corrupt, not a frame to deliver.
+TEST(BinLog, RejectsAFrameWhoseBinIsNotItsSlot) {
+  StreamWorld w;
+  RateModelBinSource rates(*w.rates, w.endpoint_networks());
+  MisnumberedSource source(rates);
+  const auto path = temp_log("rp_stream_misnumbered.rpsnap");
+  ASSERT_EQ(write_bin_log(source, 8, path), 8u);
+  BinLogSource replay(path);
+  BinFrame frame;
+  EXPECT_THROW(replay.next(frame), io::SnapshotError);
+  std::filesystem::remove(path);
+}
+
+// A header claiming 2^40 networks is rejected before the schema is sized
+// to it.
+TEST(BinLog, RejectsAHeaderClaimingMoreNetworksThanItHolds) {
+  const auto path = temp_log("rp_stream_huge_header.rpsnap");
+  io::ByteWriter header;
+  header.varint(std::uint64_t{1} << 40);
+  for (int i = 0; i < 8; ++i) header.varint(64500 + i);
+  io::ContainerWriter log;
+  log.add_section(1, header.take());
+  log.write_file_atomic(path);
+  EXPECT_THROW(BinLogSource{path}, io::SnapshotError);
   std::filesystem::remove(path);
 }
 

@@ -124,7 +124,7 @@ std::pair<double, double> average_rate_offload(
     frame.in_bps.push_back(endpoint.inbound_bps);
     frame.out_bps.push_back(endpoint.outbound_bps);
   }
-  StreamIngest ingest(std::move(schema), covered, 1);
+  StreamIngest ingest(std::move(schema), covered);
   ingest.consume(frame);
   return {ingest.live_offload(flow::Direction::kInbound),
           ingest.live_offload(flow::Direction::kOutbound)};
@@ -191,11 +191,11 @@ void expect_resume_reproduces(const StreamWorld& w,
   StreamSession session(source, *w.analyzer, offload::PeerGroup::kAll,
                         config);
   ASSERT_TRUE(session.resume());
-  EXPECT_EQ(session.ingest().bins(), 120u);
+  EXPECT_EQ(session.ingest().next_bin(), 120u);
   // The live view is not checkpointed: empty until a bin arrives.
   EXPECT_FALSE(session.ingest().has_live_bin());
   session.run();
-  EXPECT_EQ(session.ingest().bins(), 200u);
+  EXPECT_EQ(session.ingest().next_bin(), 200u);
   EXPECT_EQ(ingest_bytes(session.ingest()), reference.ingest);
 
   ASSERT_TRUE(session.ingest().has_live_bin());
@@ -227,11 +227,12 @@ TEST(StreamSession, KillResumeReproducesUninterruptedBytes) {
   fault::disarm_all();
   ASSERT_TRUE(std::filesystem::exists(ckpt_path));
 
-  // A checkpoint holds the ingest section only.
+  // A checkpoint holds the ingest section only, under the id of its
+  // aggregate-only layout.
   const auto sections =
       io::ContainerReader::from_file(ckpt_path).sections();
   ASSERT_EQ(sections.size(), 1u);
-  EXPECT_EQ(sections[0].id, 1u);
+  EXPECT_EQ(sections[0].id, 3u);
 
   // A fresh process resumes from the checkpoint and finishes the stream.
   expect_resume_reproduces(w, log_path, config, reference);
@@ -239,41 +240,116 @@ TEST(StreamSession, KillResumeReproducesUninterruptedBytes) {
   std::filesystem::remove(ckpt_path);
 }
 
-// Checkpoints written while the session kept a reached IXP set carry it as
-// section 2 after the ingest section. They still resume, to the same bytes.
-TEST(StreamSession, ResumesACheckpointWithTheRetiredReachedSetSection) {
-  StreamWorld w;
-  const auto log_path = temp_file("rp_stream_session_old_log.rpsnap");
-  const auto ckpt_path = temp_file("rp_stream_session_old_ckpt.rpsnap");
-  const Uninterrupted reference = record_and_replay(w, log_path);
-
-  StreamSessionConfig config;
-  config.checkpoint_path = ckpt_path;
-  {
-    BinLogSource source(log_path);
-    StreamSession session(source, *w.analyzer, offload::PeerGroup::kAll,
-                          config);
-    ASSERT_EQ(session.run(120), 120u);
-    session.checkpoint();
+/// The ingest section (id 1) as checkpoints wrote it while the ingest kept
+/// a P95Sketch per (network, direction): schema, covered mask, bin count,
+/// bin cursor, the N inbound then N outbound per-network sketches, then the
+/// transit in/out and offload in/out aggregates, every sketch fed the first
+/// `bins` frames of the log.
+std::vector<std::uint8_t> per_network_section(
+    const StreamWorld& w, const std::filesystem::path& log_path,
+    std::uint64_t bins) {
+  const auto networks = w.endpoint_networks();
+  const util::DynamicBitset covered = w.analyzer->covered_mask(
+      w.analyzer->all_ixps(), offload::PeerGroup::kAll);
+  std::vector<P95Sketch> in(networks.size());
+  std::vector<P95Sketch> out(networks.size());
+  P95Sketch aggregates[4];  // transit in, transit out, offload in, out.
+  BinLogSource source(log_path);
+  BinFrame frame;
+  for (std::uint64_t bin = 0; bin < bins; ++bin) {
+    EXPECT_TRUE(source.next(frame));
+    double sums[4] = {0.0, 0.0, 0.0, 0.0};
+    for (std::size_t i = 0; i < networks.size(); ++i) {
+      in[i].add(frame.in_bps[i]);
+      out[i].add(frame.out_bps[i]);
+      sums[0] += frame.in_bps[i];
+      sums[1] += frame.out_bps[i];
+    }
+    covered.for_each([&frame, &sums](std::size_t i) {
+      sums[2] += frame.in_bps[i];
+      sums[3] += frame.out_bps[i];
+    });
+    for (int k = 0; k < 4; ++k) aggregates[k].add(sums[k]);
   }
-  {
-    // Rewrite it as the old layout: ingest, then the varint reached set.
-    const io::ContainerReader current =
-        io::ContainerReader::from_file(ckpt_path);
-    const auto ingest = current.section(1);
-    io::ContainerWriter old;
-    old.add_section(1, {ingest.begin(), ingest.end()});
+  io::ByteWriter writer;
+  writer.varint(networks.size());
+  for (net::Asn asn : networks) writer.varint(asn.value());
+  writer.varint(covered.size());
+  for (std::uint64_t word : covered.words()) writer.u64_fixed(word);
+  writer.varint(bins);
+  writer.varint(bins);
+  for (const P95Sketch& sketch : in) sketch.serialize(writer);
+  for (const P95Sketch& sketch : out) sketch.serialize(writer);
+  for (const P95Sketch& sketch : aggregates) sketch.serialize(writer);
+  return writer.take();
+}
+
+/// io::fnv1a64 of per_network_section(w, log, 120): the section that
+/// ingest's serialize() wrote at bin 120 of this log before the per-network
+/// sketches were removed, so the image above is that layout byte for byte.
+constexpr std::uint64_t kPerNetworkSectionDigest = 0xb002bebc97f63147ull;
+
+/// Writes a bin-120 checkpoint in the per-network layout, optionally with
+/// the retired reached-IXP-set section 2 after it.
+void write_per_network_checkpoint(const StreamWorld& w,
+                                  const std::filesystem::path& log_path,
+                                  const std::filesystem::path& ckpt_path,
+                                  bool with_reached_set) {
+  std::vector<std::uint8_t> ingest = per_network_section(w, log_path, 120);
+  EXPECT_EQ(io::fnv1a64(ingest), kPerNetworkSectionDigest);
+  io::ContainerWriter old;
+  old.add_section(1, std::move(ingest));
+  if (with_reached_set) {
     io::ByteWriter reached;
     const auto all = w.analyzer->all_ixps();
     reached.varint(all.size());
     for (ixp::IxpId id : all) reached.varint(id);
     old.add_section(2, reached.take());
-    old.write_file_atomic(ckpt_path);
   }
-  ASSERT_EQ(io::ContainerReader::from_file(ckpt_path).sections().size(), 2u);
+  old.write_file_atomic(ckpt_path);
+}
 
-  expect_resume_reproduces(w, log_path, config, reference);
+// Checkpoints written while the ingest kept a sketch per (network,
+// direction) hold that layout as section 1, and those written while the
+// session kept a reached IXP set carry it as section 2 after it. Both still
+// resume, to the same bytes.
+TEST(StreamSession, ResumesACheckpointWithTheRetiredReachedSetSection) {
+  StreamWorld w;
+  const auto log_path = temp_file("rp_stream_session_old_log.rpsnap");
+  const auto ckpt_path = temp_file("rp_stream_session_old_ckpt.rpsnap");
+  const Uninterrupted reference = record_and_replay(w, log_path);
+  StreamSessionConfig config;
+  config.checkpoint_path = ckpt_path;
+  for (const bool with_reached_set : {false, true}) {
+    SCOPED_TRACE(with_reached_set ? "sections 1 and 2" : "section 1 only");
+    write_per_network_checkpoint(w, log_path, ckpt_path, with_reached_set);
+    ASSERT_EQ(io::ContainerReader::from_file(ckpt_path).sections().size(),
+              with_reached_set ? 2u : 1u);
+    expect_resume_reproduces(w, log_path, config, reference);
+  }
   std::filesystem::remove(log_path);
+  std::filesystem::remove(ckpt_path);
+}
+
+// An ingest section that claims 2^40 networks is rejected as corrupt, in
+// either layout, before anything is sized to it.
+TEST(StreamSession, ResumeRejectsAHugeNetworkCount) {
+  StreamWorld w;
+  const auto ckpt_path = temp_file("rp_stream_session_huge.rpsnap");
+  StreamSessionConfig config;
+  config.checkpoint_path = ckpt_path;
+  for (const std::uint32_t section : {1u, 3u}) {
+    io::ByteWriter claim;
+    claim.varint(std::uint64_t{1} << 40);
+    for (int i = 0; i < 8; ++i) claim.varint(64500 + i);
+    io::ContainerWriter checkpoint;
+    checkpoint.add_section(section, claim.take());
+    checkpoint.write_file_atomic(ckpt_path);
+    RateModelBinSource source(*w.rates, w.endpoint_networks());
+    StreamSession session(source, *w.analyzer, offload::PeerGroup::kAll,
+                          config);
+    EXPECT_THROW(session.resume(), io::SnapshotError) << "section " << section;
+  }
   std::filesystem::remove(ckpt_path);
 }
 
