@@ -1,6 +1,6 @@
-// Microbenchmarks of the snapshot subsystem: a fresh Scenario::build against
-// encoding, a cold cache write, and a snapshot load. The acceptance bar for
-// the cache is BM_SnapshotLoad beating BM_ScenarioBuild by >= 5x.
+// Microbenchmarks of the snapshot subsystem: encoding, a cold cache write,
+// and a snapshot load. The world build they are weighed against is timed by
+// perfbench's core.scenario_build_s, next to its io.snapshot_load_s.
 //
 // RP_BENCH_FAST=1 shrinks the world the same way the other benches do.
 #include <benchmark/benchmark.h>
@@ -20,8 +20,7 @@ const core::ScenarioConfig& bench_config() {
   return config;
 }
 
-/// A world built once and shared by the encode/load benchmarks (the build
-/// benchmark below measures construction itself).
+/// A world built once and shared by the encode/load benchmarks.
 const core::Scenario& bench_world() {
   static const core::Scenario world = core::Scenario::build(bench_config());
   return world;
@@ -36,15 +35,6 @@ std::filesystem::path bench_snapshot_path() {
   }();
   return path;
 }
-
-void BM_ScenarioBuild(benchmark::State& state) {
-  for (auto _ : state) {
-    core::Scenario scenario = core::Scenario::build(bench_config());
-    benchmark::DoNotOptimize(scenario);
-    state.counters["ases"] = static_cast<double>(scenario.graph().as_count());
-  }
-}
-BENCHMARK(BM_ScenarioBuild)->Unit(benchmark::kMillisecond);
 
 void BM_SnapshotEncode(benchmark::State& state) {
   const core::Scenario& world = bench_world();

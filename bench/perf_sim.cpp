@@ -1,16 +1,10 @@
-// Microbenchmarks of the discrete-event testbed.
-//
-// The event-engine benches split the two phases that matter separately —
-// scheduling (arena allocate + heap push) and running (heap pop + dispatch +
-// release) — plus a steady-state dispatch+reschedule cycle; their
-// events_per_sec counters are gated in BENCH_perf_sim.json. The campaign
-// benches cover the layered hot path: a switched-LAN ping round trip, a
-// small single-IXP campaign, and the all-IXP campaign batch at Euro-IX scale
-// (and at a 12x stress scale, O(100k) member interfaces, when RP_BENCH_FAST
-// is off).
+// Microbenchmarks of the discrete-event testbed under the traffic §3
+// campaigns produce: a switched-LAN ping round trip, a small single-IXP
+// campaign, and the all-IXP campaign batch at Euro-IX scale (and at a 12x
+// stress scale, O(100k) member interfaces, when RP_BENCH_FAST is off). Their
+// rates are gated in BENCH_perf_sim.json.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -28,158 +22,6 @@
 namespace {
 
 using namespace rp;
-
-// Jittered delays from a fixed xorshift sequence: the queue sees the same
-// interleaved (not monotonic) schedule a real campaign produces, identically
-// for both phases. The census mirrors a live campaign's event mix: nearly
-// every executed event is fabric-scale (a frame hop, switch forward, or ICMP
-// turnaround lands microseconds out; each probe spawns a dozen-plus of
-// them), while a thin control tail (probe slots, timeouts) lands up to a
-// second out.
-std::uint64_t next_delay_us(std::uint64_t& x) {
-  x ^= x << 13;
-  x ^= x >> 7;
-  x ^= x << 17;
-  if ((x & 31) == 0) return x % 1'000'000;  // control tail: <= 1 s out
-  return x % 1000;                          // fabric hop: <= 1 ms out
-}
-
-// The scheduled payload is shaped like the hot frame-delivery event: a
-// target pointer plus tens of bytes of frame, stored inline in the event
-// record (the static_asserts pin that).
-struct FakeFrame {
-  std::uint32_t words[11];  // 44 bytes, the size of an EthernetFrame.
-};
-
-void schedule_events(sim::Simulator& sim, std::int64_t n, std::uint64_t* sink) {
-  std::uint64_t x = 0x9E3779B97F4A7C15ull;
-  FakeFrame frame{};
-  for (std::int64_t i = 0; i < n; ++i) {
-    frame.words[0] = static_cast<std::uint32_t>(i);
-    auto deliver = [sink, frame] { *sink += frame.words[0]; };
-    static_assert(sim::Simulator::stored_inline<decltype(deliver)>());
-    sim.schedule_in(util::SimDuration::micros(next_delay_us(x)),
-                    std::move(deliver));
-  }
-}
-
-// A self-rescheduling event: runs its frame-touch, then schedules its own
-// successor — the dispatch + reschedule cycle every campaign event performs
-// (a delivered frame begets the next hop's delivery). 56 bytes, the slab
-// slot capacity and the exact size of the real frame-delivery closure.
-struct PumpEvent {
-  sim::Simulator* sim;
-  std::uint64_t* budget;  ///< Reschedules left across all pump chains.
-  std::uint64_t* sink;
-  std::uint64_t x;                ///< Per-chain jitter state.
-  std::uint32_t words[6];         ///< Frame remnant: pads the event to 56 B.
-  void operator()() {
-    *sink += words[0];
-    if (*budget == 0) return;
-    --*budget;
-    PumpEvent next = *this;
-    next.x ^= next.x << 13;
-    next.x ^= next.x >> 7;
-    next.x ^= next.x << 17;
-    next.words[0] = static_cast<std::uint32_t>(next.x);
-    sim->schedule_in(util::SimDuration::micros(next.x % 1000),
-                     std::move(next));
-  }
-};
-
-/// Events dispatched per wall second across every iteration.
-void set_event_rate(benchmark::State& state, std::int64_t n) {
-  state.counters["events_per_sec"] = benchmark::Counter(
-      static_cast<double>(state.iterations() * n), benchmark::Counter::kIsRate);
-}
-
-// Schedule phase: n frame-delivery events go into a fresh engine under the
-// clock; the drain runs outside the timed region.
-void BM_EventScheduleSlab(benchmark::State& state) {
-  const std::int64_t n = state.range(0);
-  std::uint64_t sink = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    {
-      sim::Simulator sim;
-      state.ResumeTiming();
-      schedule_events(sim, n, &sink);
-      state.PauseTiming();
-      benchmark::DoNotOptimize(sim.run());
-    }
-    state.ResumeTiming();
-  }
-  benchmark::DoNotOptimize(sink);
-  set_event_rate(state, n);
-}
-
-// Run phase: drain throughput. n frame-delivery events are scheduled
-// outside the timed region (the schedule phase above measures that half),
-// then run() dispatches all of them under the clock.
-void BM_EventRunSlab(benchmark::State& state) {
-  const std::int64_t n = state.range(0);
-  std::uint64_t sink = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    {
-      sim::Simulator sim;
-      schedule_events(sim, n, &sink);
-      state.ResumeTiming();
-      benchmark::DoNotOptimize(sim.run());
-      state.PauseTiming();
-    }
-    state.ResumeTiming();
-  }
-  benchmark::DoNotOptimize(sink);
-  set_event_rate(state, n);
-}
-
-// Steady-state phase: a fixed population of self-rescheduling pump chains.
-// Each executed event reschedules one successor until the budget drains, so
-// exactly n events dispatch through a queue held at 2,048 pending events.
-// That is shallower than a real campaign: the rp.sim.queue.high_water
-// histogram (one sample per simulator, seed 1) reads a mean of 14.2k and a
-// max of 53.6k pending events over the paper world's 22 campaigns, and a
-// mean of 20.7k and a max of 160.7k over the 65 campaigns of the all-IXP,
-// 3x-membership world. The per-event workload (the 56-byte closure copy and
-// jitter arithmetic) is timed too, so this phase bounds the end-to-end
-// dispatch+reschedule cycle rather than isolating the queue.
-void BM_EventSteadyStateSlab(benchmark::State& state) {
-  const std::int64_t n = state.range(0);
-  const std::uint64_t depth =
-      std::min<std::uint64_t>(2048, static_cast<std::uint64_t>(n));
-  std::uint64_t sink = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    {
-      sim::Simulator sim;
-      std::uint64_t budget = static_cast<std::uint64_t>(n) - depth;
-      std::uint64_t x = 0x9E3779B97F4A7C15ull;
-      for (std::uint64_t c = 0; c < depth; ++c) {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        PumpEvent pump{&sim, &budget, &sink, x, {}};
-        static_assert(sizeof(pump) == sim::Simulator::kInlinePayloadBytes);
-        static_assert(sim::Simulator::stored_inline<decltype(pump)>());
-        sim.schedule_in(util::SimDuration::micros(x % 1000), std::move(pump));
-      }
-      state.ResumeTiming();
-      benchmark::DoNotOptimize(sim.run());
-      state.PauseTiming();
-    }
-    state.ResumeTiming();
-  }
-  benchmark::DoNotOptimize(sink);
-  set_event_rate(state, n);
-}
-
-BENCHMARK(BM_EventScheduleSlab)
-    ->Arg(100000)->Arg(1000000)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_EventRunSlab)
-    ->Arg(100000)->Arg(1000000)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_EventSteadyStateSlab)
-    ->Arg(100000)->Arg(1000000)->Unit(benchmark::kMillisecond);
 
 void BM_PingRoundTrip(benchmark::State& state) {
   sim::Simulator sim;

@@ -148,14 +148,11 @@ perf_smoke() {
   done
   # perf_io must emit valid trajectory JSON (the other two are parsed below).
   python3 -m json.tool "$dir/BENCH_perf_io.json" > /dev/null
-  # The event-engine trajectory must carry an events_per_sec rate for every
-  # phase, and the all-IXP campaign's wall-time + scale counters.
+  # The event-engine trajectory must carry the campaign rates and the
+  # all-IXP campaign's wall-time + scale counters.
   python3 - "$dir/BENCH_perf_sim.json" <<'EOF'
 import json, sys
 bench = json.load(open(sys.argv[1]))
-for phase in ("EventSchedule", "EventRun", "EventSteadyState"):
-    key = f"BM_{phase}Slab/100000.events_per_sec"
-    assert bench.get(key, 0) > 0, (key, sorted(bench))
 for key in ("BM_SmallIxpCampaign.events_per_sec",
             "BM_AllIxpCampaign/1/iterations:1.events_per_sec",
             "BM_AllIxpCampaign/1/iterations:1.campaign_wall_s",

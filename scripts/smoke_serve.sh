@@ -9,9 +9,7 @@
 # the stats surface as JSON, Prometheus text and `rpq top`; an unknown config
 # field (soft error) and a poisoned frame the daemon must survive; then a
 # protocol-driven shutdown that must exit 0. Numeric flags that do not fit
-# their field must be usage errors (exit 2), not wrapped values, and a
-# signed RP_OBS_SAMPLE_MS must fall back to the 500 ms sampler instead of
-# wrapping into a spinning one.
+# their field must be usage errors (exit 2), not wrapped values.
 # Registered with ctest as `smoke.serve` (label `smoke`).
 set -euo pipefail
 
@@ -67,8 +65,7 @@ serve_smoke() {
   echo "=== serve smoke (rpserve-daemon + rpq) ==="
   local dir rpq="$BIN/rpq"
   dir="$(tmpdir)"
-  # RP_OBS_SAMPLE_MS=-5 must not wrap: the sampler falls back to 500 ms.
-  RP_SNAPSHOT_CACHE="$dir/cache" RP_OBS_SAMPLE_MS=-5 "$BIN/rpserve-daemon" \
+  RP_SNAPSHOT_CACHE="$dir/cache" "$BIN/rpserve-daemon" \
     --port 0 --port-file "$dir/port" > "$dir/daemon.log" &
   DAEMON_PID=$!
   local tries=0

@@ -193,6 +193,8 @@ class ContainerReader {
   static ContainerReader from_file(const std::filesystem::path& path);
 
   std::uint32_t version() const { return version_; }
+  /// Size of the whole image in bytes.
+  std::size_t size() const { return bytes_.size(); }
   const std::vector<SectionEntry>& sections() const { return entries_; }
   bool has(std::uint32_t id) const;
   /// Payload of a section; throws SnapshotError if absent.

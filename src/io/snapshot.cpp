@@ -2,14 +2,11 @@
 
 #include <array>
 #include <cstdlib>
-#include <fstream>
 #include <functional>
-#include <iterator>
 #include <stdexcept>
 #include <utility>
 
 #include "core/config_fields.hpp"
-#include "fault/fault.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/thread_pool.hpp"
@@ -433,28 +430,8 @@ void save_scenario(const core::WorldView& world,
 
 namespace {
 
-std::vector<std::uint8_t> read_file_bytes(const std::filesystem::path& path) {
-  std::ifstream is(path, std::ios::binary);
-  if (!is)
-    throw SnapshotError("cannot open " + path.string(),
-                        SnapshotErrorClass::kIo);
-  std::vector<std::uint8_t> bytes((std::istreambuf_iterator<char>(is)),
-                                  std::istreambuf_iterator<char>());
-  // The same logical site as ContainerReader::from_file — every snapshot
-  // byte stream entering the process passes one io.read checkpoint.
-  static fault::Site read_site(fault::kSiteIoRead);
-  read_site.maybe_corrupt(bytes);
-  static obs::Counter read("rp.io.bytes_read");
-  read.add(bytes.size());
-  return bytes;
-}
-
-}  // namespace
-
-core::Scenario decode_scenario(std::span<const std::uint8_t> bytes) {
+core::Scenario decode_container(const ContainerReader& container) {
   obs::Span span("io.decode_scenario");
-  ContainerReader container =
-      ContainerReader::from_bytes({bytes.begin(), bytes.end()});
   static obs::Counter decoded("rp.io.sections.decoded");
   decoded.add(container.sections().size());
 
@@ -514,8 +491,15 @@ core::Scenario decode_scenario(std::span<const std::uint8_t> bytes) {
                                     std::move(measured_ixps));
 }
 
+}  // namespace
+
+core::Scenario decode_scenario(std::span<const std::uint8_t> bytes) {
+  return decode_container(
+      ContainerReader::from_bytes({bytes.begin(), bytes.end()}));
+}
+
 core::Scenario load_scenario(const std::filesystem::path& path) {
-  return decode_scenario(read_file_bytes(path));
+  return decode_container(ContainerReader::from_file(path));
 }
 
 std::uint64_t config_digest(const core::ScenarioConfig& config) {
@@ -540,13 +524,12 @@ std::filesystem::path default_cache_dir() {
 
 SnapshotInfo snapshot_info(const std::filesystem::path& path) {
   SnapshotInfo info;
-  const std::vector<std::uint8_t> bytes = read_file_bytes(path);
-  info.file_size = bytes.size();
-  ContainerReader container = ContainerReader::from_bytes(bytes);
+  const ContainerReader container = ContainerReader::from_file(path);
+  info.file_size = container.size();
   info.format_version = container.version();
   info.sections = container.sections();
 
-  const core::Scenario scenario = decode_scenario(bytes);
+  const core::Scenario scenario = decode_container(container);
   info.config_digest = config_digest(scenario.config());
   info.seed = scenario.config().seed;
   info.as_count = scenario.graph().as_count();

@@ -4,13 +4,11 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
-#include <cstdlib>
 #include <map>
 #include <mutex>
 #include <thread>
 
 #include "obs/metrics.hpp"
-#include "util/strings.hpp"
 
 namespace rp::obs {
 
@@ -56,15 +54,6 @@ struct TimeSeriesRecorder::Impl {
 TimeSeriesRecorder::TimeSeriesRecorder() : impl_(std::make_unique<Impl>()) {}
 
 TimeSeriesRecorder::~TimeSeriesRecorder() { stop(); }
-
-std::uint64_t TimeSeriesRecorder::interval_ms_from_env() {
-  const char* raw = std::getenv("RP_OBS_SAMPLE_MS");
-  if (raw == nullptr) return kDefaultSampleMs;
-  // A u32 keeps std::chrono::milliseconds positive: a wrapped "-5" would
-  // make every wait_for return at once and spin the sampler.
-  return util::parse_exact<std::uint32_t>(raw).value_or(
-      static_cast<std::uint32_t>(kDefaultSampleMs));  // 0 = sampler disabled
-}
 
 void TimeSeriesRecorder::sample_once() {
   const std::vector<MetricValue> snap = MetricsRegistry::global().snapshot();

@@ -36,7 +36,7 @@ struct SeriesPoint {
   double value = 0.0;
 };
 
-/// Default sampling interval when RP_OBS_SAMPLE_MS is unset.
+/// The serve daemon's sampling interval.
 inline constexpr std::uint64_t kDefaultSampleMs = 500;
 
 /// One owner's recorder. Every member is safe to call concurrently.
@@ -45,11 +45,6 @@ class TimeSeriesRecorder {
   TimeSeriesRecorder();
   /// Stops the sampler thread if it is running.
   ~TimeSeriesRecorder();
-
-  /// Sampling interval from RP_OBS_SAMPLE_MS: a whole number of ms up to
-  /// 2^32 − 1, where 0 disables the sampler. Unset, empty, signed, fractional
-  /// or larger values fall back to kDefaultSampleMs.
-  static std::uint64_t interval_ms_from_env();
 
   /// Starts the sampler thread. `interval_ms == 0` is a no-op (recorder
   /// stays disarmed). Returns false when already running or disabled.

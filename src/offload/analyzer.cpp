@@ -257,36 +257,27 @@ std::vector<GreedyStep> OffloadAnalyzer::greedy(
 
   std::vector<bool> used(coverage.size(), false);
   std::vector<GreedyStep> steps;
-  std::vector<double> gains(coverage.size());
-  util::ThreadPool& pool = util::ThreadPool::global();
 
   for (std::size_t step = 0; step < max_steps; ++step) {
-    // Per-IXP gains are independent; compute them across the pool, then do
-    // the argmax serially so ties keep breaking toward the lower IXP index
-    // exactly as the sequential scan did.
-    pool.parallel_for(coverage.size(), [&](std::size_t x) {
-      if (used[x]) {
-        gains[x] = 0.0;
-        return;
-      }
-      double gain = 0.0;
-      coverage[x].for_each_intersection(
-          remaining, [&gain, &weights](std::size_t i) { gain += weights[i]; });
-      gains[x] = gain;
-    });
-    // Per-step granularity only: counting inside the bitset scans would put
-    // a branch in the innermost loop and violate the disabled-overhead
-    // budget.
-    scans.add(coverage.size());
+    // One serial scan per step: a per-step fan-out over 65 IXPs measured
+    // slower than this loop. Only a strictly larger gain replaces the best,
+    // so ties break toward the lower IXP index.
     double best_gain = 0.0;
     std::size_t best_ixp = coverage.size();
     for (std::size_t x = 0; x < coverage.size(); ++x) {
       if (used[x]) continue;
-      if (gains[x] > best_gain) {
-        best_gain = gains[x];
+      double gain = 0.0;
+      coverage[x].for_each_intersection(
+          remaining, [&gain, &weights](std::size_t i) { gain += weights[i]; });
+      if (gain > best_gain) {
+        best_gain = gain;
         best_ixp = x;
       }
     }
+    // Per-step granularity only: counting inside the bitset scans would put
+    // a branch in the innermost loop and violate the disabled-overhead
+    // budget.
+    scans.add(coverage.size());
     if (best_ixp == coverage.size() || best_gain <= 0.0) break;
 
     GreedyStep result;

@@ -246,11 +246,10 @@ void Daemon::start() {
   port_ = ntohs(bound.sin_port);
 
   // A resident daemon always wants its metrics (the stats surface and the
-  // sampler read them) and — unless RP_OBS_SAMPLE_MS=0 — its time-series
-  // sampler. All scheduling-tagged, so deterministic snapshots are
-  // unaffected.
+  // sampler read them) and its time-series sampler. All scheduling-tagged,
+  // so deterministic snapshots are unaffected.
   obs::set_metrics_enabled(true);
-  recorder_.start(obs::TimeSeriesRecorder::interval_ms_from_env());
+  recorder_.start(obs::kDefaultSampleMs);
   start_ns_ = obs::monotonic_ns();
 
   io_thread_ = std::thread([this] { io_loop(); });

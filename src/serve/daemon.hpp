@@ -40,7 +40,7 @@
 // "serve.request" flow ('s' at admission on the I/O thread, 't' at
 // execute on the worker, 'f' at respond) that ties one request's spans
 // together across threads in the Perfetto view. The daemon also owns an
-// obs::TimeSeriesRecorder whose RP_OBS_SAMPLE_MS sampler runs from start()
+// obs::TimeSeriesRecorder whose 500 ms sampler runs from start()
 // to stop(). Tracer and recorder are members, so two daemons in one process
 // never report each other's traffic, and one daemon's stop() leaves the
 // other's telemetry running. start() turns metrics on (the flag is

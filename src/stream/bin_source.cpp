@@ -6,7 +6,6 @@
 #include "fault/fault.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/thread_pool.hpp"
 
 namespace rp::stream {
 
@@ -48,17 +47,12 @@ bool RateModelBinSource::next(BinFrame& frame) {
   frame.bin = bin;
   frame.in_bps.resize(schema_.size());
   frame.out_bps.resize(schema_.size());
-  // Each network's rate is an independent pure function of (term, dir, bin);
-  // fan out into fixed slots so the columns are byte-identical at any
-  // RP_THREADS.
-  util::ThreadPool::global().parallel_for(
-      schema_.size(), [this, bin, &frame](std::size_t i) {
-        const auto b = static_cast<std::size_t>(bin);
-        frame.in_bps[i] =
-            model_->rate_bps(terms_[i], flow::Direction::kInbound, b);
-        frame.out_bps[i] =
-            model_->rate_bps(terms_[i], flow::Direction::kOutbound, b);
-      });
+  const auto b = static_cast<std::size_t>(bin);
+  for (std::size_t i = 0; i < schema_.size(); ++i) {
+    frame.in_bps[i] = model_->rate_bps(terms_[i], flow::Direction::kInbound, b);
+    frame.out_bps[i] =
+        model_->rate_bps(terms_[i], flow::Direction::kOutbound, b);
+  }
   return true;
 }
 

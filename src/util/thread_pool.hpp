@@ -1,6 +1,11 @@
 // A small fixed-size thread pool for the embarrassingly parallel stages of
-// the pipeline: per-IXP measurement campaigns (§3), the per-IXP argmax scans
-// of the offload analysis (§4), and the per-bin Fig. 5b series folds.
+// the pipeline: per-IXP measurement campaigns and their filters (§3), the
+// offload analysis's per-peer cone masks and per-IXP coverage masks (§4),
+// 256-bin blocks of the Fig. 5b series folds, the sweep's world groups, the
+// query daemon's batches, and the snapshot's section encodes, decodes and
+// checksums. Loops whose per-index work is a few microseconds (the greedy's
+// per-step scan over 65 IXPs, one bin's rates) run serially: their fan-outs
+// measured slower than a plain loop.
 //
 // Work is always expressed as an indexed loop (`parallel_for(n, fn)` runs
 // fn(0..n-1)), so results land in caller-owned slots and the output is

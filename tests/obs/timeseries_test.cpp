@@ -1,13 +1,12 @@
 // Unit tests of the rp::obs time-series recorder: counter→rate derivation,
-// gauge and histogram series, ring wrap, the sampler thread lifecycle, and
-// the RP_OBS_SAMPLE_MS parse. sample_once() drives the recorder
-// deterministically — the thread is only exercised by the lifecycle test.
+// gauge and histogram series, ring wrap and the sampler thread lifecycle.
+// sample_once() drives the recorder deterministically — the thread is only
+// exercised by the lifecycle test.
 #include "obs/timeseries.hpp"
 
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -36,57 +35,6 @@ bool has_key(const std::vector<std::string>& keys, const std::string& key) {
   for (const auto& k : keys)
     if (k == key) return true;
   return false;
-}
-
-/// Temporarily overrides one environment variable, restoring on destruction.
-struct EnvOverride {
-  EnvOverride(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_ = old != nullptr;
-    if (value != nullptr)
-      ::setenv(name, value, 1);
-    else
-      ::unsetenv(name);
-  }
-  ~EnvOverride() {
-    if (had_)
-      ::setenv(name_, saved_.c_str(), 1);
-    else
-      ::unsetenv(name_);
-  }
-  const char* name_;
-  std::string saved_;
-  bool had_ = false;
-};
-
-TEST(TimeSeries, IntervalFromEnvParsesAndDefaults) {
-  {
-    EnvOverride env("RP_OBS_SAMPLE_MS", nullptr);
-    EXPECT_EQ(TimeSeriesRecorder::interval_ms_from_env(), kDefaultSampleMs);
-  }
-  {
-    EnvOverride env("RP_OBS_SAMPLE_MS", "25");
-    EXPECT_EQ(TimeSeriesRecorder::interval_ms_from_env(), 25u);
-  }
-  {
-    EnvOverride env("RP_OBS_SAMPLE_MS", "0");  // Explicitly disabled.
-    EXPECT_EQ(TimeSeriesRecorder::interval_ms_from_env(), 0u);
-  }
-  {
-    EnvOverride env("RP_OBS_SAMPLE_MS", "not-a-number");
-    EXPECT_EQ(TimeSeriesRecorder::interval_ms_from_env(), kDefaultSampleMs);
-  }
-  // Signed and out-of-range values must not wrap into a huge (or, as
-  // milliseconds, negative) interval that spins the sampler.
-  {
-    EnvOverride env("RP_OBS_SAMPLE_MS", "-5");
-    EXPECT_EQ(TimeSeriesRecorder::interval_ms_from_env(), kDefaultSampleMs);
-  }
-  {
-    EnvOverride env("RP_OBS_SAMPLE_MS", "18446744073709551615");
-    EXPECT_EQ(TimeSeriesRecorder::interval_ms_from_env(), kDefaultSampleMs);
-  }
 }
 
 TEST(TimeSeries, CounterRateNeedsTwoSamplesAndIsNonNegative) {

@@ -209,7 +209,7 @@ TEST(Stats, DaemonsKeepSeparateTelemetry) {
   EXPECT_EQ(after.field("req.ping.count"), "5");
   EXPECT_EQ(after.field("stats.completed"), "6");  // 5 pings + 1 stats.
   EXPECT_EQ(after.field("ts.interval_ms"),
-            std::to_string(obs::TimeSeriesRecorder::interval_ms_from_env()));
+            std::to_string(obs::kDefaultSampleMs));
   b.stop();
 }
 
