@@ -3,6 +3,9 @@
 // perfbench's core.scenario_build_s, next to its io.snapshot_load_s.
 //
 // RP_BENCH_FAST=1 shrinks the world the same way the other benches do.
+// Every rate is bytes over wall time (UseRealTime): encode, verify and decode
+// fan out over the thread pool, so bytes over the main thread's CPU time
+// would overstate them and hide a load regression.
 #include <benchmark/benchmark.h>
 
 #include <filesystem>
@@ -47,7 +50,7 @@ void BM_SnapshotEncode(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() *
                           static_cast<std::int64_t>(bytes));
 }
-BENCHMARK(BM_SnapshotEncode)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SnapshotEncode)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_SnapshotColdWrite(benchmark::State& state) {
   const core::Scenario& world = bench_world();
@@ -62,7 +65,7 @@ void BM_SnapshotColdWrite(benchmark::State& state) {
       static_cast<std::int64_t>(std::filesystem::file_size(path)));
   std::filesystem::remove(path);
 }
-BENCHMARK(BM_SnapshotColdWrite)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SnapshotColdWrite)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_SnapshotLoad(benchmark::State& state) {
   const auto path = bench_snapshot_path();
@@ -75,7 +78,7 @@ void BM_SnapshotLoad(benchmark::State& state) {
       state.iterations() *
       static_cast<std::int64_t>(std::filesystem::file_size(path)));
 }
-BENCHMARK(BM_SnapshotLoad)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SnapshotLoad)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 

@@ -5,7 +5,7 @@
 namespace rp::core {
 
 ViabilityStudy ViabilityStudy::from_greedy_curve(
-    const std::vector<offload::GreedyStep>& steps, double initial_weight,
+    std::span<const offload::GreedyStep> steps, double initial_weight,
     econ::CostParameters prices) {
   if (initial_weight <= 0.0)
     throw std::invalid_argument("ViabilityStudy: initial weight must be > 0");

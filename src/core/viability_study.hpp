@@ -6,6 +6,7 @@
 // for the viability-region bench.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "econ/cost_model.hpp"
@@ -18,7 +19,7 @@ class ViabilityStudy {
   /// Builds the study from a greedy offload curve (Fig. 9 output): the
   /// remaining-transit weights become the empirical decay curve.
   static ViabilityStudy from_greedy_curve(
-      const std::vector<offload::GreedyStep>& steps, double initial_weight,
+      std::span<const offload::GreedyStep> steps, double initial_weight,
       econ::CostParameters prices);
 
   /// Builds from an explicit decay parameter.

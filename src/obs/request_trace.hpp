@@ -10,8 +10,9 @@
 //
 //   - one ring of kRingCapacity (256) records, slot (seq − 1) % capacity,
 //     and cumulative per-type log2 latency histograms, all under one mutex;
-//   - a record is ten integers and one lock hold, so writers (the I/O thread
-//     and the dispatcher) and the stats reader never see a torn record;
+//   - a record is eleven integers and one lock hold, so writers (the I/O
+//     thread and the dispatcher) and the stats reader never see a torn
+//     record;
 //   - bounded memory: one ring per tracer, however many threads record.
 //
 // The slow-query view is deterministic: slowest(k) orders by total latency
@@ -46,6 +47,7 @@ struct RequestRecord {
   std::uint64_t pool_ns = 0;     ///< World acquire + artifact prewarm.
   std::uint64_t compute_ns = 0;  ///< execute_request proper.
   std::uint64_t write_ns = 0;    ///< Response encode + socket write.
+  std::uint8_t built = 0;        ///< Owner bits: what its dispatch built.
 
   /// Total request latency: queue + pool + compute + write.
   std::uint64_t total_ns() const {

@@ -481,12 +481,16 @@ void Daemon::dispatcher_loop() {
     }
     for (const auto& [digest, indices] : by_digest) {
       const std::uint64_t pool_start = obs::monotonic_ns();
+      std::uint8_t built = 0;
       try {
-        const auto world = pool_.acquire(configs[indices.front()]);
+        bool loaded = false;
+        const auto world = pool_.acquire(configs[indices.front()], &loaded);
+        if (loaded) built |= kBuiltWorld;
         for (std::size_t i : indices) worlds[i] = world;
         // Pre-warm shared artifacts here, with the pool's full parallelism,
         // so the per-request fan-out below only reads.
-        for (std::size_t i : indices) prewarm(batch[i].request, world.get());
+        for (std::size_t i : indices)
+          built |= prewarm(batch[i].request, world.get());
       } catch (const std::exception& e) {
         for (std::size_t i : indices) {
           responses[i].status = Status::kError;
@@ -495,10 +499,13 @@ void Daemon::dispatcher_loop() {
           done[i] = 1;
         }
       }
-      // The group's acquire+prewarm wall time is attributed to each member
-      // — every one of them waited on it.
+      // The group's acquire+prewarm wall time, and what it built, are
+      // attributed to each member — every one of them waited on it.
       const std::uint64_t pool_wall = obs::monotonic_ns() - pool_start;
-      for (std::size_t i : indices) records[i].pool_ns = pool_wall;
+      for (std::size_t i : indices) {
+        records[i].pool_ns = pool_wall;
+        records[i].built = built;
+      }
     }
 
     // One request's compute, on whichever worker runs it. The 't' flow step

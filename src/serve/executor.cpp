@@ -1,6 +1,8 @@
 #include "serve/executor.hpp"
 
+#include <algorithm>
 #include <exception>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -18,12 +20,27 @@ namespace {
 
 std::string fmt_u64(std::uint64_t v) { return std::to_string(v); }
 
-offload::PeerGroup to_group(std::uint8_t group) {
-  if (group < 1 || group > 4)
-    throw std::invalid_argument("peer group must be 1..4, got " +
-                                std::to_string(group));
+std::optional<offload::PeerGroup> valid_group(std::uint8_t group) {
+  if (group < 1 || group > 4) return std::nullopt;
   return static_cast<offload::PeerGroup>(group);
 }
+
+offload::PeerGroup to_group(std::uint8_t group) {
+  if (const auto valid = valid_group(group)) return *valid;
+  throw std::invalid_argument("peer group must be 1..4, got " +
+                              std::to_string(group));
+}
+
+/// The first `steps` steps of `curve`, or all of it when it is shorter. The
+/// greedy is prefix-closed, so this is greedy_by_traffic(group, steps).
+std::span<const offload::GreedyStep> prefix(
+    const std::vector<offload::GreedyStep>& curve, std::uint64_t steps) {
+  return std::span<const offload::GreedyStep>(curve).first(
+      static_cast<std::size_t>(std::min<std::uint64_t>(steps, curve.size())));
+}
+
+/// The viability fit reads the first 20 steps of the all-IXP curve.
+constexpr std::uint64_t kFitSteps = 20;
 
 econ::CostParameters to_params(const EconPrices& prices, double decay) {
   econ::CostParameters params;
@@ -73,11 +90,9 @@ void exec_world_info(const Request&, const World& world, Response& response) {
 
 void exec_offload_curve(const Request& request, const World& world,
                         Response& response) {
-  const core::OffloadStudy& study = world.offload();
-  const offload::OffloadAnalyzer& analyzer = study.analyzer();
-  const auto steps = analyzer.greedy_by_traffic(
-      to_group(request.group),
-      static_cast<std::size_t>(request.max_steps));
+  const offload::PeerGroup group = to_group(request.group);
+  const offload::OffloadAnalyzer& analyzer = world.offload().analyzer();
+  const auto steps = prefix(world.curve(group), request.max_steps);
   emit_f(response, "offload.initial_bps",
          analyzer.transit_inbound_bps() + analyzer.transit_outbound_bps());
   emit(response, "offload.steps", fmt_u64(steps.size()));
@@ -96,7 +111,7 @@ core::ViabilityStudy viability_for(const Request& request,
         request.decay, to_params(request.prices, request.decay));
   const offload::OffloadAnalyzer& analyzer = world.offload().analyzer();
   return core::ViabilityStudy::from_greedy_curve(
-      world.greedy_curve(),
+      prefix(world.curve(offload::PeerGroup::kAll), kFitSteps),
       analyzer.transit_inbound_bps() + analyzer.transit_outbound_bps(),
       to_params(request.prices, 0.0));
 }
@@ -277,16 +292,20 @@ ArtifactNeeds artifact_needs(const Request& request) {
   switch (request.type) {
     case RequestType::kOffloadCurve:
       needs.offload = true;
+      needs.curve = valid_group(request.group);
       break;
     case RequestType::kViability:
-      needs.offload = needs.greedy = request.fitted_decay;
+      if (request.fitted_decay) {
+        needs.offload = true;
+        needs.curve = offload::PeerGroup::kAll;
+      }
       break;
     case RequestType::kSpread:
       needs.spread = true;
       break;
     case RequestType::kWhatIf:
       needs.offload = true;
-      needs.greedy = request.whatif_mode == 1;
+      if (request.whatif_mode == 1) needs.curve = offload::PeerGroup::kAll;
       break;
     default:
       break;
@@ -294,16 +313,43 @@ ArtifactNeeds artifact_needs(const Request& request) {
   return needs;
 }
 
-void prewarm(const Request& request, const World* world) {
-  if (world == nullptr) return;
+std::string built_names(std::uint8_t built) {
+  std::string names;
+  auto add = [&names](const std::string& name) {
+    if (!names.empty()) names += ',';
+    names += name;
+  };
+  if (built & kBuiltWorld) add("world");
+  if (built & kBuiltOffload) add("offload");
+  for (int group = 1; group <= 4; ++group)
+    if (built & built_curve(static_cast<offload::PeerGroup>(group)))
+      add("curve." + std::to_string(group));
+  if (built & kBuiltSpread) add("spread");
+  return names.empty() ? "none" : names;
+}
+
+std::uint8_t prewarm(const Request& request, const World* world) {
+  std::uint8_t built = 0;
+  if (world == nullptr) return built;
   const ArtifactNeeds needs = artifact_needs(request);
+  bool fresh = false;
   try {
-    if (needs.offload) world->offload();
-    if (needs.greedy) world->greedy_curve();
-    if (needs.spread) world->spread();
+    if (needs.offload) {
+      world->offload(&fresh);
+      if (fresh) built |= kBuiltOffload;
+    }
+    if (needs.curve) {
+      world->curve(*needs.curve, &fresh);
+      if (fresh) built |= built_curve(*needs.curve);
+    }
+    if (needs.spread) {
+      world->spread(&fresh);
+      if (fresh) built |= kBuiltSpread;
+    }
   } catch (const std::exception&) {
     // execute_request reports the failure in its own error response.
   }
+  return built;
 }
 
 Response execute_request(const Request& request, const World* world) {

@@ -10,8 +10,10 @@
 //   pool.world.<i>.{digest,hits,ready,resident_bytes,last_used}
 //       (most recently used first — the order WorldPool::entry_stats yields)
 //   req.<type>.{count,p50_us,p99_us,max_us}   per request type seen
-//   slow.<i>.{request_id,type,total_us,pool_us,compute_us,world}
-//       top-K by total latency (queue + pool + compute + write)
+//   slow.<i>.{request_id,type,total_us,pool_us,built,compute_us,world}
+//       top-K by total latency (queue + pool + compute + write); `built`
+//       names what the request's dispatch built (world, offload, curve.<g>,
+//       spread; comma-joined, or none)
 //   ts.samples / ts.interval_ms
 //   ts.<series> = comma-joined last `window` values   (window > 0 only)
 #include <string>
@@ -20,6 +22,7 @@
 #include "io/container.hpp"
 #include "obs/metrics.hpp"
 #include "serve/daemon.hpp"
+#include "serve/executor.hpp"
 
 namespace rp::serve {
 
@@ -112,6 +115,7 @@ Response Daemon::stats_response(std::uint64_t window) const {
            static_cast<double>(slow[i].total_ns()) / 1e3);
     emit_f(response, prefix + ".pool_us",
            static_cast<double>(slow[i].pool_ns) / 1e3);
+    emit(response, prefix + ".built", built_names(slow[i].built));
     emit_f(response, prefix + ".compute_us",
            static_cast<double>(slow[i].compute_ns) / 1e3);
     emit(response, prefix + ".world", io::digest_hex(slow[i].world_digest));

@@ -1,6 +1,7 @@
 #include "serve/world_pool.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "io/snapshot.hpp"
 #include "obs/metrics.hpp"
@@ -48,32 +49,46 @@ World::World(core::Scenario scenario, std::uint64_t digest,
 std::size_t World::resident_bytes() const {
   std::size_t bytes = snapshot_bytes_;
   if (offload_.peek()) bytes += sizeof(core::OffloadStudy);
-  if (const auto* greedy = greedy_.peek())
-    bytes += sizeof(*greedy) + greedy->capacity() * sizeof(offload::GreedyStep);
+  for (const auto& slot : curves_)
+    if (const auto* curve = slot.peek())
+      bytes += sizeof(*curve) + curve->capacity() * sizeof(offload::GreedyStep);
   if (spread_.peek()) bytes += sizeof(core::SpreadStudy);
   return bytes;
 }
 
-const core::OffloadStudy& World::offload() const {
-  return offload_.get_or_build(build_mutex_, [this] {
-    obs::Span span("serve.world.offload_study");
-    return core::OffloadStudy::run(scenario_);
-  });
+const core::OffloadStudy& World::offload(bool* built) const {
+  return offload_.get_or_build(
+      build_mutex_,
+      [this] {
+        obs::Span span("serve.world.offload_study");
+        return core::OffloadStudy::run(scenario_);
+      },
+      built);
 }
 
-const std::vector<offload::GreedyStep>& World::greedy_curve() const {
+const std::vector<offload::GreedyStep>& World::curve(offload::PeerGroup group,
+                                                     bool* built) const {
   const core::OffloadStudy& study = offload();
-  return greedy_.get_or_build(build_mutex_, [&study] {
-    obs::Span span("serve.world.greedy_curve");
-    return study.analyzer().greedy_by_traffic(offload::PeerGroup::kAll, 20);
-  });
+  // SIZE_MAX is only the loop bound: the greedy stops on its own once every
+  // IXP is used or none gains, however many IXPs the world has.
+  return curves_.at(static_cast<std::size_t>(group) - 1)
+      .get_or_build(
+          build_mutex_,
+          [&study, group] {
+            obs::Span span("serve.world.curve");
+            return study.analyzer().greedy_by_traffic(group, SIZE_MAX);
+          },
+          built);
 }
 
-const core::SpreadStudy& World::spread() const {
-  return spread_.get_or_build(build_mutex_, [this] {
-    obs::Span span("serve.world.spread_study");
-    return core::SpreadStudy::run(scenario_);
-  });
+const core::SpreadStudy& World::spread(bool* built) const {
+  return spread_.get_or_build(
+      build_mutex_,
+      [this] {
+        obs::Span span("serve.world.spread_study");
+        return core::SpreadStudy::run(scenario_);
+      },
+      built);
 }
 
 WorldPool::WorldPool(std::size_t capacity, std::filesystem::path cache_dir)
@@ -81,7 +96,8 @@ WorldPool::WorldPool(std::size_t capacity, std::filesystem::path cache_dir)
       cache_dir_(std::move(cache_dir)) {}
 
 std::shared_ptr<const World> WorldPool::acquire(
-    const core::ScenarioConfig& config) {
+    const core::ScenarioConfig& config, bool* loaded) {
+  if (loaded) *loaded = false;
   const std::uint64_t digest = io::config_digest(config);
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
@@ -128,6 +144,7 @@ std::shared_ptr<const World> WorldPool::acquire(
   evict_over_capacity_locked();
   pool_resident().set(static_cast<double>(slots_.size()));
   ready_cv_.notify_all();
+  if (loaded) *loaded = true;
   return world;
 }
 

@@ -2,8 +2,11 @@
 //
 // A World is a resident core::Scenario plus the study artifacts queries
 // need, each computed at most once per residency and cached for the world's
-// lifetime (the §4 offload study, its greedy curve, and the §3 spread
-// study). The pool keys worlds by their config digest (io::config_digest),
+// lifetime: the §4 offload study, one traffic-greedy curve per peer group,
+// and the §3 spread study. Each curve runs until no IXP gains, and every
+// offload-curve and viability answer reads a prefix of it — the greedy is
+// prefix-closed, so its first k steps are greedy_by_traffic(group, k). The
+// pool keys worlds by their config digest (io::config_digest),
 // keeps at most `capacity` of them resident with LRU eviction, and
 // single-flights loading: concurrent acquires of the same digest share one
 // Scenario::build_cached call — the builders' snapshot cache does the
@@ -16,6 +19,7 @@
 // in-flight load) / .evictions, plus the rp.serve.pool.resident gauge.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -46,13 +50,17 @@ class Published {
   /// The artifact if it is built, else nullptr. Never blocks.
   const T* peek() const { return ptr_.load(); }
 
+  /// Sets `*built_here` (when given) to whether this call ran the build.
   template <typename Build>
-  const T& get_or_build(std::mutex& build_mutex, Build&& build) {
+  const T& get_or_build(std::mutex& build_mutex, Build&& build,
+                        bool* built_here = nullptr) {
+    if (built_here) *built_here = false;
     if (T* built = ptr_.load()) return *built;
     std::lock_guard<std::mutex> lock(build_mutex);
     if (T* built = ptr_.load()) return *built;
     T* built = new T(build());
     ptr_.store(built);
+    if (built_here) *built_here = true;
     return *built;
   }
 
@@ -62,7 +70,8 @@ class Published {
 
 /// A resident world. The scenario is immutable; the study accessors build
 /// lazily (single-flight via the build mutex) and cache for the lifetime of
-/// the residency. Thread-safe.
+/// the residency. Each accessor sets `*built` (when given) to whether that
+/// call ran the build. Thread-safe.
 class World {
  public:
   World(core::Scenario scenario, std::uint64_t digest,
@@ -76,14 +85,16 @@ class World {
 
   /// The §4 study (traffic matrix, RIB, offload analyzer). Built on first
   /// call; later callers block until it is ready, then share it.
-  const core::OffloadStudy& offload() const;
+  const core::OffloadStudy& offload(bool* built = nullptr) const;
 
-  /// The greedy all-IXP expansion (group 4, 20 steps) — the decay-fit input
-  /// for viability queries.
-  const std::vector<offload::GreedyStep>& greedy_curve() const;
+  /// The traffic-greedy expansion (Fig. 9) for `group`, run until every IXP
+  /// is used or none gains. Offload-curve answers read a prefix of it; the
+  /// viability fit reads the first 20 steps of the kAll curve.
+  const std::vector<offload::GreedyStep>& curve(offload::PeerGroup group,
+                                                bool* built = nullptr) const;
 
   /// The §3 study (campaigns + filters + classification).
-  const core::SpreadStudy& spread() const;
+  const core::SpreadStudy& spread(bool* built = nullptr) const;
 
   /// Lower-bound estimate of this residency's memory footprint: the world's
   /// snapshot-file size (a good proxy for the deserialized scenario) plus
@@ -101,7 +112,8 @@ class World {
   /// Serializes the study builds; readers of a built study never take it.
   mutable std::mutex build_mutex_;
   mutable Published<core::OffloadStudy> offload_;
-  mutable Published<std::vector<offload::GreedyStep>> greedy_;
+  /// One curve per peer group, indexed by group - 1.
+  mutable std::array<Published<std::vector<offload::GreedyStep>>, 4> curves_;
   mutable Published<core::SpreadStudy> spread_;
 };
 
@@ -111,11 +123,13 @@ class WorldPool {
   /// Scenario::build_cached against `cache_dir`.
   WorldPool(std::size_t capacity, std::filesystem::path cache_dir);
 
-  /// Returns the resident world for `config`, loading it if necessary.
+  /// Returns the resident world for `config`, loading it if necessary, and
+  /// sets `*loaded` (when given) to whether this call ran the load.
   /// Concurrent acquires of one digest share a single build (single-flight);
   /// a failed build propagates to the acquire that ran it, while waiters
   /// retry. May evict the least-recently-used resident world.
-  std::shared_ptr<const World> acquire(const core::ScenarioConfig& config);
+  std::shared_ptr<const World> acquire(const core::ScenarioConfig& config,
+                                       bool* loaded = nullptr);
 
   std::size_t capacity() const { return capacity_; }
   /// Currently resident (ready) worlds.

@@ -118,9 +118,16 @@ TEST(WorldPool, LazyArtifactsBuildOnceAndAreShared) {
   const auto world = pool.acquire(fast_config(11));
   const auto* study = &world->offload();
   EXPECT_EQ(study, &world->offload());  // Second call reuses the artifact.
-  const auto& curve = world->greedy_curve();
-  EXPECT_EQ(&curve, &world->greedy_curve());
-  EXPECT_FALSE(curve.empty());
+  for (const auto group :
+       {offload::PeerGroup::kOpen, offload::PeerGroup::kOpenTop10Selective,
+        offload::PeerGroup::kOpenSelective, offload::PeerGroup::kAll}) {
+    const auto& curve = world->curve(group);
+    EXPECT_EQ(&curve, &world->curve(group));
+    EXPECT_FALSE(curve.empty());
+  }
+  // One curve per group: no two groups share a slot.
+  EXPECT_NE(&world->curve(offload::PeerGroup::kOpen),
+            &world->curve(offload::PeerGroup::kAll));
   const auto* spread = &world->spread();
   EXPECT_EQ(spread, &world->spread());
 }
