@@ -59,10 +59,10 @@ int main() {
   }
 
   // Evaluate the grid (last axis fastest: runs are row-major in b, h).
-  std::vector<sweep::RunResult> results;
+  std::vector<core::WorldOutcome> results;
   results.reserve(runs.size());
   for (const auto& run : runs)
-    results.push_back(sweep::evaluate_run(spec, run, artifacts));
+    results.push_back(sweep::evaluate_run(spec, run, artifacts).outcome);
 
   const auto cell = [&](std::size_t bi, std::size_t ri) -> std::string {
     const auto& r = results[bi * ratios.size() + ri];

@@ -3,8 +3,7 @@
 //
 //   rpevolve plan TIMELINE [--dir DIR]    parse + canonicalize, write the
 //                                         manifest, print the epoch plan
-//   rpevolve replay TIMELINE [--dir DIR] [--cache-dir DIR] [--group N]
-//            [--steps N] [--no-snapshots]
+//   rpevolve replay TIMELINE [--dir DIR] [--cache-dir DIR] [--no-snapshots]
 //                                         plan + replay every epoch +
 //                                         summarize (resumable)
 //   rpevolve resume --dir DIR [...]       finish an interrupted replay from
@@ -16,6 +15,8 @@
 //                                         same numbers `rpworld diff` prints
 //                                         for any two snapshots)
 //
+// Every epoch row reads the all-IXP peer group's 8-step greedy curve: the
+// timeline digest identifies a replay, so no flag may change a row's bytes.
 // --dir defaults to $RP_EVOLVE_DIR/<timeline name> when RP_EVOLVE_DIR is
 // set, otherwise ./rpevolve-<timeline name>. The base world builds through
 // the scenario snapshot cache ($RP_SNAPSHOT_CACHE / .rpsnap-cache;
@@ -44,9 +45,8 @@ int usage() {
       stderr,
       "usage: rpevolve plan TIMELINE [--dir DIR]\n"
       "       rpevolve replay TIMELINE [--dir DIR] [--cache-dir DIR]\n"
-      "                [--group N] [--steps N] [--no-snapshots]\n"
-      "       rpevolve resume --dir DIR [--cache-dir DIR] [--group N]\n"
-      "                [--steps N] [--no-snapshots]\n"
+      "                [--no-snapshots]\n"
+      "       rpevolve resume --dir DIR [--cache-dir DIR] [--no-snapshots]\n"
       "       rpevolve summarize --dir DIR\n"
       "       rpevolve diff --dir DIR K1 K2\n"
       "       (all subcommands also accept --metrics / --trace FILE)\n");
@@ -123,11 +123,6 @@ int main(int argc, char** argv) {
     };
     if (arg == "--dir") dir = value();
     else if (arg == "--cache-dir") options.cache_dir = value();
-    else if (arg == "--group")
-      options.group = examples::parse_flag<int>("rpevolve", arg, value());
-    else if (arg == "--steps")
-      options.steps =
-          examples::parse_flag<std::size_t>("rpevolve", arg, value());
     else if (arg == "--no-snapshots") options.snapshots = false;
     else if (arg.rfind("--", 0) == 0) return usage();
     else positional.push_back(arg);

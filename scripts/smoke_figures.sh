@@ -5,8 +5,9 @@
 #
 # table1_ixp_properties (§3 campaigns), fig2_rtt_cdf (§3 RTT filters) and
 # fig9_remaining_transit (§4 RIB, analyzer, greedy) must each exit 0 under
-# RP_BENCH_FAST=1, and table1_ixp_properties, fig2_rtt_cdf and fig5_traffic
-# (§4 Fig. 5b series) must print the same bytes at RP_THREADS=1 and 4. The
+# RP_BENCH_FAST=1, and table1_ixp_properties, fig2_rtt_cdf, fig5_traffic
+# (§4 Fig. 5b series) and sweep_viability_region (the §5 region through the
+# sweep evaluation) must print the same bytes at RP_THREADS=1 and 4. The
 # world is cached in a private temp dir, so parallel ctest runs never share
 # a cache file.
 # Registered with ctest as `smoke.figures` (label `smoke`).
@@ -28,7 +29,8 @@ echo "=== figure harness smoke (RP_BENCH_FAST=1) ==="
 echo "--- fig9_remaining_transit ---"
 RP_BENCH_FAST=1 RP_SNAPSHOT_CACHE="$dir/cache" \
   "$BIN/fig9_remaining_transit" > /dev/null
-for bin in table1_ixp_properties fig2_rtt_cdf fig5_traffic; do
+for bin in table1_ixp_properties fig2_rtt_cdf fig5_traffic \
+    sweep_viability_region; do
   echo "--- $bin (RP_THREADS 1 vs 4) ---"
   for threads in 1 4; do
     RP_BENCH_FAST=1 RP_THREADS=$threads RP_SNAPSHOT_CACHE="$dir/cache" \

@@ -88,6 +88,12 @@ evolve_smoke() {
   "$rpevolve" plan examples/timelines/decade.timeline --dir "$dir/a" \
     > "$dir/plan.log"
   grep -q "8 epochs, 27 events" "$dir/plan.log"
+  # Rows depend only on the timeline its digest names: there is no flag that
+  # could change them between a replay and its resume.
+  expect_rc 2 "$rpevolve" replay examples/timelines/decade.timeline \
+    --dir "$dir/flag" --group 1
+  expect_rc 2 "$rpevolve" replay examples/timelines/decade.timeline \
+    --dir "$dir/flag" --steps 3
   RP_THREADS=1 RP_SNAPSHOT_CACHE="$dir/cache" \
     "$rpevolve" replay examples/timelines/decade.timeline --dir "$dir/a" \
     > /dev/null

@@ -65,4 +65,47 @@ std::vector<ViabilityStudy::SweepPoint> ViabilityStudy::sweep_decay(
   return out;
 }
 
+WorldOutcome offload_outcome(std::span<const offload::GreedyStep> curve,
+                             double transit_bps) {
+  WorldOutcome outcome;
+  outcome.transit_bps = transit_bps;
+  outcome.greedy_picked = curve.size();
+  if (!curve.empty() && transit_bps > 0.0)
+    outcome.offload_fraction =
+        (transit_bps - curve.back().remaining) / transit_bps;
+  return outcome;
+}
+
+WorldOutcome evaluate_world(std::span<const offload::GreedyStep> curve,
+                            double transit_bps, econ::CostParameters prices,
+                            bool decay_pinned) {
+  WorldOutcome outcome = offload_outcome(curve, transit_bps);
+  double decay = prices.decay;
+  if (!decay_pinned) {
+    try {
+      decay = ViabilityStudy::from_greedy_curve(curve, transit_bps, prices)
+                  .fitted_decay();
+    } catch (const std::invalid_argument&) {
+      // Flat curve (or an empty world): keep the prices' b.
+    }
+  }
+  try {
+    const ViabilityStudy study = ViabilityStudy::from_decay(decay, prices);
+    const econ::CostModel& model = study.model();
+    outcome.fitted_decay = decay;
+    outcome.optimal_n = study.optimal_direct_n();
+    outcome.optimal_m = study.optimal_remote_m();
+    outcome.optimal_direct_fraction = study.optimal_direct_fraction();
+    outcome.viability_ratio = model.viability_ratio();
+    outcome.critical_decay = model.critical_decay();
+    outcome.viable = study.remote_viable();
+    outcome.cost_without_remote = model.cost_without_remote(outcome.optimal_n);
+    outcome.cost_with_remote =
+        model.total_cost(outcome.optimal_n, outcome.optimal_m);
+  } catch (const std::invalid_argument&) {
+    outcome.status = "invalid-params";
+  }
+  return outcome;
+}
+
 }  // namespace rp::core

@@ -3,10 +3,12 @@
 // Fits the decay parameter b (eq. 3) from an empirical remaining-transit
 // curve, instantiates the cost model, and exposes the closed-form optima
 // (eqs. 11 and 13), the viability condition (eq. 14), and parameter sweeps
-// for the viability-region bench.
+// for the viability-region bench. evaluate_world() is the one "greedy curve +
+// prices -> §4/§5 outcome" decision that sweep runs and evolve epochs share.
 #pragma once
 
 #include <span>
+#include <string>
 #include <vector>
 
 #include "econ/cost_model.hpp"
@@ -62,5 +64,38 @@ class ViabilityStudy {
   double decay_;
   econ::CostModel model_;
 };
+
+/// One world's §4/§5 outcome at one price point: the first three fields are
+/// the §4 half (what the greedy curve offloads), the rest the §5 half.
+struct WorldOutcome {
+  double transit_bps = 0.0;        ///< Initial transit weight (in + out).
+  double offload_fraction = 0.0;   ///< Fraction removed by the full curve.
+  std::size_t greedy_picked = 0;   ///< IXPs the greedy expansion selected.
+  /// "ok", or "invalid-params" when the prices violate ineqs. 7-8 (grids and
+  /// price timelines may legitimately cross them; recorded, not fatal). The
+  /// §5 fields stay 0 then.
+  std::string status = "ok";
+  double fitted_decay = 0.0;       ///< b (fitted, or pinned).
+  double optimal_n = 0.0;          ///< Eq. 11 ñ.
+  double optimal_m = 0.0;          ///< Eq. 13 m̃.
+  double optimal_direct_fraction = 0.0;  ///< d̃ at the eq. 11 optimum.
+  double viability_ratio = 0.0;    ///< g(p−v)/(h(p−u)).
+  double critical_decay = 0.0;     ///< b* = ln(ratio).
+  bool viable = false;             ///< Eq. 14 verdict.
+  double cost_without_remote = 0.0;
+  double cost_with_remote = 0.0;
+};
+
+/// The §4 half of the outcome: transit weight, picked count, and the
+/// fraction of `transit_bps` the whole curve removes.
+WorldOutcome offload_outcome(std::span<const offload::GreedyStep> curve,
+                             double transit_bps);
+
+/// The full outcome. Unless `decay_pinned`, b is fitted from the curve; a
+/// curve that never offloads keeps `prices.decay`, so the result is still
+/// deterministic, just not world-informed.
+WorldOutcome evaluate_world(std::span<const offload::GreedyStep> curve,
+                            double transit_bps, econ::CostParameters prices,
+                            bool decay_pinned);
 
 }  // namespace rp::core

@@ -85,6 +85,23 @@ obs::Counter& leaves_counter() {
 
 }  // namespace
 
+EpochComposition composition_of(const EpochState& state) {
+  EpochComposition out{.label = state.label,
+                       .events = state.events,
+                       .joins = state.joins,
+                       .leaves = state.leaves,
+                       .new_ixps = state.new_ixps,
+                       .stashed = state.stashed,
+                       .ixps = state.ecosystem.ixps().size(),
+                       .traffic_scale = state.traffic_scale};
+  for (const ixp::Ixp& ixp : state.ecosystem.ixps()) {
+    out.interfaces += ixp.interfaces().size();
+    for (const ixp::MemberInterface& iface : ixp.interfaces())
+      out.remote_interfaces += iface.is_remote_ground_truth() ? 1 : 0;
+  }
+  return out;
+}
+
 EpochTimeline::EpochTimeline(Timeline timeline, const core::Scenario& base)
     : base_(&base),
       timeline_(std::move(timeline)),

@@ -52,6 +52,24 @@ struct EpochState {
   std::size_t stashed = 0;  ///< Interfaces currently down (outage/provider).
 };
 
+/// What an epoch row reports about membership: the state's event counts
+/// plus the IXP and interface totals of its ecosystem. Counted on demand by
+/// composition_of, so replaying an epoch does not pay for it.
+struct EpochComposition {
+  std::string label;
+  std::size_t events = 0;
+  std::size_t joins = 0;
+  std::size_t leaves = 0;
+  std::size_t new_ixps = 0;
+  std::size_t stashed = 0;            ///< Interfaces down at epoch end.
+  std::size_t ixps = 0;               ///< IXPs in the epoch ecosystem.
+  std::size_t interfaces = 0;         ///< Member interfaces across all IXPs.
+  std::size_t remote_interfaces = 0;  ///< Ground-truth remote among them.
+  double traffic_scale = 1.0;
+};
+
+EpochComposition composition_of(const EpochState& state);
+
 class EpochTimeline {
  public:
   /// Borrows `base` for the engine's lifetime. Throws std::invalid_argument

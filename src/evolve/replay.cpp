@@ -1,20 +1,12 @@
 #include "evolve/replay.hpp"
 
-#include <sstream>
-#include <stdexcept>
-
-#include "core/viability_study.hpp"
 #include "io/snapshot.hpp"
-#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/sim_time.hpp"
-#include "util/strings.hpp"
 
 namespace rp::evolve {
 namespace {
-
-using util::format_double;
 
 constexpr io::LedgerFormat kLedger{
     .tool = "rpevolve",
@@ -26,6 +18,33 @@ constexpr io::LedgerFormat kLedger{
     .start_hint = "`rpevolve plan` or `rpevolve replay`",
     .finish_hint = "`rpevolve replay`",
 };
+
+/// The results table's one column list.
+io::LedgerRow results_row(const EpochResult& result) {
+  const EpochComposition& c = result.composition;
+  const core::WorldOutcome& o = result.outcome;
+  io::LedgerRow row;
+  row.count("epoch", result.index)
+      .text("label", c.label)
+      .count("events", c.events)
+      .count("joins", c.joins)
+      .count("leaves", c.leaves)
+      .count("new_ixps", c.new_ixps)
+      .count("stashed", c.stashed)
+      .count("ixps", c.ixps)
+      .count("interfaces", c.interfaces)
+      .count("remote_interfaces", c.remote_interfaces)
+      .number("traffic_scale", c.traffic_scale)
+      .text("status", o.status)
+      .number("transit_bps", o.transit_bps)
+      .number("offload_fraction", o.offload_fraction)
+      .count("greedy_picked", o.greedy_picked)
+      .number("fitted_decay", o.fitted_decay)
+      .number("optimal_n", o.optimal_n)
+      .number("optimal_m", o.optimal_m)
+      .flag("viable", o.viable);
+  return row;
+}
 
 }  // namespace
 
@@ -56,59 +75,18 @@ EpochResult evaluate_epoch(EpochTimeline& engine, std::size_t k,
                            const ReplayOptions& options) {
   obs::Span span("evolve.epoch");
   const EpochState& state = engine.state_at(k);
-
-  EpochResult result;
-  result.index = k;
-  result.label = state.label;
-  result.events = state.events;
-  result.joins = state.joins;
-  result.leaves = state.leaves;
-  result.new_ixps = state.new_ixps;
-  result.stashed = state.stashed;
-  result.traffic_scale = state.traffic_scale;
-  result.ixps = state.ecosystem.ixps().size();
-  for (const ixp::Ixp& ixp : state.ecosystem.ixps()) {
-    result.interfaces += ixp.interfaces().size();
-    for (const ixp::MemberInterface& iface : ixp.interfaces())
-      result.remote_interfaces += iface.is_remote_ground_truth() ? 1 : 0;
-  }
-
   core::OffloadStudyConfig study_config = engine.study_config_at(k);
   study_config.rate_model.span =
       util::SimDuration::days(static_cast<std::int64_t>(options.days));
   const core::OffloadStudy study =
       core::OffloadStudy::run(engine.view_at(k), study_config);
   const offload::OffloadAnalyzer& analyzer = study.analyzer();
-  result.transit_bps =
-      analyzer.transit_inbound_bps() + analyzer.transit_outbound_bps();
-  const std::vector<offload::GreedyStep> curve = analyzer.greedy_by_traffic(
-      static_cast<offload::PeerGroup>(options.group), options.steps);
-  result.greedy_picked = curve.size();
-  if (!curve.empty() && result.transit_bps > 0.0)
-    result.offload_fraction =
-        (result.transit_bps - curve.back().remaining) / result.transit_bps;
-
-  // §5 at the epoch's prices: b fitted from the epoch's own greedy curve (a
-  // flat curve keeps the prices' default b — deterministic either way).
-  double decay = state.prices.decay;
-  try {
-    decay = core::ViabilityStudy::from_greedy_curve(curve, result.transit_bps,
-                                                    state.prices)
-                .fitted_decay();
-  } catch (const std::invalid_argument&) {
-  }
-  try {
-    const core::ViabilityStudy viability =
-        core::ViabilityStudy::from_decay(decay, state.prices);
-    result.fitted_decay = decay;
-    result.optimal_n = viability.optimal_direct_n();
-    result.optimal_m = viability.optimal_remote_m();
-    result.viable = viability.remote_viable();
-  } catch (const std::invalid_argument&) {
-    // A price timeline may cross ineqs. 7-8 mid-decade; record, don't abort.
-    result.status = "invalid-params";
-  }
-  return result;
+  return EpochResult{
+      k, composition_of(state),
+      core::evaluate_world(
+          analyzer.greedy_by_traffic(offload::PeerGroup::kAll, options.steps),
+          analyzer.transit_inbound_bps() + analyzer.transit_outbound_bps(),
+          state.prices, /*decay_pinned=*/false)};
 }
 
 ReplayOutcome replay_timeline(const Timeline& timeline,
@@ -143,11 +121,10 @@ ReplayOutcome replay_timeline(const Timeline& timeline,
       epochs_skipped.add();
       continue;
     }
-    const EpochResult result = evaluate_epoch(engine, k, options);
+    const io::LedgerRow row = results_row(evaluate_epoch(engine, k, options));
     if (options.snapshots)
       io::save_scenario(engine.view_at(k), paths.snapshot(k));
-    paths.write_record(digest, k, results_csv_row(result),
-                       results_json_row(result));
+    paths.write_record(digest, k, row.csv(), row.json());
     ++outcome.executed;
     epochs_recorded.add();
   }
@@ -160,61 +137,9 @@ std::size_t summarize_replay(const Timeline& timeline,
   static obs::Counter summaries("rp.evolve.summaries");
   const std::size_t rows = EvolvePaths(dir).collate(
       timeline_digest_hex(timeline), timeline.epochs.size(), timeline.name,
-      results_csv_header());
+      results_row(EpochResult{}).header());
   summaries.add();
   return rows;
-}
-
-std::string results_csv_header() {
-  return "epoch,label,events,joins,leaves,new_ixps,stashed,ixps,interfaces,"
-         "remote_interfaces,traffic_scale,status,transit_bps,"
-         "offload_fraction,greedy_picked,fitted_decay,optimal_n,optimal_m,"
-         "viable";
-}
-
-std::string results_csv_row(const EpochResult& result) {
-  std::string row = std::to_string(result.index);
-  row += "," + result.label;
-  row += "," + std::to_string(result.events);
-  row += "," + std::to_string(result.joins);
-  row += "," + std::to_string(result.leaves);
-  row += "," + std::to_string(result.new_ixps);
-  row += "," + std::to_string(result.stashed);
-  row += "," + std::to_string(result.ixps);
-  row += "," + std::to_string(result.interfaces);
-  row += "," + std::to_string(result.remote_interfaces);
-  row += "," + format_double(result.traffic_scale);
-  row += "," + result.status;
-  row += "," + format_double(result.transit_bps);
-  row += "," + format_double(result.offload_fraction);
-  row += "," + std::to_string(result.greedy_picked);
-  row += "," + format_double(result.fitted_decay);
-  row += "," + format_double(result.optimal_n);
-  row += "," + format_double(result.optimal_m);
-  row += result.viable ? ",1" : ",0";
-  return row;
-}
-
-std::string results_json_row(const EpochResult& result) {
-  std::ostringstream out;
-  out << "{\"epoch\":" << result.index << ",\"label\":\""
-      << obs::json::escape(result.label) << "\""
-      << ",\"events\":" << result.events << ",\"joins\":" << result.joins
-      << ",\"leaves\":" << result.leaves
-      << ",\"new_ixps\":" << result.new_ixps
-      << ",\"stashed\":" << result.stashed << ",\"ixps\":" << result.ixps
-      << ",\"interfaces\":" << result.interfaces
-      << ",\"remote_interfaces\":" << result.remote_interfaces
-      << ",\"traffic_scale\":" << format_double(result.traffic_scale)
-      << ",\"status\":\"" << obs::json::escape(result.status) << "\""
-      << ",\"transit_bps\":" << format_double(result.transit_bps)
-      << ",\"offload_fraction\":" << format_double(result.offload_fraction)
-      << ",\"greedy_picked\":" << result.greedy_picked
-      << ",\"fitted_decay\":" << format_double(result.fitted_decay)
-      << ",\"optimal_n\":" << format_double(result.optimal_n)
-      << ",\"optimal_m\":" << format_double(result.optimal_m)
-      << ",\"viable\":" << (result.viable ? "true" : "false") << "}";
-  return out.str();
 }
 
 }  // namespace rp::evolve

@@ -21,6 +21,7 @@
 #include <filesystem>
 #include <string>
 
+#include "core/viability_study.hpp"
 #include "evolve/engine.hpp"
 #include "evolve/timeline.hpp"
 #include "io/ledger.hpp"
@@ -30,30 +31,12 @@ namespace rp::evolve {
 /// Results-table schema version (bumped when columns change meaning).
 inline constexpr int kEvolveSchemaVersion = 1;
 
-/// The per-epoch outcome: membership composition plus the §4 offload and §5
-/// viability numbers for the epoch's world, prices, and traffic scale.
+/// The per-epoch row: membership composition plus the §4 offload and §5
+/// viability outcome for the epoch's world, prices, and traffic scale.
 struct EpochResult {
   std::size_t index = 0;
-  std::string label;
-  std::size_t events = 0;
-  std::size_t joins = 0;
-  std::size_t leaves = 0;
-  std::size_t new_ixps = 0;
-  std::size_t stashed = 0;        ///< Interfaces down at epoch end.
-  std::size_t ixps = 0;           ///< IXPs in the epoch ecosystem.
-  std::size_t interfaces = 0;     ///< Member interfaces across all IXPs.
-  std::size_t remote_interfaces = 0;  ///< Ground-truth remote among them.
-  double traffic_scale = 1.0;
-  double transit_bps = 0.0;       ///< Initial transit weight (in + out).
-  double offload_fraction = 0.0;  ///< Fraction removed by the greedy curve.
-  std::size_t greedy_picked = 0;
-  double fitted_decay = 0.0;      ///< b fitted from this epoch's curve.
-  double optimal_n = 0.0;         ///< Eq. 11 ñ at epoch prices.
-  double optimal_m = 0.0;         ///< Eq. 13 m̃ at epoch prices.
-  bool viable = false;            ///< Eq. 14 verdict at epoch prices.
-  /// "ok", or "invalid-params" when epoch prices violate ineqs. 7-8 (price
-  /// timelines may legitimately cross them; recorded, not fatal).
-  std::string status = "ok";
+  EpochComposition composition;
+  core::WorldOutcome outcome;
 };
 
 /// A replay directory: the io::RunLedger layout under the rpevolve names
@@ -80,9 +63,9 @@ struct ReplayOptions {
   /// Write per-epoch .rpsnap snapshots (rpworld-diffable). On by default;
   /// benches that only want the rows switch it off.
   bool snapshots = true;
-  /// Peer group for the epoch offload studies (offload::PeerGroup value).
-  int group = 4;
-  /// Greedy-curve length per epoch.
+  /// Greedy-curve length per epoch (the all-IXP peer group's curve). Like
+  /// `days`, it is not part of the timeline digest, so a resume must pass
+  /// the value the replay started with; rpevolve always uses the default.
   std::size_t steps = 8;
   /// Rate-model span in days.
   double days = 7.0;
@@ -95,8 +78,9 @@ struct ReplayOutcome {
 };
 
 /// Evaluates epoch k on an engine: membership composition from the epoch
-/// state, then an OffloadStudy over view_at(k) (traffic scaled, §5 numbers
-/// at the epoch's prices). Pure given (timeline, base config, k, options).
+/// state, then an OffloadStudy over view_at(k) (traffic scaled) and
+/// core::evaluate_world at the epoch's prices, b fitted from the epoch's own
+/// curve. Pure given (timeline, base config, k, options).
 EpochResult evaluate_epoch(EpochTimeline& engine, std::size_t k,
                            const ReplayOptions& options);
 
@@ -114,10 +98,5 @@ ReplayOutcome replay_timeline(const Timeline& timeline,
 /// is incomplete. Returns the number of rows written.
 std::size_t summarize_replay(const Timeline& timeline,
                              const std::filesystem::path& dir);
-
-/// The results-table header (fixed columns; timelines have no axes).
-std::string results_csv_header();
-std::string results_csv_row(const EpochResult& result);
-std::string results_json_row(const EpochResult& result);
 
 }  // namespace rp::evolve

@@ -11,6 +11,56 @@
 
 namespace rp::io {
 
+LedgerRow& LedgerRow::count(std::string_view name, std::uint64_t value) {
+  const std::string v = std::to_string(value);
+  return add(name, v, v);
+}
+
+LedgerRow& LedgerRow::number(std::string_view name, double value) {
+  const std::string v = util::format_double(value);
+  return add(name, v, v);
+}
+
+LedgerRow& LedgerRow::text(std::string_view name, std::string_view value) {
+  return add(name, value, "\"" + obs::json::escape(value) + "\"");
+}
+
+LedgerRow& LedgerRow::flag(std::string_view name, bool value) {
+  return add(name, value ? "1" : "0", value ? "true" : "false");
+}
+
+LedgerRow& LedgerRow::begin_object(std::string_view name) {
+  key(name);
+  json_ += '{';
+  first_member_ = true;
+  return *this;
+}
+
+LedgerRow& LedgerRow::end_object() {
+  json_ += '}';
+  first_member_ = false;
+  return *this;
+}
+
+LedgerRow& LedgerRow::add(std::string_view name, std::string_view csv,
+                          std::string_view json) {
+  if (!header_.empty()) {
+    header_ += ',';
+    csv_ += ',';
+  }
+  header_ += name;
+  csv_ += csv;
+  key(name);
+  json_ += json;
+  return *this;
+}
+
+void LedgerRow::key(std::string_view name) {
+  if (!first_member_) json_ += ',';
+  first_member_ = false;
+  json_ += "\"" + obs::json::escape(name) + "\":";
+}
+
 RunLedger::RunLedger(const LedgerFormat& format, std::filesystem::path dir)
     : format_(format), dir_(std::move(dir)) {}
 

@@ -15,9 +15,14 @@
 // only whole files behind. A record counts only when its header names the
 // current digest and index: a stale or damaged record reads as missing and
 // its item is redone, never collated.
+//
+// A study's results table declares its columns once, in the function that
+// fills a LedgerRow: the row renders the CSV line, the JSON object and the
+// CSV header from that one list.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <filesystem>
 #include <optional>
 #include <string>
@@ -42,6 +47,37 @@ struct LedgerManifest {
   std::string digest;
   std::size_t count = 0;
   std::string block;
+};
+
+/// One results-table row, rendered as the record's CSV line and JSON object
+/// at once, plus the CSV header that names its columns. Doubles print through
+/// util::format_double (%.10g), so rows are byte-stable; text is written to
+/// the CSV as is and JSON-escaped in the object.
+class LedgerRow {
+ public:
+  LedgerRow& count(std::string_view name, std::uint64_t value);
+  LedgerRow& number(std::string_view name, double value);
+  LedgerRow& text(std::string_view name, std::string_view value);
+  /// "1"/"0" in the CSV, true/false in the JSON.
+  LedgerRow& flag(std::string_view name, bool value);
+  /// Columns added until end_object() stay flat in the CSV and nest in the
+  /// JSON as one object under `key`.
+  LedgerRow& begin_object(std::string_view key);
+  LedgerRow& end_object();
+
+  const std::string& header() const { return header_; }
+  const std::string& csv() const { return csv_; }
+  std::string json() const { return json_ + "}"; }
+
+ private:
+  LedgerRow& add(std::string_view name, std::string_view csv,
+                 std::string_view json);
+  void key(std::string_view name);
+
+  std::string header_;
+  std::string csv_;
+  std::string json_ = "{";
+  bool first_member_ = true;
 };
 
 /// One completion record's rows.
@@ -81,9 +117,10 @@ class RunLedger {
   /// Items in [0, count) with a valid record.
   std::size_t completed(std::string_view digest, std::size_t count) const;
 
-  /// Collates the records of items [0, count) into results.csv and
-  /// results.json and returns `count`. Throws std::runtime_error naming the
-  /// first item without a record.
+  /// Collates the records of items [0, count) into results.csv (under
+  /// `csv_header`, a LedgerRow's header()) and results.json and returns
+  /// `count`. Throws std::runtime_error naming the first item without a
+  /// record.
   std::size_t collate(std::string_view digest, std::size_t count,
                       std::string_view name,
                       std::string_view csv_header) const;

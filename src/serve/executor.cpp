@@ -202,67 +202,44 @@ void exec_what_if(const Request& request, const World& world,
          whatif.total_bps() - base.total_bps());
 }
 
-/// Parses a request's timeline and checks it targets the request's world:
-/// the pooled scenario must carry exactly the config the timeline's base
-/// lines resolve to, or every epoch would silently describe a different
-/// world than the one the client addressed.
-evolve::Timeline timeline_for(const Request& request, const World& world) {
-  evolve::Timeline timeline = evolve::parse_timeline(request.timeline);
-  if (io::config_digest(world.scenario().config()) !=
-      io::config_digest(timeline.base_config()))
-    throw std::invalid_argument(
-        "timeline base config does not match the request's world spec "
-        "(world " + io::config_digest_hex(world.scenario().config()) +
-        ", timeline base " +
-        io::config_digest_hex(timeline.base_config()) + ")");
-  return timeline;
-}
-
 void emit_epoch_composition(Response& response, const std::string& prefix,
                             const evolve::EpochState& state) {
-  emit(response, prefix + ".label", state.label);
-  emit(response, prefix + ".events", fmt_u64(state.events));
-  emit(response, prefix + ".joins", fmt_u64(state.joins));
-  emit(response, prefix + ".leaves", fmt_u64(state.leaves));
-  emit(response, prefix + ".new_ixps", fmt_u64(state.new_ixps));
-  emit(response, prefix + ".stashed", fmt_u64(state.stashed));
-  emit(response, prefix + ".ixps", fmt_u64(state.ecosystem.ixps().size()));
-  std::size_t interfaces = 0;
-  std::size_t remote = 0;
-  for (const ixp::Ixp& ixp : state.ecosystem.ixps()) {
-    interfaces += ixp.interfaces().size();
-    for (const ixp::MemberInterface& iface : ixp.interfaces())
-      remote += iface.is_remote_ground_truth() ? 1 : 0;
-  }
-  emit(response, prefix + ".interfaces", fmt_u64(interfaces));
-  emit(response, prefix + ".remote_interfaces", fmt_u64(remote));
-  emit_f(response, prefix + ".traffic_scale", state.traffic_scale);
+  const evolve::EpochComposition c = evolve::composition_of(state);
+  emit(response, prefix + ".label", c.label);
+  emit(response, prefix + ".events", fmt_u64(c.events));
+  emit(response, prefix + ".joins", fmt_u64(c.joins));
+  emit(response, prefix + ".leaves", fmt_u64(c.leaves));
+  emit(response, prefix + ".new_ixps", fmt_u64(c.new_ixps));
+  emit(response, prefix + ".stashed", fmt_u64(c.stashed));
+  emit(response, prefix + ".ixps", fmt_u64(c.ixps));
+  emit(response, prefix + ".interfaces", fmt_u64(c.interfaces));
+  emit(response, prefix + ".remote_interfaces", fmt_u64(c.remote_interfaces));
+  emit_f(response, prefix + ".traffic_scale", c.traffic_scale);
 }
 
+// The engine refuses a timeline whose base config is not the request's world
+// and an epoch past the last one; both become error responses.
 void exec_world_at_epoch(const Request& request, const World& world,
                          Response& response) {
-  const evolve::Timeline timeline = timeline_for(request, world);
-  if (request.epoch >= timeline.epochs.size())
-    throw std::invalid_argument(
-        "epoch " + std::to_string(request.epoch) + " out of range (timeline '" +
-        timeline.name + "' has " + std::to_string(timeline.epochs.size()) +
-        " epochs)");
-  evolve::EpochTimeline engine(timeline, world.scenario());
+  evolve::EpochTimeline engine(evolve::parse_timeline(request.timeline),
+                               world.scenario());
   const std::size_t k = static_cast<std::size_t>(request.epoch);
   const evolve::EpochState& state = engine.state_at(k);
-  emit(response, "timeline.name", timeline.name);
-  emit(response, "timeline.digest", evolve::timeline_digest_hex(timeline));
+  emit(response, "timeline.name", engine.timeline().name);
+  emit(response, "timeline.digest",
+       evolve::timeline_digest_hex(engine.timeline()));
   emit(response, "epoch.index", fmt_u64(k));
   emit_epoch_composition(response, "epoch", state);
 }
 
 void exec_epoch_series(const Request& request, const World& world,
                        Response& response) {
-  const evolve::Timeline timeline = timeline_for(request, world);
   const offload::PeerGroup group = to_group(request.group);
-  evolve::EpochTimeline engine(timeline, world.scenario());
-  emit(response, "timeline.name", timeline.name);
-  emit(response, "timeline.digest", evolve::timeline_digest_hex(timeline));
+  evolve::EpochTimeline engine(evolve::parse_timeline(request.timeline),
+                               world.scenario());
+  emit(response, "timeline.name", engine.timeline().name);
+  emit(response, "timeline.digest",
+       evolve::timeline_digest_hex(engine.timeline()));
   emit(response, "series.epochs", fmt_u64(engine.epoch_count()));
   for (std::size_t k = 0; k < engine.epoch_count(); ++k) {
     const std::string prefix = "epoch." + std::to_string(k);
@@ -272,16 +249,13 @@ void exec_epoch_series(const Request& request, const World& world,
     const core::OffloadStudy study = core::OffloadStudy::run(
         engine.view_at(k), engine.study_config_at(k));
     const offload::OffloadAnalyzer& analyzer = study.analyzer();
-    const double transit_bps =
-        analyzer.transit_inbound_bps() + analyzer.transit_outbound_bps();
-    const auto curve = analyzer.greedy_by_traffic(
-        group, static_cast<std::size_t>(request.max_steps));
-    emit_f(response, prefix + ".transit_bps", transit_bps);
-    emit(response, prefix + ".greedy_picked", fmt_u64(curve.size()));
-    emit_f(response, prefix + ".offload_fraction",
-           !curve.empty() && transit_bps > 0.0
-               ? (transit_bps - curve.back().remaining) / transit_bps
-               : 0.0);
+    const core::WorldOutcome outcome = core::offload_outcome(
+        analyzer.greedy_by_traffic(
+            group, static_cast<std::size_t>(request.max_steps)),
+        analyzer.transit_inbound_bps() + analyzer.transit_outbound_bps());
+    emit_f(response, prefix + ".transit_bps", outcome.transit_bps);
+    emit(response, prefix + ".greedy_picked", fmt_u64(outcome.greedy_picked));
+    emit_f(response, prefix + ".offload_fraction", outcome.offload_fraction);
   }
 }
 

@@ -87,6 +87,10 @@ bool StreamSession::resume() {
   if (!(restored.schema() == source_->schema()))
     throw io::SnapshotError(
         "stream checkpoint: schema does not match the source");
+  if (!(restored.covered() == ingest_.covered()))
+    throw io::SnapshotError(
+        "stream checkpoint: covered mask does not match this session's (a "
+        "checkpoint from another peer group?)");
 
   source_->seek(restored.next_bin());
   ingest_ = std::move(restored);

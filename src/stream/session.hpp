@@ -49,7 +49,8 @@ class StreamSession {
   /// Restores the configured checkpoint if present and valid, seeking the
   /// source to the first unconsumed bin. Returns true when a checkpoint was
   /// restored, false when none exists. Throws io::SnapshotError on a
-  /// corrupt checkpoint or a schema that does not match the source.
+  /// corrupt checkpoint, a schema that does not match the source, or a
+  /// covered mask that is not this session's (another peer group's).
   bool resume();
 
   /// Writes a checkpoint now (requires a configured path).

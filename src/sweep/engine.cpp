@@ -2,24 +2,17 @@
 
 #include <atomic>
 #include <optional>
-#include <sstream>
-#include <stdexcept>
 #include <unordered_map>
 
-#include "core/viability_study.hpp"
 #include "evolve/engine.hpp"
 #include "fault/fault.hpp"
 #include "io/snapshot.hpp"
-#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "util/strings.hpp"
 #include "util/thread_pool.hpp"
 
 namespace rp::sweep {
 namespace {
-
-using util::format_double;
 
 constexpr io::LedgerFormat kLedger{
     .tool = "rpsweep",
@@ -31,6 +24,33 @@ constexpr io::LedgerFormat kLedger{
     .start_hint = "`rpsweep plan` or `rpsweep run`",
     .finish_hint = "`rpsweep resume`",
 };
+
+/// The results table's one column list: run, one column per axis (nested
+/// under "axes" in the JSON), then the outcome.
+io::LedgerRow results_row(const SweepSpec& spec, const SweepRun& run,
+                          const RunResult& result) {
+  const core::WorldOutcome& o = result.outcome;
+  io::LedgerRow row;
+  row.count("run", result.index).begin_object("axes");
+  for (std::size_t a = 0; a < spec.axes.size(); ++a)
+    row.text(spec.axes[a].field, run.values[a]);
+  row.end_object()
+      .text("world", result.world_digest)
+      .text("status", o.status)
+      .number("transit_bps", o.transit_bps)
+      .number("offload_fraction", o.offload_fraction)
+      .count("greedy_picked", o.greedy_picked)
+      .number("fitted_decay", o.fitted_decay)
+      .number("optimal_n", o.optimal_n)
+      .number("optimal_m", o.optimal_m)
+      .number("optimal_direct_fraction", o.optimal_direct_fraction)
+      .number("viability_ratio", o.viability_ratio)
+      .number("critical_decay", o.critical_decay)
+      .flag("viable", o.viable)
+      .number("cost_without_remote", o.cost_without_remote)
+      .number("cost_with_remote", o.cost_with_remote);
+  return row;
+}
 
 }  // namespace
 
@@ -47,113 +67,10 @@ WorldArtifacts world_artifacts(const core::OffloadStudy& study,
 RunResult evaluate_run(const SweepSpec& spec, const SweepRun& run,
                        const WorldArtifacts& artifacts) {
   const MaterializedRun mat = materialize_run(
-      spec, run,
-      artifacts.has_epoch_prices ? &artifacts.epoch_prices : nullptr);
-  RunResult result;
-  result.index = run.index;
-  result.world_digest = artifacts.world_digest;
-  result.transit_bps = artifacts.initial_bps;
-  result.greedy_picked = artifacts.curve.size();
-  if (!artifacts.curve.empty() && artifacts.initial_bps > 0.0)
-    result.offload_fraction =
-        (artifacts.initial_bps - artifacts.curve.back().remaining) /
-        artifacts.initial_bps;
-
-  // The decay b: pinned by an econ.b base/axis, otherwise fitted from this
-  // world's greedy curve (a flat curve keeps the spec's default b — the
-  // result is still deterministic, just not world-informed).
-  double decay = mat.prices.decay;
-  if (!mat.decay_pinned) {
-    try {
-      decay = core::ViabilityStudy::from_greedy_curve(
-                  artifacts.curve, artifacts.initial_bps, mat.prices)
-                  .fitted_decay();
-    } catch (const std::invalid_argument&) {
-      // Curve never offloads (or the world is empty): keep the default b.
-    }
-  }
-  try {
-    const core::ViabilityStudy study =
-        core::ViabilityStudy::from_decay(decay, mat.prices);
-    const econ::CostModel& model = study.model();
-    result.fitted_decay = decay;
-    result.optimal_n = study.optimal_direct_n();
-    result.optimal_m = study.optimal_remote_m();
-    result.optimal_direct_fraction = study.optimal_direct_fraction();
-    result.viability_ratio = model.viability_ratio();
-    result.critical_decay = model.critical_decay();
-    result.viable = study.remote_viable();
-    result.cost_without_remote = model.cost_without_remote(result.optimal_n);
-    result.cost_with_remote =
-        model.total_cost(result.optimal_n, result.optimal_m);
-  } catch (const std::invalid_argument&) {
-    // Grid corners may cross ineqs. 7-8 (e.g. an econ.h axis reaching g).
-    // Record the violation instead of aborting a thousand-run sweep.
-    result.status = "invalid-params";
-  }
-  return result;
-}
-
-std::string results_csv_header(const SweepSpec& spec) {
-  std::string header = "run";
-  for (const auto& axis : spec.axes) header += "," + axis.field;
-  header +=
-      ",world,status,transit_bps,offload_fraction,greedy_picked,"
-      "fitted_decay,optimal_n,optimal_m,optimal_direct_fraction,"
-      "viability_ratio,critical_decay,viable,cost_without_remote,"
-      "cost_with_remote";
-  return header;
-}
-
-std::string results_csv_row(const SweepSpec& spec, const SweepRun& run,
-                            const RunResult& result) {
-  std::string row = std::to_string(run.index);
-  for (std::size_t a = 0; a < spec.axes.size(); ++a)
-    row += "," + run.values[a];
-  row += "," + result.world_digest;
-  row += "," + result.status;
-  row += "," + format_double(result.transit_bps);
-  row += "," + format_double(result.offload_fraction);
-  row += "," + std::to_string(result.greedy_picked);
-  row += "," + format_double(result.fitted_decay);
-  row += "," + format_double(result.optimal_n);
-  row += "," + format_double(result.optimal_m);
-  row += "," + format_double(result.optimal_direct_fraction);
-  row += "," + format_double(result.viability_ratio);
-  row += "," + format_double(result.critical_decay);
-  row += result.viable ? ",1" : ",0";
-  row += "," + format_double(result.cost_without_remote);
-  row += "," + format_double(result.cost_with_remote);
-  return row;
-}
-
-std::string results_json_row(const SweepSpec& spec, const SweepRun& run,
-                             const RunResult& result) {
-  std::ostringstream out;
-  out << "{\"run\":" << run.index << ",\"axes\":{";
-  for (std::size_t a = 0; a < spec.axes.size(); ++a) {
-    if (a != 0) out << ",";
-    out << "\"" << obs::json::escape(spec.axes[a].field) << "\":\""
-        << obs::json::escape(run.values[a]) << "\"";
-  }
-  out << "},\"world\":\"" << obs::json::escape(result.world_digest) << "\""
-      << ",\"status\":\"" << obs::json::escape(result.status) << "\""
-      << ",\"transit_bps\":" << format_double(result.transit_bps)
-      << ",\"offload_fraction\":" << format_double(result.offload_fraction)
-      << ",\"greedy_picked\":" << result.greedy_picked
-      << ",\"fitted_decay\":" << format_double(result.fitted_decay)
-      << ",\"optimal_n\":" << format_double(result.optimal_n)
-      << ",\"optimal_m\":" << format_double(result.optimal_m)
-      << ",\"optimal_direct_fraction\":"
-      << format_double(result.optimal_direct_fraction)
-      << ",\"viability_ratio\":" << format_double(result.viability_ratio)
-      << ",\"critical_decay\":" << format_double(result.critical_decay)
-      << ",\"viable\":" << (result.viable ? "true" : "false")
-      << ",\"cost_without_remote\":"
-      << format_double(result.cost_without_remote)
-      << ",\"cost_with_remote\":" << format_double(result.cost_with_remote)
-      << "}";
-  return out.str();
+      spec, run, artifacts.prices ? &*artifacts.prices : nullptr);
+  return RunResult{run.index, artifacts.world_digest,
+                   core::evaluate_world(artifacts.curve, artifacts.initial_bps,
+                                        mat.prices, mat.decay_pinned)};
 }
 
 SweepPaths::SweepPaths(std::filesystem::path dir)
@@ -236,22 +153,14 @@ ExecuteOutcome execute_sweep(const SweepSpec& spec,
     worlds_built.fetch_add(1, std::memory_order_relaxed);
     worlds_built_counter.add();
 
-    // Timeline specs replay epochs over the group's world; each swept epoch
-    // realizes its own artifacts lazily. Plain grids keep the single shared
-    // artifact set. The engine cursor is per-group, so runs stay serial
-    // within a group and parallelism stays across groups.
+    // Every run reads the artifacts of its epoch, realized lazily: a timeline
+    // spec's epochs are overlays on the group's world, and a plain grid is
+    // epoch 0 of the world itself. The engine cursor is per-group, so runs
+    // stay serial within a group and parallelism stays across groups.
     std::optional<evolve::EpochTimeline> evolution;
     if (!spec.timeline.empty())
       evolution.emplace(evolve::parse_timeline(spec.timeline), scenario);
     std::unordered_map<std::size_t, WorldArtifacts> epoch_artifacts;
-    WorldArtifacts shared_artifacts;
-    if (!evolution) {
-      const core::OffloadStudy study =
-          core::OffloadStudy::run(scenario, study_config);
-      shared_artifacts = world_artifacts(
-          study, static_cast<offload::PeerGroup>(spec.group), spec.steps);
-      shared_artifacts.world_digest = group.world_digest;
-    }
 
     for (const std::size_t id : group.run_ids) {
       if (done[id] != 0) continue;
@@ -260,26 +169,22 @@ ExecuteOutcome execute_sweep(const SweepSpec& spec,
       // aborts the sweep exactly K completed-or-attempted runs in, after
       // the records of earlier runs are already on disk.
       run_site.maybe_throw();
-      const WorldArtifacts* artifacts = &shared_artifacts;
-      if (evolution) {
-        const std::size_t epoch = materialize_run(spec, runs[id]).epoch;
-        const auto [it, inserted] = epoch_artifacts.try_emplace(epoch);
-        if (inserted) {
-          obs::Span epoch_span("sweep.epoch");
-          const core::OffloadStudy study = core::OffloadStudy::run(
-              evolution->view_at(epoch),
-              evolution->study_config_at(epoch, study_config));
-          it->second = world_artifacts(
-              study, static_cast<offload::PeerGroup>(spec.group), spec.steps);
-          it->second.world_digest = group.world_digest;
-          it->second.epoch_prices = evolution->state_at(epoch).prices;
-          it->second.has_epoch_prices = true;
-        }
-        artifacts = &it->second;
+      const std::size_t epoch = materialize_run(spec, runs[id]).epoch;
+      const auto [it, inserted] = epoch_artifacts.try_emplace(epoch);
+      if (inserted) {
+        obs::Span epoch_span("sweep.epoch");
+        const core::OffloadStudy study = core::OffloadStudy::run(
+            evolution ? evolution->view_at(epoch) : scenario.view(),
+            evolution ? evolution->study_config_at(epoch, study_config)
+                      : study_config);
+        it->second = world_artifacts(
+            study, static_cast<offload::PeerGroup>(spec.group), spec.steps);
+        it->second.world_digest = group.world_digest;
+        if (evolution) it->second.prices = evolution->state_at(epoch).prices;
       }
-      const RunResult result = evaluate_run(spec, runs[id], *artifacts);
-      paths.write_record(digest, id, results_csv_row(spec, runs[id], result),
-                         results_json_row(spec, runs[id], result));
+      const io::LedgerRow row = results_row(
+          spec, runs[id], evaluate_run(spec, runs[id], it->second));
+      paths.write_record(digest, id, row.csv(), row.json());
       executed.fetch_add(1, std::memory_order_relaxed);
       runs_executed.add();
     }
@@ -294,9 +199,10 @@ std::size_t summarize_sweep(const SweepSpec& spec,
                             const std::filesystem::path& dir) {
   obs::Span span("sweep.summarize");
   static obs::Counter summaries("rp.sweep.summaries");
-  const std::size_t rows =
-      SweepPaths(dir).collate(spec_digest_hex(spec), spec.run_count(),
-                              spec.name, results_csv_header(spec));
+  const SweepRun blank{0, std::vector<std::string>(spec.axes.size())};
+  const std::size_t rows = SweepPaths(dir).collate(
+      spec_digest_hex(spec), spec.run_count(), spec.name,
+      results_row(spec, blank, RunResult{}).header());
   summaries.add();
   return rows;
 }

@@ -10,8 +10,9 @@
 // scenario-config field (differing only in econ.* axes) map to one world
 // group, so the group builds its Scenario once — through
 // core::Scenario::build_cached, so repeated sweeps hit the .rpsnap cache —
-// runs its OffloadStudy and greedy curve once, and then evaluates each
-// priced run from those shared artifacts. Groups run in parallel on
+// runs its OffloadStudy and greedy curve once per epoch (a plain grid is
+// epoch 0 of the world itself), and then evaluates each priced run from
+// those shared artifacts through core::evaluate_world. Groups run in parallel on
 // rp::util::ThreadPool::global(), so RP_THREADS bounds both the sweep's
 // width and the number of worlds resident at once.
 //
@@ -26,10 +27,12 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/offload_study.hpp"
+#include "core/viability_study.hpp"
 #include "io/ledger.hpp"
 #include "offload/peer_groups.hpp"
 #include "sweep/spec.hpp"
@@ -39,41 +42,25 @@ namespace rp::sweep {
 /// Results-table schema version (bumped when columns change meaning).
 inline constexpr int kResultsSchemaVersion = 1;
 
-/// The per-run §4/§5 outcome.
+/// One run's row: its index, its world, and the §4/§5 outcome at its prices.
 struct RunResult {
   std::size_t index = 0;
   /// Snapshot-cache key of the run's world (shared across a world group).
   std::string world_digest;
-  /// "ok", or "invalid-params" when the run's prices violate ineqs. 7-8
-  /// (grids may legitimately cross the structural assumptions; such runs
-  /// are recorded, not fatal).
-  std::string status = "ok";
-  double transit_bps = 0.0;        ///< Initial transit weight (in + out).
-  double offload_fraction = 0.0;   ///< Fraction removed by the full curve.
-  std::size_t greedy_picked = 0;   ///< IXPs the greedy expansion selected.
-  double fitted_decay = 0.0;       ///< b (fitted, or pinned via econ.b).
-  double optimal_n = 0.0;          ///< Eq. 11 ñ.
-  double optimal_m = 0.0;          ///< Eq. 13 m̃.
-  double optimal_direct_fraction = 0.0;  ///< d̃ at the eq. 11 optimum.
-  double viability_ratio = 0.0;    ///< g(p−v)/(h(p−u)).
-  double critical_decay = 0.0;     ///< b* = ln(ratio).
-  bool viable = false;             ///< Eq. 14 verdict.
-  double cost_without_remote = 0.0;
-  double cost_with_remote = 0.0;
+  core::WorldOutcome outcome;
 };
 
-/// The per-world inputs shared by every run of a world group. For timeline
-/// specs there is one of these per swept epoch (same world digest — the
-/// epochs share the base world's cache key — but each epoch's own study,
-/// curve, and prices).
+/// The per-world inputs shared by every run of a world group: one set per
+/// plain grid, one per swept epoch of a timeline spec (same world digest —
+/// the epochs share the base world's cache key — but each epoch's own
+/// study, curve, and prices).
 struct WorldArtifacts {
   std::string world_digest;
   double initial_bps = 0.0;
   std::vector<offload::GreedyStep> curve;
-  /// Epoch prices (timeline `prices` / `price-decay` events applied); the
+  /// Epoch prices (timeline `prices` / `price-decay` events applied): the
   /// pricing baseline the spec's econ pins override. Unset on plain grids.
-  econ::CostParameters epoch_prices;
-  bool has_epoch_prices = false;
+  std::optional<econ::CostParameters> prices;
 };
 
 /// Derives the shared artifacts from a finished §4 study.
@@ -84,19 +71,6 @@ WorldArtifacts world_artifacts(const core::OffloadStudy& study,
 /// (spec, run, artifacts) always yields the same result.
 RunResult evaluate_run(const SweepSpec& spec, const SweepRun& run,
                        const WorldArtifacts& artifacts);
-
-/// The results-table header for a spec: run, one column per axis, then the
-/// fixed result columns.
-std::string results_csv_header(const SweepSpec& spec);
-
-/// One CSV row (no trailing newline). Doubles print as %.10g, so rows are
-/// byte-stable.
-std::string results_csv_row(const SweepSpec& spec, const SweepRun& run,
-                            const RunResult& result);
-
-/// The same row as a JSON object (axis values as strings, results typed).
-std::string results_json_row(const SweepSpec& spec, const SweepRun& run,
-                             const RunResult& result);
 
 /// A sweep directory: the io::RunLedger layout under the rpsweep names
 /// (records are runs/run-<i>.rec).

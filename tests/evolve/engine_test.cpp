@@ -80,7 +80,6 @@ class EpochTimelineTest : public testing::Test {
             ("rpevolve_test_" + std::to_string(::getpid()));
     std::filesystem::create_directories(root_);
     options_.cache_dir = shared_cache();
-    options_.group = 4;
     options_.steps = 4;
     options_.days = 1.0;
   }

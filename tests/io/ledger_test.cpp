@@ -137,6 +137,27 @@ TEST_F(LedgerTest, CollateEscapesTheNameAndNamesTheFirstMissingItem) {
             "\"text\":\"00000000000000aa\",\"rows\":[{\"i\":0},{\"i\":1}]}\n");
 }
 
+// One column list renders all three forms: the CSV header and row stay flat,
+// the JSON object nests an object's columns, and only the JSON escapes text.
+TEST(LedgerRow, RendersHeaderCsvAndJsonFromOneColumnList) {
+  LedgerRow row;
+  row.count("run", 7)
+      .begin_object("axes")
+      .text("econ.b", "0.4")
+      .text("a\"b", "x\x01")
+      .end_object()
+      .begin_object("none")
+      .end_object()
+      .number("bps", 1.5e10)
+      .flag("viable", true)
+      .flag("other", false);
+  EXPECT_EQ(row.header(), "run,econ.b,a\"b,bps,viable,other");
+  EXPECT_EQ(row.csv(), "7,0.4,x\x01,1.5e+10,1,0");
+  EXPECT_EQ(row.json(),
+            "{\"run\":7,\"axes\":{\"econ.b\":\"0.4\",\"a\\\"b\":\"x\\u0001\"},"
+            "\"none\":{},\"bps\":1.5e+10,\"viable\":true,\"other\":false}");
+}
+
 TEST_F(LedgerTest, AtomicWriteReplacesWholeFilesAndLeavesNoTemp) {
   const std::filesystem::path path = dir_ / "file.txt";
   write_file_atomic("first", path);

@@ -16,6 +16,7 @@
 
 #include "core/config_fields.hpp"
 #include "core/viability_study.hpp"
+#include "evolve/timeline.hpp"
 
 namespace rp::serve {
 namespace {
@@ -298,6 +299,83 @@ TEST(Executor, PrewarmNamesWhatItBuilt) {
   EXPECT_EQ(built_names(kBuiltSpread | built_curve(PeerGroup::kOpen)),
             "curve.1,spread");
   EXPECT_EQ(built_names(0), "none");
+}
+
+/// A two-epoch timeline over the fast world, in the canonical text rpq sends.
+std::string fast_timeline() {
+  return evolve::canonical_timeline_text(evolve::parse_timeline(
+      "name pin-tl\nfast 1\n"
+      "epoch a\njoin LINX 2 1\ntraffic 1.5\n"
+      "epoch b\nleave LINX 1\nprice-decay 0.9\n"));
+}
+
+// Every field of a world-at-epoch answer on the fast world, pinned.
+TEST(Executor, WorldAtEpochResponseBytesArePinned) {
+  Request request;
+  request.type = RequestType::kWorldAtEpoch;
+  request.id = 31;
+  request.world.fast = true;
+  request.timeline = fast_timeline();
+  request.epoch = 1;
+  const Response response = execute_request(request, fast_world().get());
+  ASSERT_EQ(response.status, Status::kOk) << response.message;
+  EXPECT_EQ(response.fields,
+            (Fields{{"timeline.name", "pin-tl"},
+                    {"timeline.digest", "d7a0a72257b8257f"},
+                    {"epoch.index", "1"},
+                    {"epoch.label", "b"},
+                    {"epoch.events", "2"},
+                    {"epoch.joins", "0"},
+                    {"epoch.leaves", "1"},
+                    {"epoch.new_ixps", "0"},
+                    {"epoch.stashed", "0"},
+                    {"epoch.ixps", "65"},
+                    {"epoch.interfaces", "850"},
+                    {"epoch.remote_interfaces", "99"},
+                    {"epoch.traffic_scale", "1.5"}}));
+}
+
+// Every field of an epoch-series answer on the fast world, pinned.
+TEST(Executor, EpochSeriesResponseBytesArePinned) {
+  Request request;
+  request.type = RequestType::kEpochSeries;
+  request.id = 32;
+  request.world.fast = true;
+  request.timeline = fast_timeline();
+  request.group = 3;
+  request.max_steps = 5;
+  const Response response = execute_request(request, fast_world().get());
+  ASSERT_EQ(response.status, Status::kOk) << response.message;
+  EXPECT_EQ(response.fields,
+            (Fields{{"timeline.name", "pin-tl"},
+                    {"timeline.digest", "d7a0a72257b8257f"},
+                    {"series.epochs", "2"},
+                    {"epoch.0.label", "a"},
+                    {"epoch.0.events", "2"},
+                    {"epoch.0.joins", "2"},
+                    {"epoch.0.leaves", "0"},
+                    {"epoch.0.new_ixps", "0"},
+                    {"epoch.0.stashed", "0"},
+                    {"epoch.0.ixps", "65"},
+                    {"epoch.0.interfaces", "851"},
+                    {"epoch.0.remote_interfaces", "99"},
+                    {"epoch.0.traffic_scale", "1.5"},
+                    {"epoch.0.transit_bps", "1.769340259e+10"},
+                    {"epoch.0.greedy_picked", "5"},
+                    {"epoch.0.offload_fraction", "0.6955348133"},
+                    {"epoch.1.label", "b"},
+                    {"epoch.1.events", "2"},
+                    {"epoch.1.joins", "0"},
+                    {"epoch.1.leaves", "1"},
+                    {"epoch.1.new_ixps", "0"},
+                    {"epoch.1.stashed", "0"},
+                    {"epoch.1.ixps", "65"},
+                    {"epoch.1.interfaces", "850"},
+                    {"epoch.1.remote_interfaces", "99"},
+                    {"epoch.1.traffic_scale", "1.5"},
+                    {"epoch.1.transit_bps", "1.769340259e+10"},
+                    {"epoch.1.greedy_picked", "5"},
+                    {"epoch.1.offload_fraction", "0.695089887"}}));
 }
 
 }  // namespace

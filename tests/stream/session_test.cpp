@@ -353,6 +353,32 @@ TEST(StreamSession, ResumeRejectsAHugeNetworkCount) {
   std::filesystem::remove(ckpt_path);
 }
 
+// A checkpoint carries the covered mask of the peer group it was written
+// under; resuming it under another group would mix that group's offload
+// percentiles with this one's, so it is refused.
+TEST(StreamSession, ResumeRejectsAnotherPeerGroupsCheckpoint) {
+  StreamWorld w;
+  const auto ckpt_path = temp_file("rp_stream_session_group.rpsnap");
+  StreamSessionConfig config;
+  config.checkpoint_path = ckpt_path;
+  {
+    RateModelBinSource source(*w.rates, w.endpoint_networks());
+    StreamSession session(source, *w.analyzer, offload::PeerGroup::kOpen,
+                          config);
+    session.run(10);
+    session.checkpoint();
+  }
+  ASSERT_NE(w.analyzer->covered_mask(w.analyzer->all_ixps(),
+                                     offload::PeerGroup::kOpen),
+            w.analyzer->covered_mask(w.analyzer->all_ixps(),
+                                     offload::PeerGroup::kAll));
+  RateModelBinSource source(*w.rates, w.endpoint_networks());
+  StreamSession session(source, *w.analyzer, offload::PeerGroup::kAll,
+                        config);
+  EXPECT_THROW(session.resume(), io::SnapshotError);
+  std::filesystem::remove(ckpt_path);
+}
+
 TEST(StreamSession, ResumeWithoutCheckpointReturnsFalse) {
   StreamWorld w;
   RateModelBinSource source(*w.rates, w.endpoint_networks());

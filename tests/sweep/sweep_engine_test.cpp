@@ -310,6 +310,29 @@ TEST_F(SweepEngineTest, EpochAxisSweepsTheTimelineOverOneWorld) {
   EXPECT_EQ(read_file(SweepPaths(dir8).results_csv()), reference);
 }
 
+// One record of the timeline spec, exactly as a resume reads it back: the
+// epoch's overlay study, its traffic scale and its prices under the spec's
+// econ.h pin.
+TEST_F(SweepEngineTest, EpochRecordBytesArePinned) {
+  const SweepSpec spec = parse_sweep_spec(kEpochSpec);
+  const auto dir = root_ / "epoch-pinned";
+  execute_sweep(spec, dir, options_);
+  EXPECT_EQ(read_file(SweepPaths(dir).record(3)),
+            "rpsweep-record v1 031f89c1a382fab1 3\n"
+            "3,1,0.01,4854cfc7a57b317c,ok,1.469381995e+10,0.991629971,4,"
+            "1.658053147,2.449253319,0.4180488315,0.9827680864,2,"
+            "0.6931471806,0,0.2415711088,0.2397204274\n"
+            "{\"run\":3,\"axes\":{\"evolve.epoch\":\"1\",\"econ.h\":\"0.01\"},"
+            "\"world\":\"4854cfc7a57b317c\",\"status\":\"ok\","
+            "\"transit_bps\":1.469381995e+10,\"offload_fraction\":0.991629971,"
+            "\"greedy_picked\":4,\"fitted_decay\":1.658053147,"
+            "\"optimal_n\":2.449253319,\"optimal_m\":0.4180488315,"
+            "\"optimal_direct_fraction\":0.9827680864,"
+            "\"viability_ratio\":2,\"critical_decay\":0.6931471806,"
+            "\"viable\":false,\"cost_without_remote\":0.2415711088,"
+            "\"cost_with_remote\":0.2397204274}\n");
+}
+
 TEST_F(SweepEngineTest, InvalidPriceCornersAreRecordedNotFatal) {
   // h = 0.025 > g violates ineq. 7: that corner must land in the table as
   // status=invalid-params instead of aborting the sweep.
